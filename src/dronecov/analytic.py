@@ -10,6 +10,8 @@ truncation: the line-of-sight field is cut only where its step level
 times an exact power-law tail integral certifies the remaining mass
 below tolerance, and the far field beyond the last breakpoint that
 matters is summed in closed form with an accounted linearization slack.
+Conditional terms that a closed-form Chernoff bound already certifies
+below tolerance are skipped before any of that quadrature runs.
 
 Internally all derivative bookkeeping uses the scaled quantities
 ``t_j = s^j eta^(j) / j!`` and ``M_k = s^k L^(k) / k!``; every term of the
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -214,10 +216,15 @@ class _Field:
         self.lobe = main_lobe_interval(scn.bs_height, scn.ue_height,
                                        scn.pattern)
         self.g_max = max(scn.pattern.gain_main, scn.pattern.gain_side)
+        self.g_min = min(scn.pattern.gain_main, scn.pattern.gain_side)
         self.gap2 = (scn.bs_height - scn.ue_height) ** 2
         self.r_outer = math.sqrt(
             math.log(1.0 / quad.outer_trunc_prob)
             / (math.pi * scn.bs_density))
+        # First step the cut search tries for a serving distance inside
+        # the outer radius.
+        self.k_start = int(quad.inner_radius_factor * self.r_outer
+                           / self.step) + 1
         self._levels = np.empty(0)
 
     # ---------------------------------------------------------- step table
@@ -304,8 +311,7 @@ class _Field:
         every output pinned near zero in absolute terms.
         """
         quad = self.quad
-        k0 = max(int(quad.inner_radius_factor * self.r_outer / self.step),
-                 int(r0 / self.step)) + 1
+        k0 = max(self.k_start, int(r0 / self.step) + 1)
         k = self._cut_search(k0, s, orders, ml, mn, 0.5 * quad.abs_tol,
                              cap=20000)
         if k is not None:
@@ -467,6 +473,64 @@ class _Field:
             max_panels=self.quad.max_panels)
         return -res.value * (1.0 - 1e-6)
 
+    @cached_property
+    def _floor_steps(self) -> tuple[np.ndarray, ...]:
+        # Step intervals out to four times the cut search's start: path
+        # gains at their right endpoints, step levels, the mass of
+        # 2 pi lam r dr on each interval, and suffix sums of that mass
+        # times the larger path gain.
+        scn = self.scn
+        n = min(4 * self.k_start, _MAX_TABLE - 1)
+        right = self.step * np.arange(1, n + 1, dtype=float)
+        zl, zn = path_loss_curves(right, scn.bs_height, scn.ue_height,
+                                  scn.channel)
+        levels = self.levels_upto(n)[:n]
+        area = math.pi * scn.bs_density * (right ** 2
+                                           - (right - self.step) ** 2)
+        tail = np.cumsum((area * np.maximum(zl, zn))[::-1])[::-1]
+        return zl, zn, levels, area, tail
+
+    def eta_floor(self, r0: float, s: float, need: float = 0.0) -> float:
+        """Closed-form lower bound on the transform log magnitude
+        ``-ln L(s)`` at serving distance ``r0``, for any fading orders.
+
+        Every interferer term ``1 - (1 + y/m)^-m`` is at least
+        ``y / (1 + y)``, which grows with the mean received power ``y``;
+        on each step interval the right endpoint and the smaller antenna
+        gain minorize ``y`` and the level is constant, so a right-endpoint
+        sum over the intervals beyond ``r0`` under-counts the integral.
+        When even ``y / (1 + y) <= y`` cannot lift the sum above ``need``
+        the trivial bound 0 is returned without array work.
+        """
+        zl, zn, levels, area, tail = self._floor_steps
+        k = int(r0 / self.step)
+        if k >= area.size:
+            return 0.0
+        c = s * self.scn.tx_power * self.g_min
+        if c * tail[k] <= need:
+            return 0.0
+        yl = c * zl[k:]
+        yn = c * zn[k:]
+        weights = area[k:].copy()
+        weights[0] = math.pi * self.scn.bs_density * max(
+            ((k + 1) * self.step) ** 2 - r0 * r0, 0.0)
+        lev = levels[k:]
+        return float(np.dot(weights, lev * (yl / (1.0 + yl))
+                            + (1.0 - lev) * (yn / (1.0 + yn))))
+
+    def coverage_negligible(self, r0: float, s: float, m: int,
+                            weight: float) -> bool:
+        """Whether ``weight`` times the coverage of a serving link with
+        fading order ``m`` and transform argument ``s = m T / c0`` is
+        certified to be at most half of ``abs_tol``.
+
+        For integer ``m`` that coverage is ``E[Q(m, s I)]``, and the
+        Chernoff bound at one half gives ``Q(m, x) <= 2^m exp(-x/2)``,
+        so it is at most ``2^m L(s/2)``.
+        """
+        need = math.log(weight * 2.0 ** m / (0.5 * self.quad.abs_tol))
+        return self.eta_floor(r0, 0.5 * s, need) >= need
+
     def eta_scaled(self, r0: float, s: float, orders: int,
                    ml: int | None = None,
                    mn: int | None = None) -> tuple[np.ndarray, dict]:
@@ -595,6 +659,12 @@ def _coverage_terms(t: np.ndarray, m: int) -> np.ndarray:
     return msums
 
 
+def _coverage_sum(t: np.ndarray, m: int) -> float:
+    # sum_k (-1)^k M_k, clipped to a probability.
+    signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+    return float(min(max(np.dot(signs, _coverage_terms(t, m)), 0.0), 1.0))
+
+
 def _serving_coeff(scn: NetworkScenario, r0: float, los: bool) -> float:
     if r0 < 0.0:
         raise DomainError("serving distance must be non-negative")
@@ -651,8 +721,7 @@ def mean_interference(scn: NetworkScenario, r0: float,
     scale = (fld.linear_terms(1.0, 0, 1, 1, r_lin, k_lin)[0][0]
              + fld.excess_bound(1.0, 0, 1, 1, k_lin))
     tol = max(qd.abs_tol, qd.rel_tol * scale)
-    k0 = max(int(qd.inner_radius_factor * fld.r_outer / fld.step),
-             k_lin) + 1
+    k0 = max(fld.k_start, k_lin + 1)
     k_cut = fld._cut_search(k0, 1.0, 0, 1, 1, 0.5 * tol, cap=_MAX_TABLE - 1)
     if k_cut is None:
         raise QuadratureError(
@@ -691,9 +760,7 @@ def conditional_coverage(scn: NetworkScenario, r0: float, serving_los: bool,
     c0 = _serving_coeff(scn, r0, serving_los)
     s = m * scn.sir_threshold / c0
     t, _ = fld.eta_scaled(r0, s, m - 1)
-    msums = _coverage_terms(t, m)
-    signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-    return float(min(max(np.dot(signs, msums), 0.0), 1.0))
+    return _coverage_sum(t, m)
 
 
 def _outer_edges(fld: _Field) -> np.ndarray:
@@ -703,9 +770,37 @@ def _outer_edges(fld: _Field) -> np.ndarray:
     return build_edges(0.0, fld.r_outer, pts)
 
 
-def _integrate_outer(fld: _Field, cond_at) -> tuple[float, float, dict]:
+def _integrate_outer(fld: _Field, ml: int,
+                     mn: int) -> tuple[float, float, dict]:
+    """Coverage averaged over serving distance and serving-link state,
+    with fading order ``ml`` (``mn``) on every line-of-sight
+    (non-line-of-sight) link, serving or interfering.
+
+    Terms that :meth:`_Field.coverage_negligible` certifies are skipped;
+    each is at most half of ``abs_tol`` times the serving-distance density,
+    so both states together lose at most ``abs_tol`` over the integral,
+    which is added to the error estimate once.
+    """
     quad = fld.quad
-    lam = fld.scn.bs_density
+    scn = fld.scn
+    lam = scn.bs_density
+    thr = scn.sir_threshold
+    skipped = 0
+
+    def cond_at(r0: float) -> float:
+        nonlocal skipped
+        p_los = fld.level_at(r0)
+        total = 0.0
+        for los, m, weight in ((True, ml, p_los), (False, mn, 1.0 - p_los)):
+            if weight == 0.0:
+                continue
+            s = m * thr / _serving_coeff(scn, r0, los)
+            if fld.coverage_negligible(r0, s, m, weight):
+                skipped += 1
+                continue
+            t, _ = fld.eta_scaled(r0, s, m - 1, ml, mn)
+            total += weight * _coverage_sum(t, m)
+        return total
 
     def integrand(r0s: np.ndarray) -> np.ndarray:
         vals = np.array([cond_at(float(r0)) for r0 in r0s])
@@ -718,12 +813,15 @@ def _integrate_outer(fld: _Field, cond_at) -> tuple[float, float, dict]:
     prob = float(min(max(res.value, 0.0), 1.0))
     err = res.error + quad.outer_trunc_prob + 8.0 * quad.abs_tol \
         + 4.0 * quad.rel_tol * max(prob, 1e-3)
+    if skipped:
+        err += quad.abs_tol
     diag = {
         "outer_radius": fld.r_outer,
         "outer_panels": res.num_panels,
         "outer_evals": res.num_evals,
         "outer_quad_error": res.error,
         "truncated_mass": quad.outer_trunc_prob,
+        "skipped_terms": skipped,
     }
     return prob, err, diag
 
@@ -735,23 +833,7 @@ def coverage_probability(scn: NetworkScenario,
     quad = quad or QuadratureSpec()
     ml, mn = scn.channel.m_los, scn.channel.m_nlos
     _require_order(max(ml, mn))
-    fld = _field_for(scn, quad)
-    thr = scn.sir_threshold
-
-    def cond_at(r0: float) -> float:
-        p_los = fld.level_at(r0)
-        total = 0.0
-        for los, m, weight in ((True, ml, p_los), (False, mn, 1.0 - p_los)):
-            if weight == 0.0:
-                continue
-            s = m * thr / _serving_coeff(scn, r0, los)
-            t, _ = fld.eta_scaled(r0, s, m - 1)
-            msums = _coverage_terms(t, m)
-            signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-            total += weight * min(max(float(np.dot(signs, msums)), 0.0), 1.0)
-        return total
-
-    prob, err, diag = _integrate_outer(fld, cond_at)
+    prob, err, diag = _integrate_outer(_field_for(scn, quad), ml, mn)
     diag["fading_orders"] = (ml, mn)
     return CoverageResult(prob, err, "analytic", diag)
 
@@ -765,19 +847,5 @@ def rayleigh_coverage(scn: NetworkScenario,
     general recursion at unit fading orders.
     """
     quad = quad or QuadratureSpec()
-    fld = _field_for(scn, quad)
-    thr = scn.sir_threshold
-
-    def cond_at(r0: float) -> float:
-        p_los = fld.level_at(r0)
-        total = 0.0
-        for los, weight in ((True, p_los), (False, 1.0 - p_los)):
-            if weight == 0.0:
-                continue
-            s = thr / _serving_coeff(scn, r0, los)
-            t, _ = fld.eta_scaled(r0, s, 0, ml=1, mn=1)
-            total += weight * math.exp(t[0])
-        return total
-
-    prob, err, diag = _integrate_outer(fld, cond_at)
+    prob, err, diag = _integrate_outer(_field_for(scn, quad), 1, 1)
     return CoverageResult(prob, err, "rayleigh", diag)

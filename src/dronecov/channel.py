@@ -237,11 +237,15 @@ def _los_levels_long(env: EnvironmentParams, bs_height: float,
                      ue_height: float, k_max: int) -> np.ndarray:
     # Midpoint Euler-Maclaurin asymptotics: the log of the k-blocker
     # product approaches k/dh * int(ln f) with a 1/k correction from the
-    # endpoint slopes of ln f.  Validated against the exact product at
-    # the switch index; accurate to ~1e-11 in the log beyond it.
+    # endpoint slopes of ln f.  Validated against the exact log-product at
+    # the switch index, summed in logs so that a product below the double
+    # range still checks; accurate to ~1e-11 in the log beyond it.
     exact = _los_levels_exact(env, bs_height, ue_height, _K_EXACT)
     h_lo, h_hi = sorted((bs_height, ue_height))
     c2 = 2.0 * env.height_scale ** 2
+    h_switch = bs_height + (np.arange(_K_EXACT) + 0.5) \
+        * (ue_height - bs_height) / _K_EXACT
+    ln_exact = float(np.sum(np.log(-np.expm1(-h_switch * h_switch / c2))))
     if h_lo < 1e-9:
         raise QuadratureError(
             "step-table asymptotics need a positive lower height",
@@ -258,7 +262,7 @@ def _los_levels_long(env: EnvironmentParams, bs_height: float,
     ln_tail = ks / dh * fam.value - (dh / (24.0 * ks)) * slope_diff
     ln_at_switch = (_K_EXACT / dh * fam.value
                     - (dh / (24.0 * _K_EXACT)) * slope_diff)
-    mismatch = abs(ln_at_switch - math.log(max(exact[-1], 1e-300)))
+    mismatch = abs(ln_at_switch - ln_exact)
     if mismatch > 1e-6 * max(1.0, abs(ln_at_switch)) + 1e-6:
         raise QuadratureError("step-table asymptotics failed validation",
                               {"k_switch": _K_EXACT,

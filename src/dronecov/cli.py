@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+from dataclasses import replace
 from typing import IO
 
 from .analytic import coverage_probability, rayleigh_coverage
@@ -158,10 +159,10 @@ def build_parser() -> _Parser:
                      type=_grid, metavar="GRID",
                      help="grid as start:stop:step or v1,v2,... "
                           "(one per --sweep-param)")
-    swp.add_argument("--methods", type=_methods,
-                     default=("analytic",),
+    swp.add_argument("--methods", type=_methods, default=None,
                      help="comma-separated subset of analytic, rayleigh, "
-                          "monte-carlo")
+                          "monte-carlo (default: the preset's methods, "
+                          "else analytic)")
     swp.add_argument("--no-timing", action="store_true",
                      help="zero the wall_time_s column for "
                           "byte-reproducible output")
@@ -220,19 +221,23 @@ def _sweep_spec(args, cfg: ConfigFile) -> SweepSpec:
         if args.sweep_param or args.sweep_grid:
             raise ConfigError("give either --preset or explicit "
                               "--sweep-param/--sweep-grid, not both")
-        return _PRESETS[args.preset](drops, seed)
-    if not args.sweep_param:
-        raise ConfigError("sweep needs --preset or at least one "
-                          "--sweep-param with --sweep-grid")
-    if len(args.sweep_param) != len(args.sweep_grid):
-        raise ConfigError("each --sweep-param needs exactly one "
-                          "--sweep-grid")
-    axes = tuple(SweepAxis(parameter=param, values=grid)
-                 for param, grid in zip(args.sweep_param,
-                                        args.sweep_grid))
-    return SweepSpec(base=cfg.to_scenario(), axes=axes,
-                     methods=args.methods, num_drops=drops, seed=seed,
-                     quadrature=cfg.to_quadrature())
+        spec = _PRESETS[args.preset](drops, seed)
+    else:
+        if not args.sweep_param:
+            raise ConfigError("sweep needs --preset or at least one "
+                              "--sweep-param with --sweep-grid")
+        if len(args.sweep_param) != len(args.sweep_grid):
+            raise ConfigError("each --sweep-param needs exactly one "
+                              "--sweep-grid")
+        axes = tuple(SweepAxis(parameter=param, values=grid)
+                     for param, grid in zip(args.sweep_param,
+                                            args.sweep_grid))
+        spec = SweepSpec(base=cfg.to_scenario(), axes=axes,
+                         num_drops=drops, seed=seed,
+                         quadrature=cfg.to_quadrature())
+    if args.methods is not None:
+        spec = replace(spec, methods=args.methods)
+    return spec
 
 
 def _run_sweep(args, cfg: ConfigFile, stdout: IO[str],

@@ -263,49 +263,61 @@ def _drop_rng(seed: int, drop_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def sample_network(scn, spec: SimulationSpec,
-                   rng: np.random.Generator) -> NetworkRealization:
-    """Draw one field of stations with propagation states and fading."""
+def _sampler(scn, spec: SimulationSpec):
+    """``draw(rng) -> NetworkRealization`` for one estimate: the disk
+    radius and the line-of-sight table are the same for every drop, so
+    they are resolved once here rather than per drop."""
     radius = (spec.disk_radius if spec.disk_radius is not None
               else default_disk_radius(scn))
     lam = scn.bs_density
     r0 = spec.fixed_serving_distance
-    resampled = 0
-    if r0 is not None:
-        if r0 >= radius:
-            raise DomainError("fixed_serving_distance must lie inside "
-                              "the sampling disk")
-        n = int(rng.poisson(lam * math.pi * (radius * radius - r0 * r0)))
-        u = rng.random(n)
-        radii = np.concatenate((
-            [r0], np.sqrt(r0 * r0 + u * (radius * radius - r0 * r0))))
-    else:
-        mean = lam * math.pi * radius * radius
-        while True:
-            n = int(rng.poisson(mean))
-            if n > 0:
-                break
-            resampled += 1
-        radii = radius * np.sqrt(rng.random(n))
-    angles = 2.0 * math.pi * rng.random(radii.size)
-    positions = np.column_stack((radii * np.cos(angles),
-                                 radii * np.sin(angles)))
-
+    if r0 is not None and r0 >= radius:
+        raise DomainError("fixed_serving_distance must lie inside "
+                          "the sampling disk")
     step = los_step_width(scn.env)
     levels = los_step_levels(scn.env, scn.bs_height, scn.ue_height,
                              int(radius / step) + 1)
-    pl = levels[np.minimum((radii / step).astype(int), levels.size - 1)]
-    los = rng.random(radii.size) < pl
-    if spec.force_serving_los is not None:
-        serving = 0 if r0 is not None else int(np.argmin(radii))
-        los[serving] = spec.force_serving_los
-
     ch = scn.channel
-    fading = np.empty(radii.size)
-    n_los = int(np.count_nonzero(los))
-    fading[los] = rng.gamma(ch.m_los, 1.0 / ch.m_los, n_los)
-    fading[~los] = rng.gamma(ch.m_nlos, 1.0 / ch.m_nlos, radii.size - n_los)
-    return NetworkRealization(positions, los, fading, resampled)
+
+    def draw(rng: np.random.Generator) -> NetworkRealization:
+        resampled = 0
+        if r0 is not None:
+            n = int(rng.poisson(lam * math.pi * (radius * radius - r0 * r0)))
+            u = rng.random(n)
+            radii = np.concatenate((
+                [r0], np.sqrt(r0 * r0 + u * (radius * radius - r0 * r0))))
+        else:
+            mean = lam * math.pi * radius * radius
+            while True:
+                n = int(rng.poisson(mean))
+                if n > 0:
+                    break
+                resampled += 1
+            radii = radius * np.sqrt(rng.random(n))
+        angles = 2.0 * math.pi * rng.random(radii.size)
+        positions = np.column_stack((radii * np.cos(angles),
+                                     radii * np.sin(angles)))
+
+        pl = levels[np.minimum((radii / step).astype(int), levels.size - 1)]
+        los = rng.random(radii.size) < pl
+        if spec.force_serving_los is not None:
+            serving = 0 if r0 is not None else int(np.argmin(radii))
+            los[serving] = spec.force_serving_los
+
+        fading = np.empty(radii.size)
+        n_los = int(np.count_nonzero(los))
+        fading[los] = rng.gamma(ch.m_los, 1.0 / ch.m_los, n_los)
+        fading[~los] = rng.gamma(ch.m_nlos, 1.0 / ch.m_nlos,
+                                 radii.size - n_los)
+        return NetworkRealization(positions, los, fading, resampled)
+
+    return draw
+
+
+def sample_network(scn, spec: SimulationSpec,
+                   rng: np.random.Generator) -> NetworkRealization:
+    """Draw one field of stations with propagation states and fading."""
+    return _sampler(scn, spec)(rng)
 
 
 def _link_powers(real: NetworkRealization, scn) -> tuple[np.ndarray, int]:
@@ -347,8 +359,9 @@ def _chunk_counts(scn, spec: SimulationSpec, lo: int, hi: int, radius: float,
                               spec.force_serving_los)
     covered = resampled = single = 0
     thr = scn.sir_threshold
+    draw = _sampler(scn, run_spec)
     for i in range(lo, hi):
-        real = sample_network(scn, run_spec, _drop_rng(spec.seed, i))
+        real = draw(_drop_rng(spec.seed, i))
         resampled += real.resampled
         if real.positions.shape[0] == 1:
             single += 1
@@ -417,8 +430,9 @@ def laplace_empirical(scn, spec: SimulationSpec, s_values) -> tuple[
                               spec.force_serving_los)
     total = np.zeros(s.size)
     total_sq = np.zeros(s.size)
+    draw = _sampler(scn, run_spec)
     for i in range(spec.num_drops):
-        real = sample_network(scn, run_spec, _drop_rng(spec.seed, i))
+        real = draw(_drop_rng(spec.seed, i))
         power, serving = _link_powers(real, scn)
         interference = float(power.sum()) - float(power[serving]) + far_mean
         vals = np.exp(-s * interference)

@@ -25,6 +25,7 @@ from dronecov.analytic import (
     upsilon,
     upsilon_derivative,
 )
+from dronecov.analytic import _Field, _field_for, _serving_coeff
 from dronecov.channel import AntennaPattern, ChannelParams, EnvironmentParams
 from dronecov.errors import CapabilityError, DomainError
 
@@ -296,6 +297,54 @@ def test_rayleigh_ignores_configured_fading_orders():
     b = rayleigh_coverage(make_scenario(m_los=1, m_nlos=1), QUAD)
     assert a.probability == b.probability
     assert a.method == "rayleigh"
+
+
+# --------------------------------------------- closed-form skip of terms
+
+DENSE_URBAN = EnvironmentParams(built_fraction=0.5, buildings_per_km2=300.0,
+                                height_scale=20.0)
+
+
+@pytest.mark.parametrize("env", [URBAN, DENSE_URBAN],
+                         ids=["urban", "dense-urban"])
+@pytest.mark.parametrize("ue_height", [1.5, 60.0, 150.0])
+def test_eta_floor_never_exceeds_transform_log(env, ue_height):
+    # Unit fading orders give the smallest transform log magnitude, so
+    # they are the sharpest check of a bound meant for any orders.
+    fld = _field_for(replace(make_scenario(ue_height=ue_height), env=env),
+                     QUAD)
+    for r0 in (5.0, 60.0, 170.0, 340.0):
+        for s in (1e6, 1e8, 1e10, 1e12):
+            t, _ = fld.eta_scaled(r0, s, 0, ml=1, mn=1)
+            floor = fld.eta_floor(r0, s)
+            assert 0.0 < floor <= -t[0]
+            # The scalar screen never hides a bound that clears its need.
+            assert fld.eta_floor(r0, s, need=0.5 * floor) == floor
+
+
+def test_coverage_skips_certified_terms_at_altitude(monkeypatch):
+    scn = make_scenario(ue_height=150.0)
+    res = coverage_probability(scn, QUAD)
+    assert res.diagnostics["skipped_terms"] > 0
+    assert_allclose(res.probability, 5.258709652239982e-05, rtol=1e-6)
+    monkeypatch.setattr(_Field, "coverage_negligible", lambda *args: False)
+    full = coverage_probability(scn, QUAD)
+    assert full.diagnostics["skipped_terms"] == 0
+    assert abs(res.probability - full.probability) <= QUAD.abs_tol
+    assert res.error_estimate <= full.error_estimate + QUAD.abs_tol
+
+
+@pytest.mark.parametrize("serving_los", [True, False])
+def test_skipped_term_has_negligible_conditional_coverage(serving_los):
+    scn = make_scenario(ue_height=150.0)
+    fld = _field_for(scn, QUAD)
+    r0 = 300.0
+    m = scn.channel.fading_order(serving_los)
+    s = m * scn.sir_threshold / _serving_coeff(scn, r0, serving_los)
+    p_los = fld.level_at(r0)
+    weight = p_los if serving_los else 1.0 - p_los
+    assert fld.coverage_negligible(r0, s, m, weight)
+    assert conditional_coverage(scn, r0, serving_los, QUAD) <= QUAD.abs_tol
 
 
 # ----------------------------------------------------------- domain errors

@@ -143,6 +143,33 @@ def test_los_step_levels_match_scalar_probability():
         assert_allclose(levels[k], los_probability(geom, URBAN), rtol=1e-14)
 
 
+def _log_blocker_product(env, bs_height, ue_height, k):
+    h = bs_height + (np.arange(k) + 0.5) * (ue_height - bs_height) / k
+    return float(np.sum(np.log(-np.expm1(-h * h / (2.0 * env.height_scale
+                                                    ** 2)))))
+
+
+def test_los_step_levels_long_table_follows_log_product():
+    levels = los_step_levels(URBAN, 30.0, 60.0, 4200)
+    for k in (4001, 4100, 4200):
+        assert_allclose(math.log(levels[k]),
+                        _log_blocker_product(URBAN, 30.0, 60.0, k),
+                        rtol=1e-10)
+
+
+@pytest.mark.parametrize("bs_height", [10.0, 25.0, 30.0])
+def test_los_step_levels_long_table_for_ground_user(bs_height):
+    # The exact product underflows long before the switch to asymptotics;
+    # the switch must still validate and continue the exact table.
+    exact = los_step_levels(URBAN, bs_height, 1.5, 4000)
+    levels = los_step_levels(URBAN, bs_height, 1.5, 4097)
+    assert levels.size == 4098
+    assert np.array_equal(levels[:4001], exact)
+    assert np.all(levels[4001:] >= 0.0)
+    assert np.all(np.diff(levels) <= 0.0)
+    assert _log_blocker_product(URBAN, bs_height, 1.5, 4000) < -745.0
+
+
 def test_environment_validation():
     with pytest.raises(DomainError):
         EnvironmentParams(1.5, 500.0, 15.0)

@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from dronecov.cli import CSV_HEADER, build_parser, run
+from dronecov.cli import CSV_HEADER, _sweep_spec, build_parser, run
+from dronecov.config import default_config
 
 
 def invoke(argv):
@@ -240,6 +241,19 @@ def test_sweep_unknown_parameter_exits_2():
                            "rayleigh"])
     assert code == 2
     assert "unknown sweep parameter" in err
+
+
+def test_sweep_preset_honours_methods():
+    parser = build_parser()
+    cfg = default_config()
+    chosen = parser.parse_args(["sweep", "--preset", "figure3-ground",
+                                "--methods", "analytic"])
+    assert _sweep_spec(chosen, cfg).methods == ("analytic",)
+    preset = parser.parse_args(["sweep", "--preset", "figure3-ground"])
+    assert _sweep_spec(preset, cfg).methods == ("analytic", "monte-carlo")
+    axes = parser.parse_args(["sweep", "--sweep-param", "ue_height",
+                              "--sweep-grid", "60"])
+    assert _sweep_spec(axes, cfg).methods == ("analytic",)
 
 
 def test_sweep_preset_names_offered():
