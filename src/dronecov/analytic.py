@@ -33,6 +33,7 @@ from .channel import (
     EnvironmentParams,
     LinkGeometry,
     antenna_gain,
+    antenna_gain_curve,
     los_step_levels,
     los_step_width,
     main_lobe_interval,
@@ -418,11 +419,7 @@ class _Field:
     # ------------------------------------------------------------ integrand
 
     def gain_profile(self, r: np.ndarray) -> np.ndarray:
-        pat = self.scn.pattern
-        if self.lobe is None:
-            return np.full(r.shape, pat.gain_side)
-        lo, hi = self.lobe
-        return np.where((r >= lo) & (r <= hi), pat.gain_main, pat.gain_side)
+        return antenna_gain_curve(r, self.lobe, self.scn.pattern)
 
     def step_edges(self, lo: float, hi: float) -> np.ndarray:
         """Panel edges over ``[lo, hi]`` aligned with every line-of-sight

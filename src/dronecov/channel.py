@@ -324,6 +324,18 @@ def antenna_gain(geom: LinkGeometry, pattern: AntennaPattern) -> float:
     return pattern.gain_side
 
 
+def antenna_gain_curve(r, lobe: tuple[float, float] | None,
+                       pattern: AntennaPattern):
+    """Vectorized antenna gain over ground distances ``r``, given the
+    ``main_lobe_interval`` of the link heights: main-lobe gain inside the
+    (inclusive) interval, side-lobe gain elsewhere."""
+    r = np.asarray(r, dtype=float)
+    if lobe is None:
+        return np.full(r.shape, pattern.gain_side)
+    return np.where((r >= lobe[0]) & (r <= lobe[1]), pattern.gain_main,
+                    pattern.gain_side)
+
+
 def main_lobe_interval(bs_height: float, ue_height: float,
                        pattern: AntennaPattern) -> tuple[float, float] | None:
     """Ground-distance interval over which a user at ``ue_height`` sits in

@@ -18,7 +18,13 @@ diagnostics, and the induced coverage error is of that ratio squared.
 
 Every drop draws from its own random substream keyed by (seed, drop
 index), and the estimate is reduced by integer counts, so results are
-bit-identical for any worker count.
+bit-identical for any worker count.  Drops are evaluated in small blocks
+of consecutive indices, cut at fixed multiples so that no block edge
+depends on the worker split.  Within a block each drop still consumes
+its own substream in the order ``sample_network`` uses; only the array
+work between the draws (line-of-sight states, path and antenna gains,
+serving station, interference) runs once over the block's concatenated
+stations, through segment reductions that never mix drops.
 """
 
 from __future__ import annotations
@@ -31,9 +37,11 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import (
+    antenna_gain_curve,
     los_step_levels,
     los_step_width,
     main_lobe_interval,
+    path_loss_curves,
 )
 from .errors import DomainError, QuadratureError
 
@@ -212,9 +220,7 @@ def _far_field_moments(scn, radius: float) -> tuple[float, float]:
     for i, lo in enumerate(cuts):
         hi = cuts[i + 1] if i + 1 < len(cuts) else math.inf
         probe = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo + step
-        gain = scn.pattern.gain_side
-        if lobe is not None and lobe[0] <= probe <= lobe[1]:
-            gain = scn.pattern.gain_main
+        gain = float(antenna_gain_curve(probe, lobe, scn.pattern))
         m, v = _annulus_moments(scn, lo, hi, step, gap2)
         mean += gain * m
         var += gain * gain * v
@@ -257,16 +263,46 @@ def default_disk_radius(scn) -> float:
 
 # ------------------------------------------------------------------ sampling
 
+_BLOCK = 8   # drops per evaluation block; larger ones add memory, not speed
+
 
 def _drop_rng(seed: int, drop_index: int) -> np.random.Generator:
     seq = np.random.SeedSequence(seed, spawn_key=(drop_index,))
     return np.random.Generator(np.random.PCG64(seq))
 
 
+@dataclass
+class _Block:
+    """Stations of consecutive drops, concatenated in drop order."""
+
+    radii: np.ndarray     # ground distances
+    los: np.ndarray
+    fading: np.ndarray
+    starts: np.ndarray    # index of each drop's first station
+    counts: np.ndarray    # stations per drop
+    serving: np.ndarray   # index of each drop's serving station
+    angles: np.ndarray    # angle uniforms, for positions only
+    resampled: int        # empty fields discarded over the block
+
+
+def _segment_argmin(values: np.ndarray, starts: np.ndarray,
+                    counts: np.ndarray) -> np.ndarray:
+    # First minimum of each segment, which is argmin's tie rule.
+    low = np.minimum.reduceat(values, starts)
+    hits = np.flatnonzero(values == np.repeat(low, counts))
+    return hits[np.searchsorted(hits, starts)]
+
+
 def _sampler(scn, spec: SimulationSpec):
-    """``draw(rng) -> NetworkRealization`` for one estimate: the disk
+    """``draw(rngs) -> _Block``, one generator per drop, for one estimate.
+
+    Each drop consumes its own generator in a fixed order: Poisson count,
+    radius uniforms, angle uniforms, line-of-sight uniforms, then gamma
+    fading for its line-of-sight and its blocked stations.  The array
+    work between those draws runs once over the whole block.  The disk
     radius and the line-of-sight table are the same for every drop, so
-    they are resolved once here rather than per drop."""
+    they are resolved once here rather than per drop.
+    """
     radius = (spec.disk_radius if spec.disk_radius is not None
               else default_disk_radius(scn))
     lam = scn.bs_density
@@ -278,75 +314,129 @@ def _sampler(scn, spec: SimulationSpec):
     levels = los_step_levels(scn.env, scn.bs_height, scn.ue_height,
                              int(radius / step) + 1)
     ch = scn.channel
+    force = spec.force_serving_los
+    if r0 is not None:
+        mean = lam * math.pi * (radius * radius - r0 * r0)
+    else:
+        mean = lam * math.pi * radius * radius
 
-    def draw(rng: np.random.Generator) -> NetworkRealization:
+    def draw(rngs: list[np.random.Generator]) -> _Block:
+        # Drops have independent generators, so each pass below may visit
+        # all drops before the next starts; every generator still sees
+        # its own draws in the order above.
+        n = np.empty(len(rngs), dtype=np.intp)   # radius uniforms per drop
         resampled = 0
-        if r0 is not None:
-            n = int(rng.poisson(lam * math.pi * (radius * radius - r0 * r0)))
-            u = rng.random(n)
-            radii = np.concatenate((
-                [r0], np.sqrt(r0 * r0 + u * (radius * radius - r0 * r0))))
-        else:
-            mean = lam * math.pi * radius * radius
-            while True:
-                n = int(rng.poisson(mean))
-                if n > 0:
-                    break
+        for j, rng in enumerate(rngs):
+            n[j] = rng.poisson(mean)
+            while r0 is None and n[j] == 0:
                 resampled += 1
-            radii = radius * np.sqrt(rng.random(n))
-        angles = 2.0 * math.pi * rng.random(radii.size)
-        positions = np.column_stack((radii * np.cos(angles),
-                                     radii * np.sin(angles)))
-
-        pl = levels[np.minimum((radii / step).astype(int), levels.size - 1)]
-        los = rng.random(radii.size) < pl
-        if spec.force_serving_los is not None:
-            serving = 0 if r0 is not None else int(np.argmin(radii))
-            los[serving] = spec.force_serving_los
-
+                n[j] = rng.poisson(mean)
+        counts = n + 1 if r0 is not None else n
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        u = np.empty(int(n.sum()))
+        angles = np.empty(ends[-1])
+        los_u = np.empty(ends[-1])
+        a = 0
+        for rng, nj, lo, hi in zip(rngs, n.tolist(), starts.tolist(),
+                                   ends.tolist()):
+            rng.random(out=u[a:a + nj])
+            rng.random(out=angles[lo:hi])
+            rng.random(out=los_u[lo:hi])
+            a += nj
+        if r0 is not None:
+            u *= radius * radius - r0 * r0
+            u += r0 * r0
+            radii = np.insert(np.sqrt(u, out=u), np.cumsum(n) - n, r0)
+            serving = starts
+        else:
+            radii = np.sqrt(u, out=u)
+            radii *= radius
+            serving = _segment_argmin(radii, starts, counts)
+        k = (radii / step).astype(int)
+        los = los_u < levels[np.minimum(k, levels.size - 1, out=k)]
+        if force is not None:
+            los[serving] = force
+        n_los = np.add.reduceat(los, starts, dtype=np.intp)
+        fade_los = np.empty(int(n_los.sum()))
+        fade_nlos = np.empty(radii.size - fade_los.size)
+        a = b = 0
+        for rng, kj, lj in zip(rngs, counts.tolist(), n_los.tolist()):
+            rng.standard_gamma(ch.m_los, out=fade_los[a:a + lj])
+            rng.standard_gamma(ch.m_nlos, out=fade_nlos[b:b + kj - lj])
+            a += lj
+            b += kj - lj
+        # gamma(m, 1/m) is 1/m times standard_gamma(m), bit for bit.
+        fade_los *= 1.0 / ch.m_los
+        fade_nlos *= 1.0 / ch.m_nlos
         fading = np.empty(radii.size)
-        n_los = int(np.count_nonzero(los))
-        fading[los] = rng.gamma(ch.m_los, 1.0 / ch.m_los, n_los)
-        fading[~los] = rng.gamma(ch.m_nlos, 1.0 / ch.m_nlos,
-                                 radii.size - n_los)
-        return NetworkRealization(positions, los, fading, resampled)
+        fading[los] = fade_los
+        fading[~los] = fade_nlos
+        return _Block(radii, los, fading, starts, counts, serving, angles,
+                      resampled)
 
     return draw
+
+
+def _blocks(draw, seed: int, lo: int, hi: int):
+    """Blocks over drops ``lo..hi-1``, cut at multiples of ``_BLOCK`` so
+    that no block boundary depends on how drops are split over workers."""
+    a = lo
+    while a < hi:
+        b = min(hi, (a // _BLOCK + 1) * _BLOCK)
+        yield draw([_drop_rng(seed, i) for i in range(a, b)])
+        a = b
 
 
 def sample_network(scn, spec: SimulationSpec,
                    rng: np.random.Generator) -> NetworkRealization:
     """Draw one field of stations with propagation states and fading."""
-    return _sampler(scn, spec)(rng)
+    blk = _sampler(scn, spec)([rng])
+    angles = 2.0 * math.pi * blk.angles
+    positions = np.column_stack((blk.radii * np.cos(angles),
+                                 blk.radii * np.sin(angles)))
+    return NetworkRealization(positions, blk.los, blk.fading, blk.resampled)
 
 
-def _link_powers(real: NetworkRealization, scn) -> tuple[np.ndarray, int]:
-    radii = np.hypot(real.positions[:, 0], real.positions[:, 1])
-    if radii.size == 0:
-        raise DomainError("realization holds no stations")
-    serving = int(np.argmin(radii))
-    ch = scn.channel
-    d2 = radii * radii + (scn.bs_height - scn.ue_height) ** 2
-    z = np.empty(radii.size)
-    z[real.los] = ch.intercept_los * d2[real.los] ** (-0.5 * ch.alpha_los)
-    nlos = ~real.los
-    z[nlos] = ch.intercept_nlos * d2[nlos] ** (-0.5 * ch.alpha_nlos)
-    gain = np.full(radii.size, scn.pattern.gain_side)
-    lobe = main_lobe_interval(scn.bs_height, scn.ue_height, scn.pattern)
-    if lobe is not None:
-        gain[(radii >= lobe[0]) & (radii <= lobe[1])] = scn.pattern.gain_main
-    return scn.tx_power * gain * z * real.fading, serving
+def _link_sums(scn, radii: np.ndarray, los: np.ndarray, fading: np.ndarray,
+               starts, serving) -> tuple[np.ndarray, np.ndarray]:
+    """Serving power and summed power of every other station, per drop
+    of a block.  The serving entry is zeroed before the sum rather than
+    subtracted after it, so a strong signal costs the interference no
+    digits."""
+    zl, zn = path_loss_curves(radii, scn.bs_height, scn.ue_height,
+                              scn.channel)
+    power = antenna_gain_curve(
+        radii, main_lobe_interval(scn.bs_height, scn.ue_height, scn.pattern),
+        scn.pattern)
+    power *= scn.tx_power
+    power *= np.where(los, zl, zn)
+    power *= fading
+    signal = power[serving]
+    power[serving] = 0.0
+    return signal, np.add.reduceat(power, starts)
+
+
+def _block_sir(scn, blk: _Block, far_mean: float) -> np.ndarray:
+    signal, others = _link_sums(scn, blk.radii, blk.los, blk.fading,
+                                blk.starts, blk.serving)
+    interference = others + far_mean
+    return np.divide(signal, interference, out=np.full(signal.size, np.inf),
+                     where=interference > 0.0)
 
 
 def compute_sir(real: NetworkRealization, scn, far_mean: float = 0.0) -> float:
     """SIR at the user: the nearest station serves, every other station
     plus the deterministic far-field offset interferes."""
-    power, serving = _link_powers(real, scn)
-    signal = float(power[serving])
-    interference = float(power.sum()) - signal + far_mean
+    radii = np.hypot(real.positions[:, 0], real.positions[:, 1])
+    if radii.size == 0:
+        raise DomainError("realization holds no stations")
+    signal, others = _link_sums(scn, radii, real.los, real.fading, [0],
+                                [int(np.argmin(radii))])
+    interference = float(others[0]) + far_mean
     if interference <= 0.0:
         return math.inf
-    return signal / interference
+    return float(signal[0]) / interference
 
 
 # ---------------------------------------------------------------- estimation
@@ -359,14 +449,11 @@ def _chunk_counts(scn, spec: SimulationSpec, lo: int, hi: int, radius: float,
                               spec.force_serving_los)
     covered = resampled = single = 0
     thr = scn.sir_threshold
-    draw = _sampler(scn, run_spec)
-    for i in range(lo, hi):
-        real = draw(_drop_rng(spec.seed, i))
-        resampled += real.resampled
-        if real.positions.shape[0] == 1:
-            single += 1
-        if compute_sir(real, scn, far_mean) > thr:
-            covered += 1
+    for blk in _blocks(_sampler(scn, run_spec), spec.seed, lo, hi):
+        resampled += blk.resampled
+        single += int(np.count_nonzero(blk.counts == 1))
+        covered += int(np.count_nonzero(_block_sir(scn, blk, far_mean) > thr))
+        del blk   # freed before the next block is drawn, not after
     return covered, resampled, single
 
 
@@ -430,14 +517,13 @@ def laplace_empirical(scn, spec: SimulationSpec, s_values) -> tuple[
                               spec.force_serving_los)
     total = np.zeros(s.size)
     total_sq = np.zeros(s.size)
-    draw = _sampler(scn, run_spec)
-    for i in range(spec.num_drops):
-        real = draw(_drop_rng(spec.seed, i))
-        power, serving = _link_powers(real, scn)
-        interference = float(power.sum()) - float(power[serving]) + far_mean
-        vals = np.exp(-s * interference)
-        total += vals
-        total_sq += vals * vals
+    for blk in _blocks(_sampler(scn, run_spec), spec.seed, 0, spec.num_drops):
+        _, others = _link_sums(scn, blk.radii, blk.los, blk.fading,
+                               blk.starts, blk.serving)
+        vals = np.exp(np.multiply.outer(others + far_mean, -s))
+        total += vals.sum(axis=0)
+        total_sq += (vals * vals).sum(axis=0)
+        del blk
     n = spec.num_drops
     means = total / n
     if n > 1:

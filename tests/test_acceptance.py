@@ -101,6 +101,51 @@ def test_analytic_coverage_matches_large_simulation():
     assert wall <= 300.0
 
 
+def _abg_scenario(threshold):
+    # One exponent and intercept for both link states, Rayleigh fading,
+    # unit gains and equal heights: the Andrews-Baccelli-Ganti setting.
+    return replace(
+        BASE, bs_height=30.0, ue_height=30.0, sir_threshold=threshold,
+        channel=replace(BASE.channel, alpha_los=4.0, alpha_nlos=4.0,
+                        intercept_nlos=BASE.channel.intercept_los,
+                        m_los=1, m_nlos=1),
+        pattern=replace(BASE.pattern, gain_main=1.0, gain_side=1.0))
+
+
+def _abg_coverage(threshold):
+    # Andrews, Baccelli, Ganti, IEEE Trans. Commun. 59(11), 2011, at
+    # path-loss exponent 4 without noise.
+    root = math.sqrt(threshold)
+    return 1.0 / (1.0 + root * (0.5 * math.pi - math.atan(1.0 / root)))
+
+
+def test_analytic_coverage_matches_closed_form_oracle():
+    lines = []
+    ok = True
+    for threshold in (0.3, 1.0):
+        res = coverage_probability(_abg_scenario(threshold))
+        dev = abs(res.probability - _abg_coverage(threshold))
+        ok = ok and dev <= res.error_estimate
+        lines.append(f"T={threshold:g}: {dev:.3g} vs {res.error_estimate:.3g}")
+    _report("integral evaluation matches the Andrews-Baccelli-Ganti closed "
+            "form within its error estimate", ok, "; ".join(lines))
+    assert ok
+
+
+def test_simulation_matches_closed_form_oracle():
+    drops = 20_000
+    exact = _abg_coverage(1.0)
+    est = estimate_coverage(_abg_scenario(1.0),
+                            SimulationSpec(num_drops=drops, seed=0))
+    sigma = math.sqrt(exact * (1.0 - exact) / drops)
+    dev = abs(est.probability - exact) / sigma
+    _report("direct simulation matches the Andrews-Baccelli-Ganti closed "
+            "form", dev <= 4.0,
+            f"|{est.probability:.5f} - {exact:.5f}| = {dev:.2f} binomial "
+            f"sigma of 4, {drops} drops")
+    assert dev <= 4.0
+
+
 def test_conditional_coverage_matches_forced_state_simulation():
     drops = 20_000
     worst = 0.0

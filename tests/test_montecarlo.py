@@ -22,8 +22,10 @@ from dronecov.channel import (
     los_probability,
     path_loss,
 )
+from dronecov.config import default_scenario
 from dronecov.errors import DomainError
 from dronecov.montecarlo import (
+    _BLOCK,
     CoverageEstimate,
     NetworkRealization,
     SimulationSpec,
@@ -150,6 +152,22 @@ def test_sir_hand_computed_three_stations():
     assert_allclose(compute_sir(real, scn), expect, rtol=1e-12)
 
 
+def test_sir_keeps_digits_of_weak_interference():
+    # A line-of-sight station at 1 m next to a blocked one at 5 km: the
+    # interference is ten orders below the signal, so subtracting the
+    # signal from the total power would leave it with six digits.
+    scn = default_scenario()
+    real = NetworkRealization(
+        positions=np.array([[1.0, 0.0], [0.0, 5000.0]]),
+        los=np.array([True, False]), fading=np.ones(2))
+    terms = []
+    for r, los in ((1.0, True), (5000.0, False)):
+        geom = LinkGeometry(r, scn.bs_height, scn.ue_height)
+        terms.append(scn.tx_power * antenna_gain(geom, scn.pattern)
+                     * path_loss(geom, scn.channel, los))
+    assert_allclose(compute_sir(real, scn), terms[0] / terms[1], rtol=1e-12)
+
+
 def test_sir_single_station_is_infinite():
     real = NetworkRealization(positions=np.array([[50.0, 10.0]]),
                               los=np.array([True]),
@@ -250,6 +268,38 @@ def test_estimate_deterministic_and_worker_invariant():
     assert a.probability == b.probability == c.probability
     assert a.std_error == b.std_error == c.std_error
     assert a.diagnostics == b.diagnostics
+
+
+def test_estimate_worker_invariant_across_unaligned_blocks():
+    # 3 blocks and 5 drops: no worker split of 2 or 3 falls on a block edge.
+    spec = SimulationSpec(num_drops=3 * _BLOCK + 5, seed=6)
+    a = estimate_coverage(SCN, spec, workers=1)
+    for workers in (2, 3):
+        b = estimate_coverage(SCN, spec, workers=workers)
+        assert (a.probability, a.std_error) == (b.probability, b.std_error)
+        assert a.diagnostics == b.diagnostics
+
+
+@pytest.mark.parametrize("ue_height, conditional", [
+    (1.5, False), (60.0, False), (60.0, True)])
+def test_estimate_follows_drop_by_drop_stream(ue_height, conditional):
+    # Every drop of an estimate is the field sample_network draws from
+    # that drop's substream, judged by compute_sir: a threshold just below
+    # each drop's SIR must count exactly the drops at or above it.
+    spec = SimulationSpec(num_drops=3 * _BLOCK + 5, seed=4,
+                          fixed_serving_distance=250.0 if conditional
+                          else None,
+                          force_serving_los=True if conditional else None)
+    base = make_scenario(ue_height=ue_height)
+    far = far_field_mean(base, default_disk_radius(base))
+    sirs = [compute_sir(sample_network(base, spec, _drop_rng(spec.seed, i)),
+                        base, far) for i in range(spec.num_drops)]
+    for sir in sirs:
+        thr = sir * (1.0 - 1e-9)
+        est = estimate_coverage(make_scenario(ue_height=ue_height,
+                                              sir_threshold=thr), spec)
+        assert round(est.probability * spec.num_drops) == sum(
+            other > thr for other in sirs)
 
 
 def test_estimate_near_zero_threshold_is_covered():
