@@ -34,6 +34,9 @@ from .channel import (
     LinkGeometry,
     antenna_gain,
     antenna_gain_curve,
+    gain_switch_radii,
+    los_breakpoints,
+    los_level_curve,
     los_step_levels,
     los_step_width,
     main_lobe_interval,
@@ -160,20 +163,17 @@ def _channel_coeff(scn: NetworkScenario, r: float, los: bool) -> float:
 def upsilon(scn: NetworkScenario, r: float, s: float, los: bool) -> float:
     """Laplace-domain attenuation factor of one interferer at distance ``r``:
     the fading-averaged value of ``exp(-s * received_power)``."""
-    if s < 0.0:
-        raise DomainError("transform argument must be non-negative")
-    m = scn.channel.fading_order(los)
-    x = s * _channel_coeff(scn, r, los) / m
-    return math.exp(-m * math.log1p(x))
+    return upsilon_derivative(scn, r, s, los, 0)
 
 
 def upsilon_derivative(scn: NetworkScenario, r: float, s: float, los: bool,
                        order: int) -> float:
-    """Derivative of :func:`upsilon` with respect to ``s``, of given order."""
+    """Derivative of :func:`upsilon` with respect to ``s``, of given order
+    (order 0 is :func:`upsilon` itself)."""
+    if s < 0.0:
+        raise DomainError("transform argument must be non-negative")
     if order < 0:
         raise DomainError("order must be non-negative")
-    if order == 0:
-        return upsilon(scn, r, s, los)
     m = scn.channel.fading_order(los)
     c = _channel_coeff(scn, r, los)
     x = s * c / m
@@ -216,6 +216,8 @@ class _Field:
         self.step = los_step_width(scn.env)
         self.lobe = main_lobe_interval(scn.bs_height, scn.ue_height,
                                        scn.pattern)
+        self.switches = gain_switch_radii(scn.bs_height, scn.ue_height,
+                                          scn.pattern)
         self.g_max = max(scn.pattern.gain_main, scn.pattern.gain_side)
         self.g_min = min(scn.pattern.gain_main, scn.pattern.gain_side)
         self.gap2 = (scn.bs_height - scn.ue_height) ** 2
@@ -243,9 +245,13 @@ class _Field:
         return self._levels
 
     def level_at(self, r: float) -> float:
-        k = int(r / self.step)
-        levels = self.levels_upto(k)
-        return float(levels[k])
+        return float(los_level_curve(r, self.levels_upto(int(r / self.step)),
+                                     self.step))
+
+    def sight_levels(self, r: np.ndarray) -> np.ndarray:
+        """Line-of-sight level at the ground distances ``r``."""
+        levels = self.levels_upto(int(r.max() / self.step))
+        return los_level_curve(r, levels, self.step)
 
     # ---------------------------------------------------------- tail bounds
 
@@ -262,11 +268,13 @@ class _Field:
         scn = self.scn
         r = k * self.step
         d2 = r * r + self.gap2
+        zl, zn = path_loss_curves(r, scn.bs_height, scn.ue_height,
+                                  scn.channel)
+        c = s * scn.tx_power * self.g_max
         tot = 0.0
-        for los, m in ((True, ml), (False, mn)):
-            alpha = scn.channel.alpha(los)
-            y = (s * scn.tx_power * self.g_max * scn.channel.intercept(los)
-                 * d2 ** (-0.5 * alpha))
+        for z, alpha, m in ((zl, scn.channel.alpha_los, ml),
+                            (zn, scn.channel.alpha_nlos, mn)):
+            y = c * float(z)
             for j in range(orders + 1):
                 p = alpha * max(j, 1)
                 if p <= 2.0:
@@ -335,15 +343,11 @@ class _Field:
 
     # --------------------------------------------------- far-field closed forms
 
-    def _far_gain(self) -> tuple[float, float]:
+    @cached_property
+    def far_gain(self) -> tuple[float, float]:
         # Constant gain seen far out and the radius from which it applies.
-        pat = self.scn.pattern
-        if self.lobe is None:
-            return pat.gain_side, 0.0
-        lo, hi = self.lobe
-        if math.isinf(hi):
-            return pat.gain_main, lo
-        return pat.gain_side, hi
+        r_gain = max(self.switches, default=0.0)
+        return float(self.gain_profile(2.0 * r_gain + 1.0)), r_gain
 
     def linear_start(self, s: float, x_thr: float, r0: float, ml: int,
                      mn: int) -> float:
@@ -352,7 +356,7 @@ class _Field:
         constant antenna gain, so every attenuation row is a power law up
         to a relative error of order ``x_thr``."""
         scn = self.scn
-        _, r_gain = self._far_gain()
+        _, r_gain = self.far_gain
         r_req = max(r0, r_gain, self.step)
         for los, m in ((True, ml), (False, mn)):
             alpha = scn.channel.alpha(los)
@@ -385,9 +389,12 @@ class _Field:
         and cannot overflow at high derivative orders.
         """
         scn = self.scn
-        g_far, _ = self._far_gain()
+        g_far, _ = self.far_gain
         two_pi_lam = 2.0 * math.pi * scn.bs_density
         dref2 = r_lin * r_lin + self.gap2
+        zl, zn = path_loss_curves(r_lin, scn.bs_height, scn.ue_height,
+                                  scn.channel)
+        c = s * scn.tx_power * g_far
         signed = np.zeros(orders + 1)
         absmass = np.zeros(orders + 1)
         k_lo = int(round(r_lin / self.step))
@@ -397,10 +404,9 @@ class _Field:
             bounds = np.arange(k_lo, k_cut + 1, dtype=float) * self.step
             d2s = (bounds * bounds + self.gap2) / dref2
             levels = self.levels_upto(k_cut)[k_lo:k_cut]
-        for los, m, sgn in ((True, ml, 1.0), (False, mn, -1.0)):
-            alpha = scn.channel.alpha(los)
-            x_ref = (s * scn.tx_power * g_far * scn.channel.intercept(los)
-                     / m) * dref2 ** (-0.5 * alpha)
+        for z, alpha, m, los in ((zl, scn.channel.alpha_los, ml, True),
+                                 (zn, scn.channel.alpha_nlos, mn, False)):
+            x_ref = c * float(z) / m
             for j in range(orders + 1):
                 factor = (m * x_ref if j == 0
                           else math.comb(m + j - 1, j) * x_ref ** j)
@@ -408,7 +414,7 @@ class _Field:
                 scale = two_pi_lam * factor * dref2
                 if levels is not None:
                     seg = scale * float(np.dot(levels, self._q_diff(d2s, p)))
-                    signed[j] += sgn * seg
+                    signed[j] += seg if los else -seg
                     absmass[j] += seg
                 if not los:
                     tail = scale / (p - 2.0)
@@ -421,15 +427,15 @@ class _Field:
     def gain_profile(self, r: np.ndarray) -> np.ndarray:
         return antenna_gain_curve(r, self.lobe, self.scn.pattern)
 
+    def edges(self, lo: float, hi: float, pts) -> np.ndarray:
+        """Panel edges over ``[lo, hi]`` at the points ``pts`` and at every
+        antenna gain switch in between."""
+        return build_edges(lo, hi, [*pts, *self.switches])
+
     def step_edges(self, lo: float, hi: float) -> np.ndarray:
         """Panel edges over ``[lo, hi]`` aligned with every line-of-sight
         breakpoint, so no panel straddles a probability jump."""
-        k_lo = int(lo / self.step) + 1
-        k_hi = int(hi / self.step)
-        pts = list(np.arange(k_lo, k_hi + 1, dtype=float) * self.step)
-        if self.lobe is not None:
-            pts.extend(p for p in self.lobe if math.isfinite(p))
-        return build_edges(lo, hi, pts)
+        return self.edges(lo, hi, los_breakpoints(self.scn.env, hi))
 
     def _geometric_edges(self, lo: float, hi: float) -> np.ndarray:
         pts = []
@@ -437,22 +443,36 @@ class _Field:
         while r < hi:
             r *= 1.25
             pts.append(r)
-        if self.lobe is not None:
-            pts.extend(p for p in self.lobe if math.isfinite(p))
-        return build_edges(lo, hi, pts)
+        return self.edges(lo, hi, pts)
 
-    def _row0(self, r: np.ndarray, s: float, levels: np.ndarray,
-              r_cut: float, ml: int, mn: int) -> np.ndarray:
-        # Mixed one-minus-attenuation integrand row (without 2 pi lam r).
+    def rows_at(self, r: np.ndarray, s: float, orders: int, ml: int,
+                mn: int, sight: bool = True) -> np.ndarray:
+        """Integrand rows ``j = 0..orders`` of the transform log at ground
+        distances ``r`` with fading orders ``ml``/``mn``: row 0 is the
+        mixed one-minus-attenuation, row ``j`` the scaled attenuation
+        derivative ``s^j |upsilon^(j)| / j!``, each times ``2 pi lam r``.
+        ``sight=False`` leaves out the line-of-sight links, as beyond the
+        line-of-sight cut."""
         scn = self.scn
-        zl, zn = path_loss_curves(r, scn.bs_height, scn.ue_height, scn.channel)
+        rows = np.empty((orders + 1, r.size))
+        zl, zn = path_loss_curves(r, scn.bs_height, scn.ue_height,
+                                  scn.channel)
         g = self.gain_profile(r)
-        xl = (s * scn.tx_power / ml) * g * zl
         xn = (s * scn.tx_power / mn) * g * zn
-        k = np.minimum((r / self.step).astype(np.int64), levels.size - 1)
-        pl = np.where(r > r_cut, 0.0, levels[k])
-        return (pl * (-np.expm1(-ml * np.log1p(xl)))
-                + (1.0 - pl) * (-np.expm1(-mn * np.log1p(xn))))
+        if sight:
+            xl = (s * scn.tx_power / ml) * g * zl
+            pl = self.sight_levels(r)
+            rows[0] = (pl * (-np.expm1(-ml * np.log1p(xl)))
+                       + (1.0 - pl) * (-np.expm1(-mn * np.log1p(xn))))
+            if orders:
+                rows[1:] = (pl * _scaled_upsilon_rows(xl, ml, orders)
+                            + (1.0 - pl)
+                            * _scaled_upsilon_rows(xn, mn, orders))
+        else:
+            rows[0] = -np.expm1(-mn * np.log1p(xn))
+            if orders:
+                rows[1:] = _scaled_upsilon_rows(xn, mn, orders)
+        return rows * (2.0 * math.pi * scn.bs_density * r)
 
     def eta_lower(self, r0: float, s: float) -> float:
         """Cheap lower bound on the transform log magnitude: the integrand
@@ -460,11 +480,8 @@ class _Field:
         fading orders under-counts it for any orders."""
         r_end = max(self.quad.inner_radius_factor * self.r_outer,
                     1.25 * r0 + 2.0 * self.step)
-        levels = self.levels_upto(int(r_end / self.step) + 1)
-        two_pi_lam = 2.0 * math.pi * self.scn.bs_density
         res = integrate_family(
-            lambda r: np.atleast_2d(
-                two_pi_lam * self._row0(r, s, levels, r_end, 1, 1) * r),
+            lambda r: self.rows_at(r, s, 0, 1, 1),
             self.step_edges(r0, r_end),
             rel_tol=1e-3, abs_tol=1e-6, max_rounds=2,
             max_panels=self.quad.max_panels)
@@ -565,35 +582,10 @@ class _Field:
             if float(slack.max()) <= 0.25 * tol_call:
                 break
             x_thr *= 1e-2
-        levels = self.levels_upto(k_cut)
-        two_pi_lam = 2.0 * math.pi * scn.bs_density
-
-        def rows_at(r: np.ndarray, with_levels: bool) -> np.ndarray:
-            rows = np.empty((orders + 1, r.size))
-            zl, zn = path_loss_curves(r, scn.bs_height, scn.ue_height,
-                                      scn.channel)
-            g = self.gain_profile(r)
-            xn = (s * scn.tx_power / mn) * g * zn
-            if with_levels:
-                xl = (s * scn.tx_power / ml) * g * zl
-                k = np.minimum((r / self.step).astype(np.int64),
-                               levels.size - 1)
-                pl = np.where(r > r_cut, 0.0, levels[k])
-                rows[0] = (pl * (-np.expm1(-ml * np.log1p(xl)))
-                           + (1.0 - pl) * (-np.expm1(-mn * np.log1p(xn))))
-                if orders:
-                    rows[1:] = (pl * _scaled_upsilon_rows(xl, ml, orders)
-                                + (1.0 - pl)
-                                * _scaled_upsilon_rows(xn, mn, orders))
-            else:
-                rows[0] = -np.expm1(-mn * np.log1p(xn))
-                if orders:
-                    rows[1:] = _scaled_upsilon_rows(xn, mn, orders)
-            return rows * (two_pi_lam * r)
-
         r_mixed = min(r_lin, r_cut)
         fam = integrate_family(
-            lambda r: rows_at(r, True), self.step_edges(r0, r_mixed),
+            lambda r: self.rows_at(r, s, orders, ml, mn),
+            self.step_edges(r0, r_mixed),
             rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
             max_panels=max(quad.max_panels, 2 * k_cut + 4096),
             max_rounds=quad.max_rounds)
@@ -605,7 +597,7 @@ class _Field:
             # Between the cut and the linearization radius only the
             # non-line-of-sight rows remain, and they are smooth.
             fam_n = integrate_family(
-                lambda r: rows_at(r, False),
+                lambda r: self.rows_at(r, s, orders, ml, mn, sight=False),
                 self._geometric_edges(r_cut, r_lin),
                 rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
                 max_panels=quad.max_panels, max_rounds=quad.max_rounds)
@@ -678,9 +670,7 @@ def laplace_interference(scn: NetworkScenario, r0: float, s: float,
         raise DomainError("serving distance must be non-negative")
     if s == 0.0:
         return 1.0
-    fld = _field_for(scn, quad or QuadratureSpec())
-    t, _ = fld.eta_scaled(r0, s, 0)
-    return math.exp(t[0])
+    return float(laplace_derivatives(scn, r0, s, 0, quad)[0])
 
 
 def laplace_derivatives(scn: NetworkScenario, r0: float, s: float,
@@ -712,7 +702,7 @@ def mean_interference(scn: NetworkScenario, r0: float,
     # switch the field has exact power-law closed forms.  The moment
     # majorants coincide with the transform-row majorants at unit argument
     # and unit fading orders, which fixes the line-of-sight cut.
-    _, r_gain = fld._far_gain()
+    _, r_gain = fld.far_gain
     r_lin = (int(max(r0, r_gain, fld.step) / fld.step) + 1) * fld.step
     k_lin = int(round(r_lin / fld.step))
     scale = (fld.linear_terms(1.0, 0, 1, 1, r_lin, k_lin)[0][0]
@@ -726,16 +716,13 @@ def mean_interference(scn: NetworkScenario, r0: float,
             "requested tolerance",
             {"tolerance": tol, "step_cap": _MAX_TABLE - 1})
     lin_vals, _ = fld.linear_terms(1.0, 0, 1, 1, r_lin, k_cut)
-    levels = fld.levels_upto(k_cut)
-    r_cut = k_cut * fld.step
     scn_ch = scn.channel
     two_pi_lam = 2.0 * math.pi * scn.bs_density
 
     def integrand(r: np.ndarray) -> np.ndarray:
         zl, zn = path_loss_curves(r, scn.bs_height, scn.ue_height, scn_ch)
         g = fld.gain_profile(r)
-        k = np.minimum((r / fld.step).astype(np.int64), levels.size - 1)
-        pl = np.where(r > r_cut, 0.0, levels[k])
+        pl = fld.sight_levels(r)
         c_mix = scn.tx_power * g * (pl * zl + (1.0 - pl) * zn)
         return np.atleast_2d(two_pi_lam * c_mix * r)
 
@@ -760,13 +747,6 @@ def conditional_coverage(scn: NetworkScenario, r0: float, serving_los: bool,
     return _coverage_sum(t, m)
 
 
-def _outer_edges(fld: _Field) -> np.ndarray:
-    pts = list(fld.step * np.arange(1, int(fld.r_outer / fld.step) + 1))
-    if fld.lobe is not None:
-        pts.extend(p for p in fld.lobe if math.isfinite(p))
-    return build_edges(0.0, fld.r_outer, pts)
-
-
 def _integrate_outer(fld: _Field, ml: int,
                      mn: int) -> tuple[float, float, dict]:
     """Coverage averaged over serving distance and serving-link state,
@@ -780,7 +760,6 @@ def _integrate_outer(fld: _Field, ml: int,
     """
     quad = fld.quad
     scn = fld.scn
-    lam = scn.bs_density
     thr = scn.sir_threshold
     skipped = 0
 
@@ -801,10 +780,9 @@ def _integrate_outer(fld: _Field, ml: int,
 
     def integrand(r0s: np.ndarray) -> np.ndarray:
         vals = np.array([cond_at(float(r0)) for r0 in r0s])
-        pdf = 2.0 * math.pi * lam * r0s * np.exp(-lam * math.pi * r0s * r0s)
-        return np.atleast_2d(pdf * vals)
+        return np.atleast_2d(serving_distance_pdf(r0s, scn.bs_density) * vals)
 
-    res = integrate_family(integrand, _outer_edges(fld),
+    res = integrate_family(integrand, fld.step_edges(0.0, fld.r_outer),
                            rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
                            max_panels=4096, max_rounds=8)
     prob = float(min(max(res.value, 0.0), 1.0))

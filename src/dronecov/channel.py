@@ -6,6 +6,13 @@ A link is described by the horizontal (ground) distance between the base
 station and the user plus the two antenna heights; whether the link is
 line-of-sight is a Bernoulli variable whose probability depends on the
 built-up environment.
+
+Each model has one vectorized kernel that both the analytic and the Monte
+Carlo routes call: :func:`path_loss_curves` for path gain,
+:func:`los_step_levels` read by :func:`los_level_curve` for the
+line-of-sight level, and :func:`antenna_gain_curve` for antenna gain.  The
+scalar helpers :func:`path_loss`, :func:`los_probability` and
+:func:`antenna_gain` are wrappers over them.
 """
 
 from __future__ import annotations
@@ -148,20 +155,23 @@ class LinkGeometry:
 
 
 def path_loss(geom: LinkGeometry, channel: ChannelParams, los: bool) -> float:
-    """Linear path gain ``A * d**-alpha`` over the 3-D link distance.
+    """Linear path gain ``A * d**-alpha`` over the 3-D link distance; the
+    scalar form of :func:`path_loss_curves`.
 
     Raises :class:`DomainError` when the 3-D distance is zero, since the
     power-law model diverges there.
     """
-    d = geom.distance_3d
-    if d == 0.0:
+    if geom.distance_3d == 0.0:
         raise DomainError("path loss undefined at zero link distance")
-    return channel.intercept(los) * d ** (-channel.alpha(los))
+    zl, zn = path_loss_curves(geom.ground_distance, geom.bs_height,
+                              geom.ue_height, channel)
+    return float(zl if los else zn)
 
 
 def path_loss_curves(r, bs_height: float, ue_height: float,
                      channel: ChannelParams):
-    """Vectorized ``(los, nlos)`` path-gain pair over ground distances ``r``."""
+    """Vectorized ``(los, nlos)`` path-gain pair ``A * d**-alpha`` over
+    ground distances ``r``, ``d`` being the 3-D link distance."""
     r = np.asarray(r, dtype=float)
     d2 = r * r + (bs_height - ue_height) ** 2
     zl = channel.intercept_los * d2 ** (-0.5 * channel.alpha_los)
@@ -169,12 +179,16 @@ def path_loss_curves(r, bs_height: float, ue_height: float,
     return zl, zn
 
 
-def _num_blocking_segments(r: float, env: EnvironmentParams) -> int:
-    # Count of potential blocking buildings along the ground projection.
-    # The model formula floor(r*sqrt(a*b)/1000 - 1) + 1 simplifies to
-    # floor(u) because floor(u) - 1 == floor(u - 1) for every real u.
-    u = r * math.sqrt(env.built_fraction * env.buildings_per_km2) / 1000.0
-    return max(int(math.floor(u)), 0)
+def _clearance(h, env: EnvironmentParams):
+    # Probability 1 - exp(-h^2 / (2 c^2)) that a building is below h.
+    return -np.expm1(-h * h / (2.0 * env.height_scale ** 2))
+
+
+def _blocker_clearances(env: EnvironmentParams, bs_height: float,
+                        ue_height: float, k: int) -> np.ndarray:
+    # Clearance of the k blockers of a link k steps long, at link height.
+    h = bs_height + (np.arange(k) + 0.5) * (ue_height - bs_height) / k
+    return _clearance(h, env)
 
 
 def los_probability(geom: LinkGeometry, env: EnvironmentParams) -> float:
@@ -184,15 +198,16 @@ def los_probability(geom: LinkGeometry, env: EnvironmentParams) -> float:
     blocker along the path contributes one factor
     ``1 - exp(-h_n**2 / (2 c**2))`` where ``h_n`` is the link height at the
     blocker position and ``c`` the building-height scale.  Links shorter
-    than the first breakpoint see no blockers and get probability 1.
+    than the first breakpoint see no blockers and get probability 1.  The
+    value is entry ``int(r / los_step_width(env))`` of
+    :func:`los_step_levels`.
     """
-    k = _num_blocking_segments(geom.ground_distance, env)
-    if k == 0:
-        return 1.0
-    n = np.arange(k)
-    h = geom.bs_height + (n + 0.5) * (geom.ue_height - geom.bs_height) / k
-    factors = -np.expm1(-h * h / (2.0 * env.height_scale ** 2))
-    return float(np.prod(factors))
+    k = int(geom.ground_distance / los_step_width(env))
+    # Exact tables sized up to the next power of two let nearby distances
+    # share one cached table.
+    size = max(k, min(1 << k.bit_length(), _K_EXACT))
+    return float(los_step_levels(env, geom.bs_height, geom.ue_height,
+                                 size)[k])
 
 
 def los_step_width(env: EnvironmentParams) -> float:
@@ -216,13 +231,9 @@ _K_EXACT = 4000   # exact product entries; longer tables use asymptotics
 @lru_cache(maxsize=64)
 def _los_levels_exact(env: EnvironmentParams, bs_height: float,
                       ue_height: float, k_max: int) -> np.ndarray:
-    levels = np.empty(k_max + 1)
-    levels[0] = 1.0
-    c2 = 2.0 * env.height_scale ** 2
-    for k in range(1, k_max + 1):
-        n = np.arange(k)
-        h = bs_height + (n + 0.5) * (ue_height - bs_height) / k
-        levels[k] = np.prod(-np.expm1(-h * h / c2))
+    levels = np.array([np.prod(_blocker_clearances(env, bs_height,
+                                                   ue_height, k))
+                       for k in range(k_max + 1)])
     levels.setflags(write=False)
     return levels
 
@@ -241,18 +252,22 @@ def _los_levels_long(env: EnvironmentParams, bs_height: float,
     # the switch index, summed in logs so that a product below the double
     # range still checks; accurate to ~1e-11 in the log beyond it.
     exact = _los_levels_exact(env, bs_height, ue_height, _K_EXACT)
+    if exact[-1] == 0.0:
+        # Levels never increase with k, so an underflowed product stays 0.
+        out = np.concatenate([exact, np.zeros(k_max - _K_EXACT)])
+        out.setflags(write=False)
+        return out
     h_lo, h_hi = sorted((bs_height, ue_height))
     c2 = 2.0 * env.height_scale ** 2
-    h_switch = bs_height + (np.arange(_K_EXACT) + 0.5) \
-        * (ue_height - bs_height) / _K_EXACT
-    ln_exact = float(np.sum(np.log(-np.expm1(-h_switch * h_switch / c2))))
+    ln_exact = float(np.sum(np.log(_blocker_clearances(
+        env, bs_height, ue_height, _K_EXACT))))
     if h_lo < 1e-9:
         raise QuadratureError(
             "step-table asymptotics need a positive lower height",
             {"h_lo": h_lo})
 
     def g(h):
-        return np.atleast_2d(np.log(-np.expm1(-h * h / c2)))
+        return np.atleast_2d(np.log(_clearance(h, env)))
 
     fam = integrate_family(g, build_edges(h_lo, h_hi),
                            rel_tol=1e-12, abs_tol=1e-14)
@@ -277,8 +292,9 @@ def los_step_levels(env: EnvironmentParams, bs_height: float,
     """Table of line-of-sight probabilities per step index.
 
     ``levels[k]`` is the probability on the k-th constant piece, i.e. for
-    ground distances in ``[k*step, (k+1)*step)``.  Useful for vectorized
-    lookups: ``levels[min(floor(r/step), k_max)]``.  Entries are the exact
+    ground distances in ``[k*step, (k+1)*step)``; :func:`los_level_curve`
+    reads it at ground distances.  Entry ``k`` does not depend on
+    ``k_max`` as long as ``k <= k_max``.  Entries are the exact
     blocker products up to a few thousand steps and continue with an
     asymptotic form of the log-product beyond; equal heights collapse to
     a closed geometric decay.
@@ -289,9 +305,7 @@ def los_step_levels(env: EnvironmentParams, bs_height: float,
     bs_height = float(bs_height)
     ue_height = float(ue_height)
     if bs_height == ue_height:
-        h = bs_height
-        f = -math.expm1(-h * h / (2.0 * env.height_scale ** 2)) \
-            if h > 0.0 else 0.0
+        f = float(_clearance(bs_height, env))
         out = np.zeros(k_max + 1)
         if f > 0.0:
             out[:] = np.exp(math.log(f) * np.arange(k_max + 1, dtype=float))
@@ -302,6 +316,14 @@ def los_step_levels(env: EnvironmentParams, bs_height: float,
     if k_max <= _K_EXACT:
         return _los_levels_exact(env, bs_height, ue_height, k_max)
     return _los_levels_long(env, bs_height, ue_height, k_max)
+
+
+def los_level_curve(r, levels: np.ndarray, step: float) -> np.ndarray:
+    """Vectorized line-of-sight level over ground distances ``r``, read
+    from a :func:`los_step_levels` table of step width ``step``:
+    ``levels[min(int(r / step), levels.size - 1)]``."""
+    k = (np.asarray(r, dtype=float) / step).astype(np.int64)
+    return levels[np.minimum(k, levels.size - 1)]
 
 
 def depression_angle_deg(ground_distance: float, bs_height: float,
@@ -315,13 +337,10 @@ def depression_angle_deg(ground_distance: float, bs_height: float,
 
 def antenna_gain(geom: LinkGeometry, pattern: AntennaPattern) -> float:
     """Gain seen by the user: main-lobe gain when the ray to the user falls
-    inside the (inclusive) vertical beam, side-lobe gain otherwise."""
-    psi = depression_angle_deg(geom.ground_distance, geom.bs_height,
-                               geom.ue_height)
-    half = 0.5 * pattern.beamwidth_deg
-    if pattern.downtilt_deg - half <= psi <= pattern.downtilt_deg + half:
-        return pattern.gain_main
-    return pattern.gain_side
+    inside the (inclusive) vertical beam, side-lobe gain otherwise; the
+    scalar form of :func:`antenna_gain_curve`."""
+    lobe = main_lobe_interval(geom.bs_height, geom.ue_height, pattern)
+    return float(antenna_gain_curve(geom.ground_distance, lobe, pattern))
 
 
 def antenna_gain_curve(r, lobe: tuple[float, float] | None,

@@ -233,8 +233,8 @@ def _sweep_spec(args, cfg: ConfigFile) -> SweepSpec:
                      for param, grid in zip(args.sweep_param,
                                             args.sweep_grid))
         spec = SweepSpec(base=cfg.to_scenario(), axes=axes,
-                         num_drops=drops, seed=seed,
-                         quadrature=cfg.to_quadrature())
+                         num_drops=drops, seed=seed)
+    spec = replace(spec, quadrature=cfg.to_quadrature())
     if args.methods is not None:
         spec = replace(spec, methods=args.methods)
     return spec

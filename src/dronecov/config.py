@@ -32,7 +32,6 @@ from .montecarlo import SimulationSpec
 __all__ = [
     "ConfigFile",
     "EnvironmentConfig",
-    "QuadratureConfig",
     "ScenarioConfig",
     "SimulationConfig",
     "builtin_environments",
@@ -73,15 +72,9 @@ class EnvironmentConfig:
     buildings_per_km2: float
     height_scale_m: float
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    outer_trunc_prob: float = 1e-8
-    inner_radius_factor: float = 10.0
-    max_panels: int = 20000
-    max_rounds: int = 12
+    def to_params(self) -> EnvironmentParams:
+        return EnvironmentParams(self.built_fraction, self.buildings_per_km2,
+                                 self.height_scale_m)
 
 
 @dataclass(frozen=True)
@@ -102,10 +95,12 @@ _BUILTIN_ENVIRONMENTS: tuple[tuple[str, EnvironmentConfig], ...] = (
 
 @dataclass(frozen=True)
 class ConfigFile:
-    """Parsed configuration; every field keeps its human-unit value."""
+    """Parsed configuration; every field keeps its human-unit value.  The
+    quadrature knobs are unit-free, so they are held as the analytic
+    route's own :class:`QuadratureSpec`."""
 
     scenario: ScenarioConfig = ScenarioConfig()
-    quadrature: QuadratureConfig = QuadratureConfig()
+    quadrature: QuadratureSpec = QuadratureSpec()
     simulation: SimulationConfig = SimulationConfig()
     environments: tuple[tuple[str, EnvironmentConfig], ...] = \
         _BUILTIN_ENVIRONMENTS
@@ -121,7 +116,6 @@ class ConfigFile:
     def to_scenario(self) -> NetworkScenario:
         """Build the internal scenario, applying unit conversions once."""
         s = self.scenario
-        env = self.environment(s.environment)
         return NetworkScenario(
             bs_density=s.bs_density_per_km2 / 1e6,
             bs_height=s.bs_height_m,
@@ -135,10 +129,7 @@ class ConfigFile:
                 intercept_nlos=10.0 ** (s.intercept_nlos_db / 10.0),
                 m_los=s.m_los,
                 m_nlos=s.m_nlos),
-            env=EnvironmentParams(
-                built_fraction=env.built_fraction,
-                buildings_per_km2=env.buildings_per_km2,
-                height_scale=env.height_scale_m),
+            env=self.environment(s.environment).to_params(),
             pattern=AntennaPattern(
                 beamwidth_deg=s.beamwidth_deg,
                 downtilt_deg=s.downtilt_deg,
@@ -146,12 +137,7 @@ class ConfigFile:
                 gain_side=s.gain_side))
 
     def to_quadrature(self) -> QuadratureSpec:
-        q = self.quadrature
-        return QuadratureSpec(
-            rel_tol=q.rel_tol, abs_tol=q.abs_tol,
-            outer_trunc_prob=q.outer_trunc_prob,
-            inner_radius_factor=q.inner_radius_factor,
-            max_panels=q.max_panels, max_rounds=q.max_rounds)
+        return self.quadrature
 
     def to_simulation(self, num_drops: int | None = None,
                       seed: int | None = None) -> SimulationSpec:
@@ -168,11 +154,8 @@ def default_config() -> ConfigFile:
 
 def builtin_environments() -> tuple[tuple[str, EnvironmentParams], ...]:
     """The built-in environment presets as internal parameter sets."""
-    return tuple(
-        (name, EnvironmentParams(built_fraction=env.built_fraction,
-                                 buildings_per_km2=env.buildings_per_km2,
-                                 height_scale=env.height_scale_m))
-        for name, env in _BUILTIN_ENVIRONMENTS)
+    return tuple((name, env.to_params())
+                 for name, env in _BUILTIN_ENVIRONMENTS)
 
 
 def default_scenario() -> NetworkScenario:
@@ -291,12 +274,13 @@ def _apply_section(obj, table, updates, section):
     for key, (value, num) in updates.items():
         reader, check = table[key]
         try:
-            parsed = check(reader(value))
+            # The replaced object's own range checks (DomainError is a
+            # ValueError) are reported with the key and line too.
+            obj = replace(obj, **{key: check(reader(value))})
         except ValueError as exc:
             raise ConfigError(
                 f"bad value {value!r} for [{section}] ({exc})",
                 key=key, line=num) from None
-        obj = replace(obj, **{key: parsed})
     return obj
 
 
@@ -335,7 +319,7 @@ def parse_config(text: str) -> ConfigFile:
     cfg = ConfigFile(
         scenario=_apply_section(ScenarioConfig(), _SCENARIO_KEYS,
                                 sections.pop("scenario", {}), "scenario"),
-        quadrature=_apply_section(QuadratureConfig(), _QUADRATURE_KEYS,
+        quadrature=_apply_section(QuadratureSpec(), _QUADRATURE_KEYS,
                                   sections.pop("quadrature", {}),
                                   "quadrature"),
         simulation=_apply_section(SimulationConfig(), _SIMULATION_KEYS,

@@ -31,13 +31,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .channel import (
     antenna_gain_curve,
+    gain_switch_radii,
+    los_level_curve,
     los_step_levels,
     los_step_width,
     main_lobe_interval,
@@ -212,10 +214,9 @@ def _far_field_moments(scn, radius: float) -> tuple[float, float]:
     gap2 = (scn.bs_height - scn.ue_height) ** 2
     step = los_step_width(scn.env)
     lobe = main_lobe_interval(scn.bs_height, scn.ue_height, scn.pattern)
-    cuts = [float(radius)]
-    if lobe is not None:
-        cuts.extend(float(x) for x in lobe if radius < x < math.inf)
-    cuts.sort()
+    cuts = sorted([float(radius)] + [
+        x for x in gain_switch_radii(scn.bs_height, scn.ue_height, scn.pattern)
+        if x > radius])
     mean = var = 0.0
     for i, lo in enumerate(cuts):
         hi = cuts[i + 1] if i + 1 < len(cuts) else math.inf
@@ -261,6 +262,13 @@ def default_disk_radius(scn) -> float:
     return _disk_profile(scn)[0]
 
 
+def _with_radius(scn, spec: SimulationSpec) -> SimulationSpec:
+    # The spec with the automatic sampling radius resolved.
+    if spec.disk_radius is not None:
+        return spec
+    return replace(spec, disk_radius=default_disk_radius(scn))
+
+
 # ------------------------------------------------------------------ sampling
 
 _BLOCK = 8   # drops per evaluation block; larger ones add memory, not speed
@@ -303,8 +311,7 @@ def _sampler(scn, spec: SimulationSpec):
     radius and the line-of-sight table are the same for every drop, so
     they are resolved once here rather than per drop.
     """
-    radius = (spec.disk_radius if spec.disk_radius is not None
-              else default_disk_radius(scn))
+    radius = _with_radius(scn, spec).disk_radius
     lam = scn.bs_density
     r0 = spec.fixed_serving_distance
     if r0 is not None and r0 >= radius:
@@ -353,8 +360,7 @@ def _sampler(scn, spec: SimulationSpec):
             radii = np.sqrt(u, out=u)
             radii *= radius
             serving = _segment_argmin(radii, starts, counts)
-        k = (radii / step).astype(int)
-        los = los_u < levels[np.minimum(k, levels.size - 1, out=k)]
+        los = los_u < los_level_curve(radii, levels, step)
         if force is not None:
             los[serving] = force
         n_los = np.add.reduceat(los, starts, dtype=np.intp)
@@ -442,14 +448,11 @@ def compute_sir(real: NetworkRealization, scn, far_mean: float = 0.0) -> float:
 # ---------------------------------------------------------------- estimation
 
 
-def _chunk_counts(scn, spec: SimulationSpec, lo: int, hi: int, radius: float,
+def _chunk_counts(scn, spec: SimulationSpec, lo: int, hi: int,
                   far_mean: float) -> tuple[int, int, int]:
-    run_spec = SimulationSpec(spec.num_drops, radius, spec.seed,
-                              spec.fixed_serving_distance,
-                              spec.force_serving_los)
     covered = resampled = single = 0
     thr = scn.sir_threshold
-    for blk in _blocks(_sampler(scn, run_spec), spec.seed, lo, hi):
+    for blk in _blocks(_sampler(scn, spec), spec.seed, lo, hi):
         resampled += blk.resampled
         single += int(np.count_nonzero(blk.counts == 1))
         covered += int(np.count_nonzero(_block_sir(scn, blk, far_mean) > thr))
@@ -466,19 +469,18 @@ def estimate_coverage(scn, spec: SimulationSpec,
     """
     if workers < 1:
         raise DomainError("workers must be at least 1")
-    radius = (spec.disk_radius if spec.disk_radius is not None
-              else default_disk_radius(scn))
+    spec = _with_radius(scn, spec)
+    radius = spec.disk_radius
     far_mean, far_var = _far_field_moments(scn, radius)
     n = spec.num_drops
     if workers == 1 or n < 4 * workers:
-        covered, resampled, single = _chunk_counts(scn, spec, 0, n, radius,
-                                                   far_mean)
+        covered, resampled, single = _chunk_counts(scn, spec, 0, n, far_mean)
     else:
         bounds = np.linspace(0, n, workers + 1).astype(int)
         covered = resampled = single = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_chunk_counts, scn, spec, int(a), int(b),
-                                radius, far_mean)
+                                far_mean)
                     for a, b in zip(bounds[:-1], bounds[1:])]
             for fut in futs:
                 c, r, s = fut.result()
@@ -509,15 +511,11 @@ def laplace_empirical(scn, spec: SimulationSpec, s_values) -> tuple[
     s = np.asarray(s_values, dtype=float)
     if np.any(s < 0.0):
         raise DomainError("transform arguments must be non-negative")
-    radius = (spec.disk_radius if spec.disk_radius is not None
-              else default_disk_radius(scn))
-    far_mean = _far_field_moments(scn, radius)[0]
-    run_spec = SimulationSpec(spec.num_drops, radius, spec.seed,
-                              spec.fixed_serving_distance,
-                              spec.force_serving_los)
+    spec = _with_radius(scn, spec)
+    far_mean = _far_field_moments(scn, spec.disk_radius)[0]
     total = np.zeros(s.size)
     total_sq = np.zeros(s.size)
-    for blk in _blocks(_sampler(scn, run_spec), spec.seed, 0, spec.num_drops):
+    for blk in _blocks(_sampler(scn, spec), spec.seed, 0, spec.num_drops):
         _, others = _link_sums(scn, blk.radii, blk.los, blk.fading,
                                blk.starts, blk.serving)
         vals = np.exp(np.multiply.outer(others + far_mean, -s))

@@ -15,6 +15,7 @@ from dronecov.channel import (
     EnvironmentParams,
     LinkGeometry,
     antenna_gain,
+    antenna_gain_curve,
     depression_angle_deg,
     fading_pdf,
     gain_switch_radii,
@@ -27,6 +28,7 @@ from dronecov.channel import (
     path_loss_curves,
     sample_fading,
 )
+from dronecov.config import builtin_environments
 from dronecov.errors import DomainError
 
 URBAN = EnvironmentParams(built_fraction=0.3, buildings_per_km2=500.0,
@@ -143,6 +145,20 @@ def test_los_step_levels_match_scalar_probability():
         assert_allclose(levels[k], los_probability(geom, URBAN), rtol=1e-14)
 
 
+@pytest.mark.parametrize("name, env", builtin_environments())
+def test_los_probability_reads_step_table_at_breakpoints(name, env):
+    # Breakpoints are where a step index computed another way would pick
+    # the neighbouring step; past 4,000 steps the table is asymptotic.
+    step = los_step_width(env)
+    levels = los_step_levels(env, 30.0, 60.0, 5000)
+    for r in los_breakpoints(env, 5000 * step):
+        k = int(r / step)
+        assert los_probability(LinkGeometry(r, 30.0, 60.0), env) == levels[k]
+    # A table's entries do not depend on its length.
+    for k in (1, 2, 77, 4000, 4001, 4999):
+        assert los_step_levels(env, 30.0, 60.0, k)[k] == levels[k]
+
+
 def _log_blocker_product(env, bs_height, ue_height, k):
     h = bs_height + (np.arange(k) + 0.5) * (ue_height - bs_height) / k
     return float(np.sum(np.log(-np.expm1(-h * h / (2.0 * env.height_scale
@@ -168,6 +184,16 @@ def test_los_step_levels_long_table_for_ground_user(bs_height):
     assert np.all(levels[4001:] >= 0.0)
     assert np.all(np.diff(levels) <= 0.0)
     assert _log_blocker_product(URBAN, bs_height, 1.5, 4000) < -745.0
+
+
+def test_los_step_levels_long_table_for_user_at_ground_level():
+    # A link ending at height 0 has no asymptotic form, but its exact
+    # product has underflowed long before the switch, so the table and
+    # the scalar probability continue with 0.
+    levels = los_step_levels(URBAN, 30.0, 0.0, 4100)
+    assert levels[4000] == 0.0 and np.all(levels[4001:] == 0.0)
+    r = 4050.5 * los_step_width(URBAN)
+    assert los_probability(LinkGeometry(r, 30.0, 0.0), URBAN) == 0.0
 
 
 def test_environment_validation():
@@ -200,6 +226,29 @@ def test_antenna_gain_inclusive_edges():
     geom = LinkGeometry(r_edge, 30.0, 0.0)
     assert_allclose(depression_angle_deg(r_edge, 30.0, 0.0), 50.0, atol=1e-10)
     assert antenna_gain(geom, upper) == 10.0
+
+
+def test_antenna_gain_matches_curve_at_lobe_edges():
+    # Each finite main-lobe edge and its neighbouring floats, over the
+    # figure3 station heights, user heights 0-300 m and tilts -30..45 deg.
+    probes = 0
+    for tilt in np.arange(-30.0, 46.0, 5.0):
+        pattern = AntennaPattern(40.0, float(tilt), 10.0, 0.5)
+        for bs in np.arange(10.0, 151.0, 10.0):
+            for ue in np.arange(0.0, 301.0, 10.0):
+                lobe = main_lobe_interval(bs, ue, pattern)
+                for edge in lobe if lobe is not None else ():
+                    if not math.isfinite(edge):
+                        continue
+                    for r in (np.nextafter(edge, -1.0), edge,
+                              np.nextafter(edge, math.inf)):
+                        if r < 0.0:
+                            continue
+                        probes += 1
+                        curve = float(antenna_gain_curve(r, lobe, pattern))
+                        geom = LinkGeometry(float(r), float(bs), float(ue))
+                        assert antenna_gain(geom, pattern) == curve
+    assert probes > 5000
 
 
 def test_gain_switch_radii_ground_user():

@@ -114,6 +114,8 @@ def test_comments_and_blank_lines_ignored():
     ("[environment.]\nbuilt_fraction = 0.5\n", "needs a name"),
     ("[simulation]\nseed = -1\n", "64-bit"),
     ("[quadrature]\nouter_trunc_prob = 1.5\n", "(0, 1]"),
+    ("[quadrature]\nmax_panels = 4\n", "max_panels"),
+    ("[quadrature]\nouter_trunc_prob = 0.5\n", "outer_trunc_prob"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ConfigError) as info:

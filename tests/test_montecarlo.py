@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from dronecov.channel import (
     path_loss,
 )
 from dronecov.config import default_scenario
+from dronecov import montecarlo
 from dronecov.errors import DomainError
 from dronecov.montecarlo import (
     _BLOCK,
@@ -373,3 +376,19 @@ def test_laplace_empirical_requires_conditioning():
         laplace_empirical(SCN, SimulationSpec(num_drops=10,
                                               fixed_serving_distance=100.0),
                           [-1.0])
+
+
+def test_simulator_does_not_import_analytic_route():
+    # The routes share only the physical layer; their agreement is evidence
+    # of correctness only while the simulator never uses analytic code.
+    tree = ast.parse(Path(montecarlo.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported.append(base)
+            imported += [f"{base}.{alias.name}" for alias in node.names]
+    assert imported
+    assert not [name for name in imported if "analytic" in name.split(".")]
