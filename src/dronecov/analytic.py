@@ -185,12 +185,13 @@ def upsilon_derivative(scn: NetworkScenario, r: float, s: float, los: bool,
 def _scaled_upsilon_rows(x: np.ndarray, m: int, orders: int) -> np.ndarray:
     # Row j (1-based) holds s^j |upsilon^(j)| / j! elementwise, which equals
     # the negative-binomial term C(m+j-1, j) x^j / (1+x)^(m+j) and is <= 1.
+    # Each row is the previous one times (m+j-1)/j * x/(1+x), from the
+    # j = 0 term (1+x)^-m.
     out = np.empty((orders, x.size))
-    with np.errstate(divide="ignore"):
-        lx = np.where(x > 0.0, np.log(np.maximum(x, 1e-300)), -np.inf)
-    l1p = np.log1p(x)
+    ratio = x / (1.0 + x)
+    row = np.exp(-m * np.log1p(x))
     for j in range(1, orders + 1):
-        out[j - 1] = math.comb(m + j - 1, j) * np.exp(j * lx - (m + j) * l1p)
+        row = out[j - 1] = row * ratio * ((m + j - 1) / j)
     return out
 
 
@@ -477,15 +478,16 @@ class _Field:
     def eta_lower(self, r0: float, s: float) -> float:
         """Cheap lower bound on the transform log magnitude: the integrand
         is non-negative, so integrating a prefix of the range at unit
-        fading orders under-counts it for any orders."""
+        fading orders under-counts it for any orders.  The prefix integral
+        is loose, so its own error estimate is subtracted."""
         r_end = max(self.quad.inner_radius_factor * self.r_outer,
                     1.25 * r0 + 2.0 * self.step)
         res = integrate_family(
             lambda r: self.rows_at(r, s, 0, 1, 1),
             self.step_edges(r0, r_end),
-            rel_tol=1e-3, abs_tol=1e-6, max_rounds=2,
+            rel_tol=1e-3, abs_tol=1e-6, max_rounds=4,
             max_panels=self.quad.max_panels)
-        return -res.value * (1.0 - 1e-6)
+        return -max(res.value - res.error, 0.0)
 
     @cached_property
     def _floor_steps(self) -> tuple[np.ndarray, ...]:

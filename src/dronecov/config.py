@@ -229,13 +229,14 @@ _ENVIRONMENT_KEYS = {
     "buildings_per_km2": (_parse_float, _positive),
     "height_scale_m": (_parse_float, _positive),
 }
+# QuadratureSpec checks its own ranges.
 _QUADRATURE_KEYS = {
-    "rel_tol": (_parse_float, _positive),
-    "abs_tol": (_parse_float, _positive),
-    "outer_trunc_prob": (_parse_float, _fraction),
-    "inner_radius_factor": (_parse_float, _positive),
-    "max_panels": (_parse_int, _count),
-    "max_rounds": (_parse_int, _count),
+    "rel_tol": (_parse_float, _identity),
+    "abs_tol": (_parse_float, _identity),
+    "outer_trunc_prob": (_parse_float, _identity),
+    "inner_radius_factor": (_parse_float, _identity),
+    "max_panels": (_parse_int, _identity),
+    "max_rounds": (_parse_int, _identity),
 }
 _SIMULATION_KEYS = {
     "num_drops": (_parse_int, _count),

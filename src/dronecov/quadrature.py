@@ -1,9 +1,13 @@
-"""Adaptive panel Gauss-Legendre integration.
+"""Adaptive panel Gauss-Kronrod integration.
 
 The integrands in this package are smooth except at a known, finite set of
 points (line-of-sight steps, antenna gain switches).  Splitting the range at
-those points and applying Gauss-Legendre panels of two orders gives a cheap
-embedded error estimate per panel; panels whose estimate is too large are
+those points and applying the nested 7-point Gauss / 15-point Kronrod pair
+(G7/K15, the QUADPACK ``qk15`` rule) to each panel gives a cheap embedded
+error estimate: the Gauss nodes are a subset of the Kronrod nodes, so one
+panel costs 15 integrand evaluations.  A panel's value is its K15 sum and
+its error estimate is |K15 - G7|, unscaled, so the reported error is a sum
+of conservative panel errors.  Panels whose estimate is too large are
 bisected until the requested tolerance is met or the budget runs out.
 
 ``integrate_family`` evaluates several integrands that share the same nodes
@@ -23,11 +27,35 @@ from .errors import DomainError, QuadratureError
 
 __all__ = ["FamilyIntegral", "build_edges", "integrate_family", "integrate"]
 
-_N_LO = 8
-_N_HI = 16
-_X_LO, _W_LO = np.polynomial.legendre.leggauss(_N_LO)
-_X_HI, _W_HI = np.polynomial.legendre.leggauss(_N_HI)
-_X_ALL = np.concatenate([_X_LO, _X_HI])
+# QUADPACK qk15 (Piessens et al. 1983): Kronrod nodes in [0, 1) in
+# decreasing order with their weights; entries 1, 3, 5 and 7 are the
+# 7-point Gauss nodes, whose Gauss weights follow.
+_XK = np.array([0.991455371120812639206854697526329,
+                0.949107912342758524526189684047851,
+                0.864864423359769072789712788640926,
+                0.741531185599394439863864773280788,
+                0.586087235467691130294144845693013,
+                0.405845151377397166906606412076961,
+                0.207784955007898467600689403773245,
+                0.0])
+_WK = np.array([0.022935322010529224963732008058970,
+                0.063092092629978553290700663189204,
+                0.104790010322250183839876322541518,
+                0.140653259715525918745189590510238,
+                0.169004726639267902826583426598550,
+                0.190350578064785409913256402421014,
+                0.204432940075298892414161999234649,
+                0.209482141084727828012999174891714])
+_WG = np.zeros(8)
+_WG[1::2] = [0.129484966168869693270611432679082,
+             0.279705391489276667901467771423780,
+             0.381830050505118944950369775488975,
+             0.417959183673469387755102040816327]
+# The full rule on [-1, 1]: 15 nodes, their K15 weights and their G7
+# weights (zero off the Gauss nodes).
+_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])
+_KRONROD = np.concatenate([_WK[:-1], _WK[::-1]])
+_GAUSS = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
 @dataclass
@@ -73,17 +101,17 @@ def build_edges(lower: float, upper: float,
 
 def _evaluate(f: Callable[[np.ndarray], np.ndarray],
               lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Returns per-panel high-order integrals and embedded error estimates.
+    # Returns per-panel K15 integrals and their |K15 - G7| error estimates.
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _X_ALL[None, :]
+    nodes = mid[:, None] + half[:, None] * _NODES[None, :]
     y = np.asarray(f(nodes.ravel()), dtype=float)
     if y.ndim == 1:
         y = y[None, :]
-    y = y.reshape(y.shape[0], lo.size, _N_LO + _N_HI)
-    i_lo = (y[:, :, :_N_LO] @ _W_LO) * half
-    i_hi = (y[:, :, _N_LO:] @ _W_HI) * half
-    return i_hi, np.abs(i_hi - i_lo)
+    y = y.reshape(y.shape[0], lo.size, _NODES.size)
+    i_k = (y @ _KRONROD) * half
+    i_g = (y @ _GAUSS) * half
+    return i_k, np.abs(i_k - i_g)
 
 
 def integrate_family(f: Callable[[np.ndarray], np.ndarray],
@@ -102,7 +130,7 @@ def integrate_family(f: Callable[[np.ndarray], np.ndarray],
     if lo.size == 0:
         raise DomainError("need at least two panel edges")
     vals, errs = _evaluate(f, lo, hi)
-    num_evals = lo.size * (_N_LO + _N_HI)
+    num_evals = lo.size * _NODES.size
     for rounds in range(max_rounds + 1):
         totals = vals.sum(axis=1)
         total_err = errs.sum(axis=1)
@@ -121,7 +149,7 @@ def integrate_family(f: Callable[[np.ndarray], np.ndarray],
         new_lo = np.concatenate([lo[bad], mid])
         new_hi = np.concatenate([mid, hi[bad]])
         new_vals, new_errs = _evaluate(f, new_lo, new_hi)
-        num_evals += new_lo.size * (_N_LO + _N_HI)
+        num_evals += new_lo.size * _NODES.size
         lo = np.concatenate([lo[~bad], new_lo])
         hi = np.concatenate([hi[~bad], new_hi])
         vals = np.concatenate([vals[:, ~bad], new_vals], axis=1)

@@ -14,9 +14,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from dronecov.analytic import (conditional_coverage, coverage_probability,
-                               laplace_derivatives, laplace_interference,
-                               mean_interference, rayleigh_coverage)
+from dronecov.analytic import (QuadratureSpec, conditional_coverage,
+                               coverage_probability, laplace_derivatives,
+                               laplace_interference, mean_interference,
+                               rayleigh_coverage)
 from dronecov.channel import LinkGeometry, los_breakpoints, los_probability
 from dronecov.cli import run
 from dronecov.config import default_scenario
@@ -101,12 +102,12 @@ def test_analytic_coverage_matches_large_simulation():
     assert wall <= 300.0
 
 
-def _abg_scenario(threshold):
+def _abg_scenario(threshold, alpha=4.0):
     # One exponent and intercept for both link states, Rayleigh fading,
     # unit gains and equal heights: the Andrews-Baccelli-Ganti setting.
     return replace(
         BASE, bs_height=30.0, ue_height=30.0, sir_threshold=threshold,
-        channel=replace(BASE.channel, alpha_los=4.0, alpha_nlos=4.0,
+        channel=replace(BASE.channel, alpha_los=alpha, alpha_nlos=alpha,
                         intercept_nlos=BASE.channel.intercept_los,
                         m_los=1, m_nlos=1),
         pattern=replace(BASE.pattern, gain_main=1.0, gain_side=1.0))
@@ -144,6 +145,26 @@ def test_simulation_matches_closed_form_oracle():
             f"|{est.probability:.5f} - {exact:.5f}| = {dev:.2f} binomial "
             f"sigma of 4, {drops} drops")
     assert dev <= 4.0
+
+
+def test_error_estimate_bounds_distance_to_tight_run():
+    tight = QuadratureSpec(rel_tol=1e-12)
+    cases = {"ground": replace(BASE, ue_height=1.5)}
+    for alpha in (3.0, 4.0):
+        for threshold in (0.3, 1.0):
+            cases[f"alpha={alpha:g} T={threshold:g}"] = _abg_scenario(
+                threshold, alpha)
+    ok = True
+    lines = []
+    for label, scn in cases.items():
+        res = coverage_probability(scn)
+        dev = abs(res.probability
+                  - coverage_probability(scn, tight).probability)
+        ok = ok and dev <= res.error_estimate
+        lines.append(f"{label}: {dev:.3g} vs {res.error_estimate:.3g}")
+    _report("error estimate bounds the distance to a rel_tol=1e-12 run", ok,
+            "; ".join(lines))
+    assert ok
 
 
 def test_conditional_coverage_matches_forced_state_simulation():

@@ -25,8 +25,11 @@ from dronecov.analytic import (
     upsilon,
     upsilon_derivative,
 )
-from dronecov.analytic import _Field, _field_for, _serving_coeff
-from dronecov.channel import AntennaPattern, ChannelParams, EnvironmentParams
+from dronecov.analytic import (_Field, _field_for, _scaled_upsilon_rows,
+                               _serving_coeff)
+from dronecov.channel import (AntennaPattern, ChannelParams,
+                              EnvironmentParams, _los_levels_exact,
+                              _los_levels_long)
 from dronecov.errors import CapabilityError, DomainError
 
 URBAN = EnvironmentParams(built_fraction=0.3, buildings_per_km2=500.0,
@@ -129,6 +132,19 @@ def test_upsilon_derivative_order_zero_is_upsilon():
 
 
 # ------------------------------------------------------- Laplace transform
+
+@pytest.mark.parametrize("m", [1, 3, 8, 32])
+def test_scaled_upsilon_rows_are_negative_binomial_terms(m):
+    x = np.concatenate([[0.0], np.logspace(-300.0, 5.0, 306)])
+    rows = _scaled_upsilon_rows(x, m, 32)
+    with np.errstate(divide="ignore"):
+        lx, l1p = np.log(x), np.log1p(x)
+    for j in range(1, 33):
+        ref = math.comb(m + j - 1, j) * np.exp(j * lx - (m + j) * l1p)
+        assert_allclose(rows[j - 1], ref, rtol=0.0, atol=1e-15)
+    # Terms of one negative-binomial distribution: they sum to at most 1.
+    assert np.all(rows.sum(axis=0) <= 1.0)
+
 
 def test_laplace_at_zero_is_one():
     assert laplace_interference(SCN, 100.0, 0.0, QUAD) == 1.0
@@ -261,6 +277,20 @@ def test_coverage_equal_heights_converges():
     assert_allclose(res15.probability, res30.probability, rtol=1e-9)
 
 
+def test_coverage_work_repeats_from_fresh_caches():
+    # The work counts are deterministic: two runs that each rebuild every
+    # cached table do the same outer quadrature and give the same value.
+    runs = []
+    for _ in range(2):
+        for cached in (_field_for, _los_levels_exact, _los_levels_long):
+            cached.cache_clear()
+        res = coverage_probability(SCN, QUAD)
+        runs.append((res.probability, res.diagnostics["outer_evals"],
+                     res.diagnostics["outer_panels"]))
+    assert runs[0] == runs[1]
+    assert runs[0][1] % 15 == 0  # 15 evaluations per panel evaluated
+
+
 def test_coverage_decreasing_in_threshold():
     probs = [coverage_probability(make_scenario(sir_threshold=t),
                                   QUAD).probability
@@ -320,6 +350,16 @@ def test_eta_floor_never_exceeds_transform_log(env, ue_height):
             assert 0.0 < floor <= -t[0]
             # The scalar screen never hides a bound that clears its need.
             assert fld.eta_floor(r0, s, need=0.5 * floor) == floor
+
+
+@pytest.mark.parametrize("ue_height", [1.5, 60.0, 150.0])
+def test_eta_lower_never_exceeds_transform_log(ue_height):
+    fld = _field_for(make_scenario(ue_height=ue_height), QUAD)
+    for r0 in (0.2, 5.0, 60.0, 340.0):
+        for s in (1e6, 1e9, 1e12):
+            t, _ = fld.eta_scaled(r0, s, 0, ml=1, mn=1)
+            lower = fld.eta_lower(r0, s)
+            assert t[0] <= lower <= 0.0
 
 
 def test_coverage_skips_certified_terms_at_altitude(monkeypatch):

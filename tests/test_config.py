@@ -113,7 +113,10 @@ def test_comments_and_blank_lines_ignored():
     ("[environment.x]\nbuilt_fraction = 0.5\n", "missing key"),
     ("[environment.]\nbuilt_fraction = 0.5\n", "needs a name"),
     ("[simulation]\nseed = -1\n", "64-bit"),
-    ("[quadrature]\nouter_trunc_prob = 1.5\n", "(0, 1]"),
+    ("[quadrature]\nouter_trunc_prob = 1.5\n", "(0, 0.1)"),
+    ("[quadrature]\nrel_tol = -1e-9\n", "tolerances must be positive"),
+    ("[quadrature]\nrel_tol = tight\n", "bad value"),
+    ("[quadrature]\nmax_rounds = 2.5\n", "must be an integer"),
     ("[quadrature]\nmax_panels = 4\n", "max_panels"),
     ("[quadrature]\nouter_trunc_prob = 0.5\n", "outer_trunc_prob"),
 ])

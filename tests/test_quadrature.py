@@ -9,7 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dronecov.errors import DomainError, QuadratureError
-from dronecov.quadrature import build_edges, integrate, integrate_family
+from dronecov.quadrature import (_GAUSS, _KRONROD, _NODES, build_edges,
+                                 integrate, integrate_family)
 
 
 def test_polynomial_exact():
@@ -81,3 +82,45 @@ def test_many_panels_long_range():
              - (600.0 / 0.01 + 1.0 / 0.01 ** 2) * math.exp(-0.01 * 600.0))
     assert_allclose(val, exact, rtol=1e-12)
     assert err < 1e-6 * abs(exact)
+
+
+# --------------------------------------------------- the G7/K15 rule itself
+
+def test_rule_nodes_symmetric_inside_interval():
+    assert _NODES.size == 15
+    assert np.all(np.abs(_NODES) < 1.0)
+    assert np.all(np.diff(_NODES) > 0.0)
+    assert_allclose(_NODES, -_NODES[::-1], atol=0.0)
+    assert_allclose(_KRONROD, _KRONROD[::-1], atol=0.0)
+    assert_allclose(_GAUSS, _GAUSS[::-1], atol=0.0)
+    # G7 uses every other Kronrod node, starting from the second.
+    assert np.all(_GAUSS[1::2] > 0.0) and np.all(_GAUSS[0::2] == 0.0)
+    assert np.all(_KRONROD > 0.0)
+
+
+def test_rule_weights_sum_to_interval_length():
+    assert_allclose(_KRONROD.sum(), 2.0, rtol=1e-15)
+    assert_allclose(_GAUSS.sum(), 2.0, rtol=1e-15)
+
+
+@pytest.mark.parametrize("weights, degree",
+                         [(_KRONROD, 22), (_GAUSS, 13)], ids=["K15", "G7"])
+def test_rule_exact_on_monomials(weights, degree):
+    for d in range(degree + 1):
+        exact = 0.0 if d % 2 else 2.0 / (d + 1)
+        assert abs(weights @ _NODES ** d - exact) < 1e-15
+    # One degree higher (the next even one) is no longer exact.
+    d = degree + 1 if degree % 2 else degree + 2
+    assert abs(weights @ _NODES ** d - 2.0 / (d + 1)) > 1e-10
+
+
+def test_one_panel_degree_13_polynomial():
+    # Every coefficient nonzero, so no Gauss-exactness comes for free.
+    poly = np.polynomial.Polynomial(1.0 / np.arange(1.0, 15.0))
+    res = integrate_family(poly, np.array([-0.5, 1.0]), rel_tol=1e-12,
+                           abs_tol=1e-14)
+    exact = poly.integ()(1.0) - poly.integ()(-0.5)
+    assert_allclose(res.value, exact, rtol=1e-14)
+    assert res.error < 1e-14
+    assert res.num_panels == 1 and res.rounds == 0
+    assert res.num_evals == 15
