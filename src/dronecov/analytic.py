@@ -8,8 +8,11 @@ coverage probability is a finite sum over derivatives of that transform.
 This module evaluates those integrals numerically with certified
 truncation: the line-of-sight field is cut only where its step level
 times an exact power-law tail integral certifies the remaining mass
-below tolerance, and the far field beyond the last breakpoint that
-matters is summed in closed form with an accounted linearization slack.
+below tolerance, and the non-line-of-sight field beyond a radius solved
+from its linearization slack is summed in closed form.  In between, the
+line-of-sight level is a step function; a Chebyshev product rule on a
+panel grid cached per scenario moves the steps into per-node weights,
+so a panel costs two dozen nodes however many steps it spans.
 Conditional terms that a closed-form Chernoff bound already certifies
 below tolerance are skipped before any of that quadrature runs.
 
@@ -44,7 +47,8 @@ from .channel import (
     path_loss_curves,
 )
 from .errors import CapabilityError, DomainError, QuadratureError
-from .quadrature import build_edges, integrate_family
+from .quadrature import (StepPanels, build_edges, chebyshev_nodes,
+                         integrate_family, integrate_steps, step_panels)
 
 __all__ = [
     "MAX_FADING_ORDER",
@@ -195,12 +199,27 @@ def _scaled_upsilon_rows(x: np.ndarray, m: int, orders: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=256)
+def _power_terms(alpha: float, m: int,
+                 orders: int) -> tuple[tuple[float, int], ...]:
+    # (coefficient, power q) per row j = 0..orders of a link with fading
+    # order m: in its mean received power y the row is at most, and far
+    # out tends to, perm(m+j-1, j) / (j! m^j) y^q with q = max(j, 1).  The
+    # coefficient is divided by alpha q - 2, so that times d^2 it gives
+    # the integral of that power law over r dr beyond 3-d distance d.
+    return tuple(((1.0 if j == 0 else math.perm(m + j - 1, j)
+                   / (math.factorial(j) * float(m) ** j))
+                  / (alpha * max(j, 1) - 2.0), max(j, 1))
+                 for j in range(orders + 1))
+
+
 # --------------------------------------------------------------------------
 # per-scenario precomputation
 
 
 class _Field:
-    """Cached geometry, step tables and tail bounds for one scenario."""
+    """Cached geometry, step tables, panel grid and tail bounds for one
+    scenario."""
 
     def __init__(self, scn: NetworkScenario, quad: QuadratureSpec) -> None:
         if scn.channel.alpha_nlos <= 2.0:
@@ -230,6 +249,13 @@ class _Field:
         self.k_start = int(quad.inner_radius_factor * self.r_outer
                            / self.step) + 1
         self._levels = np.empty(0)
+        self._step_gains: dict[int, tuple[float, float, float]] = {}
+        # Panel grid of the inner transform, extended on demand; panels
+        # below index _n_sight carry line-of-sight weights.
+        self._edges = np.zeros(1)
+        self._grid: StepPanels | None = None
+        self._n_sight = 0
+        self._cut_panels: dict[int, tuple] = {}
 
     # ---------------------------------------------------------- step table
 
@@ -249,11 +275,6 @@ class _Field:
         return float(los_level_curve(r, self.levels_upto(int(r / self.step)),
                                      self.step))
 
-    def sight_levels(self, r: np.ndarray) -> np.ndarray:
-        """Line-of-sight level at the ground distances ``r``."""
-        levels = self.levels_upto(int(r.max() / self.step))
-        return los_level_curve(r, levels, self.step)
-
     # ---------------------------------------------------------- tail bounds
 
     def excess_bound(self, s: float, orders: int, ml: int, mn: int,
@@ -267,25 +288,19 @@ class _Field:
         of the 3-d distance whose tail integral is exact.
         """
         scn = self.scn
-        r = k * self.step
-        d2 = r * r + self.gap2
-        zl, zn = path_loss_curves(r, scn.bs_height, scn.ue_height,
-                                  scn.channel)
+        if k not in self._step_gains:
+            r = k * self.step
+            zl, zn = path_loss_curves(r, scn.bs_height, scn.ue_height,
+                                      scn.channel)
+            self._step_gains[k] = (r * r + self.gap2, float(zl), float(zn))
+        d2, zl, zn = self._step_gains[k]
         c = s * scn.tx_power * self.g_max
-        tot = 0.0
-        for z, alpha, m in ((zl, scn.channel.alpha_los, ml),
-                            (zn, scn.channel.alpha_nlos, mn)):
-            y = c * float(z)
-            for j in range(orders + 1):
-                p = alpha * max(j, 1)
-                if p <= 2.0:
-                    return math.inf
-                k_mj = (1.0 if j == 0 else
-                        math.perm(m + j - 1, j)
-                        / (math.factorial(j) * float(m) ** j))
-                tot += k_mj * y ** max(j, 1) * d2 / (p - 2.0)
+        tot = sum(coef * (c * z) ** q
+                  for z, alpha, m in ((zl, scn.channel.alpha_los, ml),
+                                      (zn, scn.channel.alpha_nlos, mn))
+                  for coef, q in _power_terms(alpha, m, orders))
         return float(self.levels_upto(k)[k]) * 2.0 * math.pi \
-            * scn.bs_density * tot
+            * scn.bs_density * d2 * tot
 
     def _cut_search(self, k0: int, s: float, orders: int, ml: int, mn: int,
                     tol: float, cap: int) -> int | None:
@@ -350,130 +365,153 @@ class _Field:
         r_gain = max(self.switches, default=0.0)
         return float(self.gain_profile(2.0 * r_gain + 1.0)), r_gain
 
-    def linear_start(self, s: float, x_thr: float, r0: float, ml: int,
-                     mn: int) -> float:
-        """Smallest useful step-aligned radius beyond which both link
-        states keep their transform argument below ``x_thr`` and see a
-        constant antenna gain, so every attenuation row is a power law up
-        to a relative error of order ``x_thr``."""
-        scn = self.scn
-        _, r_gain = self.far_gain
-        r_req = max(r0, r_gain, self.step)
-        for los, m in ((True, ml), (False, mn)):
-            alpha = scn.channel.alpha(los)
-            d_need = (s * scn.tx_power * self.g_max
-                      * scn.channel.intercept(los)
-                      / (m * x_thr)) ** (1.0 / alpha)
-            r_req = max(r_req,
-                        math.sqrt(max(d_need * d_need - self.gap2, 0.0)))
-        return (int(r_req / self.step) + 1) * self.step
-
-    @staticmethod
-    def _q_diff(d2s: np.ndarray, p: float) -> np.ndarray:
-        # Per-interval integral of d^-p rho drho over consecutive squared
-        # 3-d distances, expressed in units of the reference distance.
-        if abs(p - 2.0) < 1e-9:
-            anti = 0.5 * np.log(d2s)
-        else:
-            anti = d2s ** (0.5 * (2.0 - p)) / (2.0 - p)
-        return np.diff(anti)
-
-    def linear_terms(self, s: float, orders: int, ml: int, mn: int,
-                     r_lin: float, k_cut: int) -> tuple[np.ndarray, np.ndarray]:
-        """Closed-form far field beyond ``r_lin``: per row, the signed sum
-        of the level-weighted line-of-sight excess out to the cut plus the
-        full non-line-of-sight tail, and the absolute mass against which
-        the linearization slack scales.
-
-        All powers are taken relative to the 3-d distance at ``r_lin``, so
-        the per-row factors are bounded by the transform argument there
-        and cannot overflow at high derivative orders.
-        """
+    def nlos_tail(self, s: float, orders: int, mn: int,
+                  r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Non-line-of-sight rows beyond ``r`` (past every gain switch) in
+        closed form, and the slack of that form per row: each row becomes
+        its leading power law ``m x`` or ``C(m+j-1, j) x^j``, whose tail
+        integral is exact, off by a factor of at most ``(m + orders) x``
+        with ``x`` taken at ``r``, where it is largest."""
         scn = self.scn
         g_far, _ = self.far_gain
-        two_pi_lam = 2.0 * math.pi * scn.bs_density
-        dref2 = r_lin * r_lin + self.gap2
-        zl, zn = path_loss_curves(r_lin, scn.bs_height, scn.ue_height,
-                                  scn.channel)
-        c = s * scn.tx_power * g_far
-        signed = np.zeros(orders + 1)
-        absmass = np.zeros(orders + 1)
-        k_lo = int(round(r_lin / self.step))
-        d2s = None
-        levels = None
-        if k_cut > k_lo:
-            bounds = np.arange(k_lo, k_cut + 1, dtype=float) * self.step
-            d2s = (bounds * bounds + self.gap2) / dref2
-            levels = self.levels_upto(k_cut)[k_lo:k_cut]
-        for z, alpha, m, los in ((zl, scn.channel.alpha_los, ml, True),
-                                 (zn, scn.channel.alpha_nlos, mn, False)):
-            x_ref = c * float(z) / m
-            for j in range(orders + 1):
-                factor = (m * x_ref if j == 0
-                          else math.comb(m + j - 1, j) * x_ref ** j)
-                p = alpha * max(j, 1)
-                scale = two_pi_lam * factor * dref2
-                if levels is not None:
-                    seg = scale * float(np.dot(levels, self._q_diff(d2s, p)))
-                    signed[j] += seg if los else -seg
-                    absmass[j] += seg
-                if not los:
-                    tail = scale / (p - 2.0)
-                    signed[j] += tail
-                    absmass[j] += tail
-        return signed, absmass
+        _, zn = path_loss_curves(r, scn.bs_height, scn.ue_height, scn.channel)
+        y = s * scn.tx_power * g_far * float(zn)
+        terms = _power_terms(scn.channel.alpha_nlos, mn, orders)
+        tail = np.array([coef * y ** q for coef, q in terms])
+        tail *= 2.0 * math.pi * scn.bs_density * (r * r + self.gap2)
+        return tail, (mn + orders) * (y / mn) * tail
+
+    def tail_start(self, s: float, orders: int, mn: int, r0: float,
+                   slack: float) -> float:
+        """Smallest radius beyond ``r0`` and the last gain switch from
+        which every row of :meth:`nlos_tail` has at most ``slack``.  Each
+        row's slack is ``B y^(q+1) d^2`` with ``y = a d^-alpha`` at the
+        3-d distance ``d``, so it falls with ``d`` and is solved directly."""
+        scn = self.scn
+        g_far, r_gain = self.far_gain
+        alpha = scn.channel.alpha_nlos
+        ln_a = math.log(s * scn.tx_power * g_far * scn.channel.intercept_nlos)
+        ln_d = max((math.log((mn + orders) / mn * 2.0 * math.pi
+                             * scn.bs_density * coef)
+                    + (q + 1) * ln_a - math.log(slack))
+                   / (alpha * (q + 1) - 2.0)
+                   for coef, q in _power_terms(alpha, mn, orders))
+        d2 = math.exp(min(2.0 * ln_d, 700.0))
+        return max(r0, r_gain, math.sqrt(max(d2 - self.gap2, 0.0)))
 
     # ------------------------------------------------------------ integrand
 
     def gain_profile(self, r: np.ndarray) -> np.ndarray:
         return antenna_gain_curve(r, self.lobe, self.scn.pattern)
 
-    def edges(self, lo: float, hi: float, pts) -> np.ndarray:
-        """Panel edges over ``[lo, hi]`` at the points ``pts`` and at every
-        antenna gain switch in between."""
-        return build_edges(lo, hi, [*pts, *self.switches])
-
-    def step_edges(self, lo: float, hi: float) -> np.ndarray:
-        """Panel edges over ``[lo, hi]`` aligned with every line-of-sight
-        breakpoint, so no panel straddles a probability jump."""
-        return self.edges(lo, hi, los_breakpoints(self.scn.env, hi))
-
-    def _geometric_edges(self, lo: float, hi: float) -> np.ndarray:
-        pts = []
-        r = max(lo, 1e-3 * self.step)
-        while r < hi:
-            r *= 1.25
-            pts.append(r)
-        return self.edges(lo, hi, pts)
-
-    def rows_at(self, r: np.ndarray, s: float, orders: int, ml: int,
-                mn: int, sight: bool = True) -> np.ndarray:
-        """Integrand rows ``j = 0..orders`` of the transform log at ground
-        distances ``r`` with fading orders ``ml``/``mn``: row 0 is the
-        mixed one-minus-attenuation, row ``j`` the scaled attenuation
-        derivative ``s^j |upsilon^(j)| / j!``, each times ``2 pi lam r``.
-        ``sight=False`` leaves out the line-of-sight links, as beyond the
-        line-of-sight cut."""
+    def node_data(self, r: np.ndarray) -> np.ndarray:
+        """Per-node inputs of the integrand rows at ground distances ``r``:
+        the mean received power per unit fading over a line-of-sight and
+        over a non-line-of-sight link, and ``2 pi lam r``."""
         scn = self.scn
-        rows = np.empty((orders + 1, r.size))
         zl, zn = path_loss_curves(r, scn.bs_height, scn.ue_height,
                                   scn.channel)
-        g = self.gain_profile(r)
-        xn = (s * scn.tx_power / mn) * g * zn
-        if sight:
-            xl = (s * scn.tx_power / ml) * g * zl
-            pl = self.sight_levels(r)
-            rows[0] = (pl * (-np.expm1(-ml * np.log1p(xl)))
-                       + (1.0 - pl) * (-np.expm1(-mn * np.log1p(xn))))
+        power = scn.tx_power * self.gain_profile(r)
+        return np.array([power * zl, power * zn,
+                         (2.0 * math.pi * scn.bs_density) * r])
+
+    @staticmethod
+    def link_rows(data: np.ndarray, k: int, s: float, orders: int, ml: int,
+                  mn: int) -> tuple[np.ndarray, np.ndarray]:
+        """Integrand rows ``j = 0..orders`` of the transform log from
+        :meth:`node_data` inputs: over a line-of-sight link on the first
+        ``k`` nodes and over a non-line-of-sight link on all of them.  Row
+        0 is one minus the attenuation, row ``j`` the scaled attenuation
+        derivative ``s^j |upsilon^(j)| / j!``, each times ``2 pi lam r``."""
+        cl, cn, area = data
+
+        def rows(c, area, m):
+            x = (s / m) * c
+            out = np.empty((orders + 1, x.size))
+            out[0] = -np.expm1(-m * np.log1p(x))
             if orders:
-                rows[1:] = (pl * _scaled_upsilon_rows(xl, ml, orders)
-                            + (1.0 - pl)
-                            * _scaled_upsilon_rows(xn, mn, orders))
-        else:
-            rows[0] = -np.expm1(-mn * np.log1p(xn))
-            if orders:
-                rows[1:] = _scaled_upsilon_rows(xn, mn, orders)
-        return rows * (2.0 * math.pi * scn.bs_density * r)
+                out[1:] = _scaled_upsilon_rows(x, m, orders)
+            out *= area
+            return out
+
+        return rows(cl[:k], area[:k], ml), rows(cn, area, mn)
+
+    def _panels(self, lo: np.ndarray, hi: np.ndarray,
+                k_sight: int) -> StepPanels:
+        # Chebyshev panels [lo, hi] with the line-of-sight levels of the
+        # steps below k_sight.
+        return step_panels(lo, hi, self.node_data(chebyshev_nodes(lo, hi)),
+                           self.step, self.levels_upto(k_sight)[:k_sight])
+
+    def _grid_to(self, r: float) -> np.ndarray:
+        """Edges of the cached panel grid, extended past ``r``.  Panels
+        are a quarter of ``hypot(r, gap)`` wide; narrower than a step, they
+        end on the next line-of-sight breakpoint when they would come
+        within a quarter panel of it, so each carries one level.  Every
+        gain switch is an edge."""
+        if self._edges[-1] > r:
+            return self._edges
+        edges = self._edges.tolist()
+        start = len(edges) - 1
+        x = edges[-1]
+        while x <= r:
+            d = 0.25 * max(math.hypot(x, math.sqrt(self.gap2)),
+                           1e-3 * self.step)
+            nxt = x + d
+            k = int(x / self.step) + 1     # the next breakpoint
+            k += k * self.step <= x
+            if d < self.step and nxt > k * self.step - 0.25 * d:
+                nxt = k * self.step
+            nxt = min([nxt] + [w for w in self.switches if x < w < nxt])
+            edges.append(nxt)
+            x = nxt
+        self._edges = e = np.asarray(edges)
+        new = self._panels(e[start:-1], e[start + 1:], 0)
+        self._grid = new if start == 0 else StepPanels.concat([self._grid,
+                                                               new])
+        return e
+
+    def integrate_rows(self, rows, r0: float, k_sight: int, r_end: float,
+                       *, rel_tol: float, abs_tol: float,
+                       max_rounds: int) -> tuple:
+        """Integral over ``[r0, R]`` of ``level * rows_L + (1 - level) *
+        rows_N`` (``rows(data, k)`` returns both, as :meth:`link_rows`
+        does), the level taken from the steps below ``k_sight`` and 0
+        beyond ``r_sight = k_sight * step``; ``R`` is ``r_sight``, or the
+        first grid edge past ``r_end`` when that lies beyond.  Returns the
+        integral and ``R``.  Only the panel from ``r0`` to the next edge
+        is built per call."""
+        r_sight = k_sight * self.step
+        e = self._grid_to(max(r_sight, r_end))
+        i0 = int(np.searchsorted(e, r0, side="right")) - 1
+        ic = int(np.searchsorted(e, r_sight, side="right")) - 1
+        if ic > self._n_sight:
+            g, n = self._grid, self._n_sight
+            self._grid = StepPanels.concat([g[:n], self._panels(
+                g.lo[n:ic], g.hi[n:ic], k_sight), g[ic:]])
+            self._n_sight = ic
+        cut = self._cut_panels.get(k_sight)
+        if cut is None:
+            # The panel holding r_sight, split there.
+            cut = self._cut_panels[k_sight] = (
+                self._panels(e[ic:ic + 1], np.array([r_sight]), k_sight)
+                if e[ic] < r_sight else None,
+                self._panels(np.array([r_sight]), e[ic + 1:ic + 2], k_sight))
+        parts = [self._grid[i0 + 1:ic], self._panels(
+            np.array([r0]), np.array([min(e[i0 + 1], r_sight)]), k_sight)]
+        if i0 < ic and cut[0] is not None:
+            parts.append(cut[0])
+        r_tail = r_sight
+        if r_end > r_sight:
+            i_end = max(ic + 1, int(np.searchsorted(e, r_end)))
+            parts += [cut[1], self._grid[ic + 1:i_end].unweighted()]
+            r_tail = float(e[i_end])
+        res = integrate_steps(
+            rows, StepPanels.concat(parts),
+            lambda lo, hi: self._panels(lo, hi, k_sight),
+            rel_tol=rel_tol, abs_tol=abs_tol,
+            max_panels=self.quad.max_panels, max_rounds=max_rounds)
+        return res, r_tail
 
     def eta_lower(self, r0: float, s: float) -> float:
         """Cheap lower bound on the transform log magnitude: the integrand
@@ -482,11 +520,10 @@ class _Field:
         is loose, so its own error estimate is subtracted."""
         r_end = max(self.quad.inner_radius_factor * self.r_outer,
                     1.25 * r0 + 2.0 * self.step)
-        res = integrate_family(
-            lambda r: self.rows_at(r, s, 0, 1, 1),
-            self.step_edges(r0, r_end),
-            rel_tol=1e-3, abs_tol=1e-6, max_rounds=4,
-            max_panels=self.quad.max_panels)
+        res, _ = self.integrate_rows(
+            lambda data, k: self.link_rows(data, k, s, 0, 1, 1),
+            r0, int(r_end / self.step) + 1, 0.0, rel_tol=1e-3,
+            abs_tol=1e-6, max_rounds=4)
         return -max(res.value - res.error, 0.0)
 
     @cached_property
@@ -568,59 +605,25 @@ class _Field:
             t = np.zeros(orders + 1)
             t[0] = aux
             return t, {"suppressed": True, "eta_lower_bound": aux}
-        tol_call = aux
-        r_cut = k_cut * self.step
-        cut_bound = self.excess_bound(s, orders, ml, mn, k_cut)
-        # Tighten the far-field linearization until its slack fits the
-        # budget.  Each pass multiplies the handover radius by a bounded
-        # factor and the mass beyond it shrinks with the radius, so the
-        # loop settles quickly; whatever slack remains is reported.
-        x_thr = 1e-4
-        for _ in range(8):
-            r_lin = self.linear_start(s, x_thr, r0, ml, mn)
-            lin_vals, lin_abs = self.linear_terms(s, orders, ml, mn,
-                                                  r_lin, k_cut)
-            slack = (max(ml, mn) + orders) * x_thr * lin_abs
-            if float(slack.max()) <= 0.25 * tol_call:
-                break
-            x_thr *= 1e-2
-        r_mixed = min(r_lin, r_cut)
-        fam = integrate_family(
-            lambda r: self.rows_at(r, s, orders, ml, mn),
-            self.step_edges(r0, r_mixed),
+        res, r_end = self.integrate_rows(
+            lambda data, k: self.link_rows(data, k, s, orders, ml, mn),
+            r0, k_cut, self.tail_start(s, orders, mn, r0, 0.25 * aux),
             rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
-            max_panels=max(quad.max_panels, 2 * k_cut + 4096),
             max_rounds=quad.max_rounds)
-        vals = fam.values + lin_vals
-        err_rows = fam.errors + slack
-        num_panels = fam.num_panels
-        num_evals = fam.num_evals
-        if r_lin > r_cut:
-            # Between the cut and the linearization radius only the
-            # non-line-of-sight rows remain, and they are smooth.
-            fam_n = integrate_family(
-                lambda r: self.rows_at(r, s, orders, ml, mn, sight=False),
-                self._geometric_edges(r_cut, r_lin),
-                rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
-                max_panels=quad.max_panels, max_rounds=quad.max_rounds)
-            vals = vals + fam_n.values
-            err_rows = err_rows + fam_n.errors
-            num_panels += fam_n.num_panels
-            num_evals += fam_n.num_evals
-        t = vals.copy()
+        cut_bound = self.excess_bound(s, orders, ml, mn, k_cut)
+        tail, slack = self.nlos_tail(s, orders, mn, r_end)
+        t = res.values + tail
         t[0] = -t[0]
-        for j in range(1, orders + 1):
-            if j % 2 == 1:
-                t[j] = -t[j]
+        t[1::2] = -t[1::2]
         diag = {
-            "r_cut": r_cut,
-            "r_linear": r_lin,
-            "tolerance": tol_call,
+            "r_cut": k_cut * self.step,
+            "r_linear": r_end,
+            "tolerance": aux,
             "cut_bound": cut_bound,
             "linear_slack": float(slack.max()),
-            "num_panels": num_panels,
-            "num_evals": num_evals,
-            "quad_errors": (err_rows + cut_bound).tolist(),
+            "num_panels": res.num_panels,
+            "num_evals": res.num_evals,
+            "quad_errors": (res.errors + slack + cut_bound).tolist(),
         }
         return t, diag
 
@@ -701,13 +704,14 @@ def mean_interference(scn: NetworkScenario, r0: float,
     fld = _field_for(scn, quad or QuadratureSpec())
     qd = fld.quad
     # The first moment is linear in the path gain, so past the last gain
-    # switch the field has exact power-law closed forms.  The moment
-    # majorants coincide with the transform-row majorants at unit argument
-    # and unit fading orders, which fixes the line-of-sight cut.
+    # switch the non-line-of-sight field has an exact power-law closed
+    # form.  The moment majorants coincide with the transform-row
+    # majorants at unit argument and unit fading orders, which fixes the
+    # line-of-sight cut.
     _, r_gain = fld.far_gain
-    r_lin = (int(max(r0, r_gain, fld.step) / fld.step) + 1) * fld.step
-    k_lin = int(round(r_lin / fld.step))
-    scale = (fld.linear_terms(1.0, 0, 1, 1, r_lin, k_lin)[0][0]
+    k_lin = int(max(r0, r_gain, fld.step) / fld.step) + 1
+    r_lin = k_lin * fld.step
+    scale = (fld.nlos_tail(1.0, 0, 1, r_lin)[0][0]
              + fld.excess_bound(1.0, 0, 1, 1, k_lin))
     tol = max(qd.abs_tol, qd.rel_tol * scale)
     k0 = max(fld.k_start, k_lin + 1)
@@ -717,22 +721,11 @@ def mean_interference(scn: NetworkScenario, r0: float,
             "line-of-sight interference mass decays too slowly for the "
             "requested tolerance",
             {"tolerance": tol, "step_cap": _MAX_TABLE - 1})
-    lin_vals, _ = fld.linear_terms(1.0, 0, 1, 1, r_lin, k_cut)
-    scn_ch = scn.channel
-    two_pi_lam = 2.0 * math.pi * scn.bs_density
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        zl, zn = path_loss_curves(r, scn.bs_height, scn.ue_height, scn_ch)
-        g = fld.gain_profile(r)
-        pl = fld.sight_levels(r)
-        c_mix = scn.tx_power * g * (pl * zl + (1.0 - pl) * zn)
-        return np.atleast_2d(two_pi_lam * c_mix * r)
-
-    res = integrate_family(integrand, fld.step_edges(r0, r_lin),
-                           rel_tol=qd.rel_tol, abs_tol=qd.abs_tol,
-                           max_panels=qd.max_panels,
-                           max_rounds=qd.max_rounds)
-    return res.value + float(lin_vals[0])
+    res, r_end = fld.integrate_rows(
+        lambda data, k: ((data[0, :k] * data[2, :k])[None],
+                         (data[1] * data[2])[None]), r0, k_cut, r_lin,
+        rel_tol=qd.rel_tol, abs_tol=qd.abs_tol, max_rounds=qd.max_rounds)
+    return res.value + float(fld.nlos_tail(1.0, 0, 1, r_end)[0][0])
 
 
 def conditional_coverage(scn: NetworkScenario, r0: float, serving_los: bool,
@@ -763,10 +756,10 @@ def _integrate_outer(fld: _Field, ml: int,
     quad = fld.quad
     scn = fld.scn
     thr = scn.sir_threshold
-    skipped = 0
+    skipped = inner_evals = inner_panels = 0
 
     def cond_at(r0: float) -> float:
-        nonlocal skipped
+        nonlocal skipped, inner_evals, inner_panels
         p_los = fld.level_at(r0)
         total = 0.0
         for los, m, weight in ((True, ml, p_los), (False, mn, 1.0 - p_los)):
@@ -776,7 +769,9 @@ def _integrate_outer(fld: _Field, ml: int,
             if fld.coverage_negligible(r0, s, m, weight):
                 skipped += 1
                 continue
-            t, _ = fld.eta_scaled(r0, s, m - 1, ml, mn)
+            t, info = fld.eta_scaled(r0, s, m - 1, ml, mn)
+            inner_evals += info.get("num_evals", 0)
+            inner_panels += info.get("num_panels", 0)
             total += weight * _coverage_sum(t, m)
         return total
 
@@ -784,7 +779,9 @@ def _integrate_outer(fld: _Field, ml: int,
         vals = np.array([cond_at(float(r0)) for r0 in r0s])
         return np.atleast_2d(serving_distance_pdf(r0s, scn.bs_density) * vals)
 
-    res = integrate_family(integrand, fld.step_edges(0.0, fld.r_outer),
+    edges = build_edges(0.0, fld.r_outer, [
+        *los_breakpoints(scn.env, fld.r_outer), *fld.switches])
+    res = integrate_family(integrand, edges,
                            rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
                            max_panels=4096, max_rounds=8)
     prob = float(min(max(res.value, 0.0), 1.0))
@@ -797,6 +794,8 @@ def _integrate_outer(fld: _Field, ml: int,
         "outer_panels": res.num_panels,
         "outer_evals": res.num_evals,
         "outer_quad_error": res.error,
+        "inner_evals": inner_evals,
+        "inner_panels": inner_panels,
         "truncated_mass": quad.outer_trunc_prob,
         "skipped_terms": skipped,
     }

@@ -203,11 +203,7 @@ def los_probability(geom: LinkGeometry, env: EnvironmentParams) -> float:
     :func:`los_step_levels`.
     """
     k = int(geom.ground_distance / los_step_width(env))
-    # Exact tables sized up to the next power of two let nearby distances
-    # share one cached table.
-    size = max(k, min(1 << k.bit_length(), _K_EXACT))
-    return float(los_step_levels(env, geom.bs_height, geom.ue_height,
-                                 size)[k])
+    return float(los_step_levels(env, geom.bs_height, geom.ue_height, k)[k])
 
 
 def los_step_width(env: EnvironmentParams) -> float:
@@ -228,14 +224,31 @@ def los_breakpoints(env: EnvironmentParams, r_max: float):
 _K_EXACT = 4000   # exact product entries; longer tables use asymptotics
 
 
+class _ExactLevels:
+    """Exact blocker products of one link geometry, extended from their
+    current length when a longer table is asked for.  Each entry is its
+    own ``np.prod``, so no entry depends on the order of requests."""
+
+    def __init__(self, env: EnvironmentParams, bs_height: float,
+                 ue_height: float) -> None:
+        self.link = (env, bs_height, ue_height)
+        self.levels = np.empty(0)
+
+    def upto(self, k_max: int) -> np.ndarray:
+        have = self.levels.size
+        if have <= k_max:
+            levels = np.concatenate([self.levels, [
+                np.prod(_blocker_clearances(*self.link, k))
+                for k in range(have, k_max + 1)]])
+            levels.setflags(write=False)
+            self.levels = levels
+        return self.levels[:k_max + 1]
+
+
 @lru_cache(maxsize=64)
 def _los_levels_exact(env: EnvironmentParams, bs_height: float,
-                      ue_height: float, k_max: int) -> np.ndarray:
-    levels = np.array([np.prod(_blocker_clearances(env, bs_height,
-                                                   ue_height, k))
-                       for k in range(k_max + 1)])
-    levels.setflags(write=False)
-    return levels
+                      ue_height: float) -> _ExactLevels:
+    return _ExactLevels(env, bs_height, ue_height)
 
 
 def _log_factor_slope(h: float, c2: float) -> float:
@@ -251,7 +264,7 @@ def _los_levels_long(env: EnvironmentParams, bs_height: float,
     # endpoint slopes of ln f.  Validated against the exact log-product at
     # the switch index, summed in logs so that a product below the double
     # range still checks; accurate to ~1e-11 in the log beyond it.
-    exact = _los_levels_exact(env, bs_height, ue_height, _K_EXACT)
+    exact = _los_levels_exact(env, bs_height, ue_height).upto(_K_EXACT)
     if exact[-1] == 0.0:
         # Levels never increase with k, so an underflowed product stays 0.
         out = np.concatenate([exact, np.zeros(k_max - _K_EXACT)])
@@ -314,7 +327,7 @@ def los_step_levels(env: EnvironmentParams, bs_height: float,
         out.setflags(write=False)
         return out
     if k_max <= _K_EXACT:
-        return _los_levels_exact(env, bs_height, ue_height, k_max)
+        return _los_levels_exact(env, bs_height, ue_height).upto(k_max)
     return _los_levels_long(env, bs_height, ue_height, k_max)
 
 

@@ -279,6 +279,21 @@ def _drop_rng(seed: int, drop_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
+class _Buffers:
+    """Per-estimate arrays reused by every block, grown with headroom when
+    a block needs more; a block's arrays are views valid until the next
+    block is drawn."""
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, size: int, dtype=float) -> np.ndarray:
+        buf = self._arrays.get(name)
+        if buf is None or buf.size < size:
+            buf = self._arrays[name] = np.empty(size + size // 4 + 64, dtype)
+        return buf[:size]
+
+
 @dataclass
 class _Block:
     """Stations of consecutive drops, concatenated in drop order."""
@@ -309,7 +324,8 @@ def _sampler(scn, spec: SimulationSpec):
     fading for its line-of-sight and its blocked stations.  The array
     work between those draws runs once over the whole block.  The disk
     radius and the line-of-sight table are the same for every drop, so
-    they are resolved once here rather than per drop.
+    they are resolved once here rather than per drop, and so are the
+    arrays every block writes into.
     """
     radius = _with_radius(scn, spec).disk_radius
     lam = scn.bs_density
@@ -326,6 +342,7 @@ def _sampler(scn, spec: SimulationSpec):
         mean = lam * math.pi * (radius * radius - r0 * r0)
     else:
         mean = lam * math.pi * radius * radius
+    bufs = _Buffers()
 
     def draw(rngs: list[np.random.Generator]) -> _Block:
         # Drops have independent generators, so each pass below may visit
@@ -341,9 +358,9 @@ def _sampler(scn, spec: SimulationSpec):
         counts = n + 1 if r0 is not None else n
         ends = np.cumsum(counts)
         starts = ends - counts
-        u = np.empty(int(n.sum()))
-        angles = np.empty(ends[-1])
-        los_u = np.empty(ends[-1])
+        u = bufs.take("u", int(n.sum()))
+        angles = bufs.take("angles", ends[-1])
+        los_u = bufs.take("los_u", ends[-1])
         a = 0
         for rng, nj, lo, hi in zip(rngs, n.tolist(), starts.tolist(),
                                    ends.tolist()):
@@ -354,18 +371,25 @@ def _sampler(scn, spec: SimulationSpec):
         if r0 is not None:
             u *= radius * radius - r0 * r0
             u += r0 * r0
-            radii = np.insert(np.sqrt(u, out=u), np.cumsum(n) - n, r0)
+            np.sqrt(u, out=u)
+            radii = bufs.take("radii", ends[-1])
+            a = 0
+            for nj, lo in zip(n.tolist(), starts.tolist()):
+                radii[lo] = r0
+                radii[lo + 1:lo + 1 + nj] = u[a:a + nj]
+                a += nj
             serving = starts
         else:
             radii = np.sqrt(u, out=u)
             radii *= radius
             serving = _segment_argmin(radii, starts, counts)
-        los = los_u < los_level_curve(radii, levels, step)
+        los = np.less(los_u, los_level_curve(radii, levels, step),
+                      out=bufs.take("los", radii.size, bool))
         if force is not None:
             los[serving] = force
         n_los = np.add.reduceat(los, starts, dtype=np.intp)
-        fade_los = np.empty(int(n_los.sum()))
-        fade_nlos = np.empty(radii.size - fade_los.size)
+        fade_los = bufs.take("fade_los", int(n_los.sum()))
+        fade_nlos = bufs.take("fade_nlos", radii.size - fade_los.size)
         a = b = 0
         for rng, kj, lj in zip(rngs, counts.tolist(), n_los.tolist()):
             rng.standard_gamma(ch.m_los, out=fade_los[a:a + lj])
@@ -375,7 +399,7 @@ def _sampler(scn, spec: SimulationSpec):
         # gamma(m, 1/m) is 1/m times standard_gamma(m), bit for bit.
         fade_los *= 1.0 / ch.m_los
         fade_nlos *= 1.0 / ch.m_nlos
-        fading = np.empty(radii.size)
+        fading = bufs.take("fading", radii.size)
         fading[los] = fade_los
         fading[~los] = fade_nlos
         return _Block(radii, los, fading, starts, counts, serving, angles,
@@ -412,11 +436,12 @@ def _link_sums(scn, radii: np.ndarray, los: np.ndarray, fading: np.ndarray,
     digits."""
     zl, zn = path_loss_curves(radii, scn.bs_height, scn.ue_height,
                               scn.channel)
+    np.copyto(zl, zn, where=~los)   # each station's own path gain
     power = antenna_gain_curve(
         radii, main_lobe_interval(scn.bs_height, scn.ue_height, scn.pattern),
         scn.pattern)
     power *= scn.tx_power
-    power *= np.where(los, zl, zn)
+    power *= zl
     power *= fading
     signal = power[serving]
     power[serving] = 0.0

@@ -1,4 +1,5 @@
-"""Adaptive panel Gauss-Kronrod integration.
+"""Adaptive panel integration: Gauss-Kronrod panels and a Chebyshev
+product rule for step-weighted integrands.
 
 The integrands in this package are smooth except at a known, finite set of
 points (line-of-sight steps, antenna gain switches).  Splitting the range at
@@ -14,10 +15,24 @@ bisected until the requested tolerance is met or the budget runs out.
 (one callback returning a 2-D array), refining wherever any member of the
 family is inaccurate.  This matters when a function and its derivatives are
 integrated together and must stay mutually consistent.
+
+``integrate_steps`` serves integrands of the form ``v f1 + (1 - v) f0``
+with smooth ``f1``, ``f0`` and a piecewise-constant weight ``v`` that may
+jump many times inside one panel.  Each panel carries ``CHEB_NODES``
+first-kind Chebyshev nodes; the step weight is moved into per-node product
+weights ``int v l_i`` (``l_i`` the node's Lagrange polynomial), computed
+once from the antiderivatives of the Chebyshev polynomials at the jumps
+(Clenshaw and Curtis, Numer. Math. 2, 1960; Trefethen, Approximation
+Theory and Approximation Practice, 2013).  The rule is exact for
+polynomial ``f1``, ``f0`` of degree below ``CHEB_NODES`` whatever the
+jumps, and a panel's error estimate is its width times the last two
+Chebyshev coefficients of each member, weighted by the largest ``v`` and
+``1 - v`` on the panel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,7 +40,9 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 
-__all__ = ["FamilyIntegral", "build_edges", "integrate_family", "integrate"]
+__all__ = ["CHEB_NODES", "FamilyIntegral", "StepPanels", "build_edges",
+           "chebyshev_nodes", "integrate_family", "integrate_steps",
+           "step_panels"]
 
 # QUADPACK qk15 (Piessens et al. 1983): Kronrod nodes in [0, 1) in
 # decreasing order with their weights; entries 1, 3, 5 and 7 are the
@@ -166,14 +183,216 @@ def integrate_family(f: Callable[[np.ndarray], np.ndarray],
         })
 
 
-def integrate(f: Callable[[np.ndarray], np.ndarray], lower: float,
-              upper: float, interior: Sequence[float] = (), *,
-              rel_tol: float = 1e-10, abs_tol: float = 1e-12,
-              max_panels: int = 4096,
-              max_rounds: int = 12) -> tuple[float, float]:
-    """Integrate a single vectorized function; returns (value, error)."""
-    res = integrate_family(lambda x: np.atleast_2d(np.asarray(f(x))),
-                           build_edges(lower, upper, interior),
-                           rel_tol=rel_tol, abs_tol=abs_tol,
-                           max_panels=max_panels, max_rounds=max_rounds)
-    return res.value, res.error
+# --------------------------------------------- Chebyshev product rule
+
+CHEB_NODES = 24
+# First-kind nodes cos(theta) on [-1, 1] in increasing order, and the
+# matrix taking values at them to Chebyshev coefficients.
+_THETA = [(CHEB_NODES - k - 0.5) * math.pi / CHEB_NODES
+          for k in range(CHEB_NODES)]
+_CHEB = np.array([math.cos(th) for th in _THETA])
+_DCT = np.array([[(1.0 if j else 0.5) * 2.0 / CHEB_NODES * math.cos(j * th)
+                  for th in _THETA] for j in range(CHEB_NODES)])
+_TAIL = _DCT[-2:].T      # the last two coefficients
+_CHUNK = 4096            # jumps per block of antiderivative evaluations
+
+
+def _antiderivatives(t: np.ndarray) -> np.ndarray:
+    # Antiderivatives of T_0 .. T_{n-1} at t in [-1, 1], on a new last
+    # axis, up to constants; every use below takes differences whose
+    # constants cancel.  T_k comes from T_{k+1} = 2 t T_k - T_{k-1}.
+    n = CHEB_NODES
+    t = np.asarray(t, dtype=float)
+    tk = np.empty(t.shape + (n + 1,))
+    tk[..., 0] = 1.0
+    tk[..., 1] = t
+    for k in range(1, n):
+        tk[..., k + 1] = 2.0 * t * tk[..., k] - tk[..., k - 1]
+    out = np.empty(t.shape + (n,))
+    out[..., 0] = tk[..., 1]
+    out[..., 1] = 0.25 * tk[..., 2]
+    j = np.arange(2, n)
+    out[..., 2:] = (tk[..., 3:] / (2.0 * (j + 1))
+                    - tk[..., 1:n - 1] / (2.0 * (j - 1)))
+    return out
+
+
+_U_HI = _antiderivatives(np.array(1.0))
+_U_LO = _antiderivatives(np.array(-1.0))
+# Weights of the plain rule on [-1, 1] (Fejer's first rule).
+_FEJER = ((_U_HI - _U_LO)[:, None] * _DCT).sum(axis=0)
+
+
+@dataclass
+class StepPanels:
+    """Chebyshev panels with per-node inputs and product weights.
+
+    ``data`` (shape ``(k, panels, CHEB_NODES)``) holds whatever the
+    integrand callback reads per node, node positions included.  The
+    integral of ``v f1 + (1 - v) f0`` over the panels is ``sum(w1 * f1 +
+    w0 * f0)``; ``top`` and ``bottom`` are the largest and smallest ``v``
+    per panel.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    data: np.ndarray
+    w1: np.ndarray
+    w0: np.ndarray
+    top: np.ndarray
+    bottom: np.ndarray
+
+    def __getitem__(self, idx) -> "StepPanels":
+        return StepPanels(self.lo[idx], self.hi[idx], self.data[:, idx],
+                          self.w1[idx], self.w0[idx], self.top[idx],
+                          self.bottom[idx])
+
+    @property
+    def total(self) -> np.ndarray:
+        """Weights of the plain integral ``int f``."""
+        return self.w0 + self.w1
+
+    def unweighted(self) -> "StepPanels":
+        """The same panels with ``v = 0``."""
+        zero = np.zeros(self.lo.size)
+        return StepPanels(self.lo, self.hi, self.data,
+                          np.zeros_like(self.w1), self.total, zero, zero)
+
+    @staticmethod
+    def concat(parts: Sequence["StepPanels"]) -> "StepPanels":
+        return StepPanels(np.concatenate([p.lo for p in parts]),
+                          np.concatenate([p.hi for p in parts]),
+                          np.concatenate([p.data for p in parts], axis=1),
+                          np.concatenate([p.w1 for p in parts]),
+                          np.concatenate([p.w0 for p in parts]),
+                          np.concatenate([p.top for p in parts]),
+                          np.concatenate([p.bottom for p in parts]))
+
+
+def chebyshev_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Nodes of panels ``[lo, hi]``, shape ``(panels, CHEB_NODES)``."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * _CHEB[None, :]
+
+
+def step_panels(lo: np.ndarray, hi: np.ndarray, data: np.ndarray,
+                step: float, levels: np.ndarray) -> StepPanels:
+    """Panels ``[lo, hi]`` of non-negative ``r`` for the step weight
+    ``v(r) = levels[floor(r / step)]``, which must not increase with
+    ``r``, and ``v = 0`` past the end of ``levels``.
+
+    Each panel's weights follow from the jumps of ``v`` inside it:
+    ``int v T_j = v_last U_j(1) - v_first U_j(-1) + sum(drop * U_j(t))``
+    over the jumps at ``t``, ``U_j`` being the antiderivative of ``T_j``.
+    A jump that falls on a panel edge enters with the level on its far
+    side, which gives the same weights, so edges that are multiples of
+    ``step`` need no exact division.
+    """
+    half = 0.5 * (hi - lo)
+    total = half[:, None] * _FEJER
+    size = levels.size
+    k_first = np.minimum(np.floor(lo / step), size).astype(np.int64)
+    k_last = np.minimum(np.ceil(hi / step) - 1, size).astype(np.int64)
+
+    def level(k):
+        return np.where(k < size, levels[np.minimum(k, size - 1)], 0.0)
+
+    first = level(k_first) if size else np.zeros(lo.size)
+    counts = k_last - k_first
+    if not counts.any():
+        w1 = first[:, None] * total
+        return StepPanels(lo, hi, data, w1, total - w1, first, first)
+    last = level(k_last)
+    moments = np.multiply.outer(last, _U_HI) - np.multiply.outer(first, _U_LO)
+    owner = np.repeat(np.arange(lo.size), counts)
+    ks = (np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+          + np.repeat(k_first + 1, counts))
+    mid = lo + half
+    for a in range(0, owner.size, _CHUNK):
+        o = owner[a:a + _CHUNK]
+        k = ks[a:a + _CHUNK]
+        jumps = ((level(k - 1) - level(k))[:, None]
+                 * _antiderivatives((k * step - mid[o]) / half[o]))
+        heads = np.flatnonzero(np.r_[True, o[1:] != o[:-1]])
+        moments[o[heads]] += np.add.reduceat(jumps, heads, axis=0)
+    w1 = half[:, None] * (moments @ _DCT)
+    return StepPanels(lo, hi, data, w1, total - w1, first, last)
+
+
+def _evaluate_steps(f, panels: StepPanels) -> tuple[np.ndarray, np.ndarray]:
+    # Per-panel integrals and error estimates; panels with v > 0 go first,
+    # so the callback evaluates f1 on a prefix of the nodes only.
+    live = panels.top > 0.0
+    n_live = int(live.sum())
+    order = None
+    if not live[:n_live].all():
+        order = np.concatenate([np.flatnonzero(live), np.flatnonzero(~live)])
+        panels = panels[order]
+    g1, g0 = f(panels.data.reshape(panels.data.shape[0], -1),
+               n_live * CHEB_NODES)
+    g0 = np.asarray(g0, dtype=float).reshape(len(g0), -1, CHEB_NODES)
+    g1 = np.asarray(g1, dtype=float).reshape(len(g1), n_live, CHEB_NODES)
+    vals = (g0 * panels.w0).sum(axis=2)
+    vals[:, :n_live] += (g1 * panels.w1[:n_live]).sum(axis=2)
+    errs = np.abs(g0 @ _TAIL).sum(axis=2) * (1.0 - panels.bottom)
+    errs[:, :n_live] += np.abs(g1 @ _TAIL).sum(axis=2) * panels.top[:n_live]
+    errs *= panels.hi - panels.lo
+    if order is None:
+        return vals, errs
+    out_v = np.empty_like(vals)
+    out_e = np.empty_like(errs)
+    out_v[:, order] = vals
+    out_e[:, order] = errs
+    return out_v, out_e
+
+
+def integrate_steps(f, panels: StepPanels, split, *, rel_tol: float,
+                    abs_tol: float, max_panels: int = 4096,
+                    max_rounds: int = 12) -> FamilyIntegral:
+    """Integrate the family ``v f1 + (1 - v) f0`` over Chebyshev panels.
+
+    ``f(data, k)`` maps per-node inputs (shape ``(k_inputs, nodes)``) to
+    ``(f1, f0)``: ``f1`` of shape ``(members, k)`` on the first ``k``
+    nodes, the ones of panels where ``v`` is not identically 0, and ``f0``
+    of shape ``(members, nodes)`` on all of them.  ``split(lo, hi)`` builds
+    the :class:`StepPanels` of new panels when a panel is bisected.  Each
+    member must meet ``sum of panel errors <= max(abs_tol, rel_tol *
+    |integral|)``; while one fails, every panel whose error exceeds an
+    equal share of that tolerance is bisected.
+    """
+    vals, errs = _evaluate_steps(f, panels)
+    lo, hi = panels.lo, panels.hi
+    num_evals = lo.size * CHEB_NODES
+    for rounds in range(max_rounds + 1):
+        totals = vals.sum(axis=1)
+        total_err = errs.sum(axis=1)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(totals))
+        failing = total_err > tol
+        if not failing.any():
+            return FamilyIntegral(totals, total_err, lo.size, num_evals,
+                                  rounds)
+        if rounds == max_rounds or 2 * lo.size > max_panels:
+            break
+        bad = (errs[failing] > tol[failing, None] / lo.size).any(axis=0)
+        if not bad.any():
+            bad[errs[failing].sum(axis=0).argmax()] = True
+        mid = 0.5 * (lo[bad] + hi[bad])
+        new = split(np.concatenate([lo[bad], mid]),
+                    np.concatenate([mid, hi[bad]]))
+        new_vals, new_errs = _evaluate_steps(f, new)
+        num_evals += new.lo.size * CHEB_NODES
+        lo = np.concatenate([lo[~bad], new.lo])
+        hi = np.concatenate([hi[~bad], new.hi])
+        vals = np.concatenate([vals[:, ~bad], new_vals], axis=1)
+        errs = np.concatenate([errs[:, ~bad], new_errs], axis=1)
+    worst = errs.sum(axis=0).argmax()
+    raise QuadratureError(
+        "Chebyshev panel refinement did not reach the requested tolerance",
+        diagnostics={
+            "total_error": total_err.tolist(),
+            "tolerance": tol.tolist(),
+            "num_panels": int(lo.size),
+            "num_evals": int(num_evals),
+            "worst_panel": (float(lo[worst]), float(hi[worst])),
+        })

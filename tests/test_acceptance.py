@@ -149,7 +149,8 @@ def test_simulation_matches_closed_form_oracle():
 
 def test_error_estimate_bounds_distance_to_tight_run():
     tight = QuadratureSpec(rel_tol=1e-12)
-    cases = {"ground": replace(BASE, ue_height=1.5)}
+    cases = {f"{h:g} m": replace(BASE, ue_height=h)
+             for h in (1.5, 60.0, 150.0)}
     for alpha in (3.0, 4.0):
         for threshold in (0.3, 1.0):
             cases[f"alpha={alpha:g} T={threshold:g}"] = _abg_scenario(

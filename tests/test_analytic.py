@@ -29,8 +29,10 @@ from dronecov.analytic import (_Field, _field_for, _scaled_upsilon_rows,
                                _serving_coeff)
 from dronecov.channel import (AntennaPattern, ChannelParams,
                               EnvironmentParams, _los_levels_exact,
-                              _los_levels_long)
+                              _los_levels_long, los_breakpoints,
+                              los_level_curve)
 from dronecov.errors import CapabilityError, DomainError
+from dronecov.quadrature import CHEB_NODES, build_edges, integrate_family
 
 URBAN = EnvironmentParams(built_fraction=0.3, buildings_per_km2=500.0,
                           height_scale=15.0)
@@ -279,16 +281,21 @@ def test_coverage_equal_heights_converges():
 
 def test_coverage_work_repeats_from_fresh_caches():
     # The work counts are deterministic: two runs that each rebuild every
-    # cached table do the same outer quadrature and give the same value.
+    # cached table do the same outer and inner quadrature and give the
+    # same value.
     runs = []
     for _ in range(2):
         for cached in (_field_for, _los_levels_exact, _los_levels_long):
             cached.cache_clear()
         res = coverage_probability(SCN, QUAD)
         runs.append((res.probability, res.diagnostics["outer_evals"],
-                     res.diagnostics["outer_panels"]))
+                     res.diagnostics["outer_panels"],
+                     res.diagnostics["inner_evals"],
+                     res.diagnostics["inner_panels"]))
     assert runs[0] == runs[1]
     assert runs[0][1] % 15 == 0  # 15 evaluations per panel evaluated
+    assert runs[0][3] == CHEB_NODES * runs[0][4]
+    assert runs[0][3:] == (105000, 4375)
 
 
 def test_coverage_decreasing_in_threshold():
@@ -327,6 +334,54 @@ def test_rayleigh_ignores_configured_fading_orders():
     b = rayleigh_coverage(make_scenario(m_los=1, m_nlos=1), QUAD)
     assert a.probability == b.probability
     assert a.method == "rayleigh"
+
+
+# ------------------------------------------------ inner transform rule
+
+def _tight_rows(fld, r0, s, orders, ml, mn, diag):
+    # The rows eta_scaled integrates, by G7/K15 panels on every
+    # line-of-sight step at rel_tol 1e-12, over the same range and with
+    # the same closed-form tail.
+    r_cut, r_end = diag["r_cut"], diag["r_linear"]
+    k_cut = int(round(r_cut / fld.step))
+    levels = fld.levels_upto(k_cut)[:k_cut]
+
+    def rows(r):
+        gl, gn = fld.link_rows(fld.node_data(r), r.size, s, orders, ml, mn)
+        pl = np.where(r < r_cut, los_level_curve(r, levels, fld.step), 0.0)
+        return pl * gl + (1.0 - pl) * gn
+
+    far = r_cut * 1.25 ** np.arange(1, 200)
+    pts = [*los_breakpoints(fld.scn.env, r_cut), *fld.switches,
+           *far[far < r_end]]
+    res = integrate_family(rows, build_edges(r0, r_end, pts), rel_tol=1e-12,
+                           abs_tol=1e-3 * min(diag["quad_errors"]),
+                           max_panels=400_000)
+    vals = res.values + fld.nlos_tail(s, orders, mn, r_end)[0]
+    vals[0] = -vals[0]
+    vals[1::2] = -vals[1::2]
+    return vals
+
+
+@pytest.mark.parametrize("r0", [20.0, 66.4, 200.0])
+@pytest.mark.parametrize("heights", [(30.0, 1.5), (30.0, 60.0),
+                                     (30.0, 150.0), (60.0, 60.0)],
+                         ids=["1.5m", "60m", "150m", "equal-heights"])
+def test_eta_rows_match_tight_step_panels(heights, r0):
+    bs_height, ue_height = heights
+    scn = make_scenario(ue_height=ue_height, bs_height=bs_height)
+    fld = _field_for(scn, QUAD)
+    for los, orders in ((True, 2), (False, 0)):
+        s = (scn.channel.fading_order(los) * scn.sir_threshold
+             / _serving_coeff(scn, r0, los))
+        t, diag = fld.eta_scaled(r0, s, orders)
+        if diag.get("suppressed"):
+            continue
+        tight = _tight_rows(fld, r0, s, orders, scn.channel.m_los,
+                            scn.channel.m_nlos, diag)
+        # Both sums round at a few units in the last place of the rows.
+        assert np.all(np.abs(t - tight) <= np.array(diag["quad_errors"])
+                      + 8.0 * np.finfo(float).eps * np.abs(tight))
 
 
 # --------------------------------------------- closed-form skip of terms

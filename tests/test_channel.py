@@ -28,6 +28,7 @@ from dronecov.channel import (
     path_loss_curves,
     sample_fading,
 )
+from dronecov.channel import _los_levels_exact
 from dronecov.config import builtin_environments
 from dronecov.errors import DomainError
 
@@ -157,6 +158,25 @@ def test_los_probability_reads_step_table_at_breakpoints(name, env):
     # A table's entries do not depend on its length.
     for k in (1, 2, 77, 4000, 4001, 4999):
         assert los_step_levels(env, 30.0, 60.0, k)[k] == levels[k]
+
+
+def test_exact_step_table_grows_without_rebuilding():
+    # One table per link geometry, extended from its current length; every
+    # entry is the blocker product np.prod gives for that entry alone.
+    _los_levels_exact.cache_clear()
+    for k_max in (3, 40, 17, 300):
+        levels = los_step_levels(URBAN, 30.0, 60.0, k_max)
+        assert levels.size == k_max + 1
+    table = _los_levels_exact(URBAN, 30.0, 60.0)
+    assert table.levels.size == 301
+    assert _los_levels_exact.cache_info().misses == 1
+    step = los_step_width(URBAN)
+    for k in (0, 1, 17, 299, 300):
+        h = 30.0 + (np.arange(k) + 0.5) * 30.0 / k if k else np.empty(0)
+        assert levels[k] == np.prod(
+            -np.expm1(-h * h / (2.0 * URBAN.height_scale ** 2)))
+        assert los_probability(LinkGeometry((k + 0.5) * step, 30.0, 60.0),
+                               URBAN) == levels[k]
 
 
 def _log_blocker_product(env, bs_height, ue_height, k):
