@@ -16,6 +16,13 @@ so a panel costs two dozen nodes however many steps it spans.
 Conditional terms that a closed-form Chernoff bound already certifies
 below tolerance are skipped before any of that quadrature runs.
 
+The inner transforms are array code: every serving distance that one
+call of the outer integrand receives goes, per serving-link state,
+through one skip screen, one lockstep cut search and batched panel
+quadrature, where each panel carries the index of the transform it
+belongs to.  Each transform still gets the cut, panels and error test it
+would get alone.
+
 Internally all derivative bookkeeping uses the scaled quantities
 ``t_j = s^j eta^(j) / j!`` and ``M_k = s^k L^(k) / k!``; every term of the
 coverage sum is then non-negative and bounded, so the alternating-sign
@@ -25,7 +32,7 @@ derivative recursion cannot lose precision to cancellation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -35,7 +42,6 @@ from .channel import (
     ChannelParams,
     EnvironmentParams,
     LinkGeometry,
-    antenna_gain,
     antenna_gain_curve,
     gain_switch_radii,
     los_breakpoints,
@@ -43,12 +49,12 @@ from .channel import (
     los_step_levels,
     los_step_width,
     main_lobe_interval,
-    path_loss,
     path_loss_curves,
 )
 from .errors import CapabilityError, DomainError, QuadratureError
-from .quadrature import (StepPanels, build_edges, chebyshev_nodes,
-                         integrate_family, integrate_steps, step_panels)
+from .quadrature import (CHEB_NODES, StepIntegrals, StepPanels, build_edges,
+                         chebyshev_nodes, integrate_family, integrate_steps,
+                         step_panels)
 
 __all__ = [
     "MAX_FADING_ORDER",
@@ -73,6 +79,8 @@ MAX_FADING_ORDER = 32
 
 _MAX_TABLE = 400_000      # hard cap on step-table length
 _ETA_FLOOR = -80.0        # transform log below which coverage is treated as 0
+_NODE_BUDGET = 4096       # Chebyshev nodes per batch of inner transforms
+_FLOOR_BLOCK = 2048       # step terms per block of the closed-form floor
 
 
 @dataclass(frozen=True)
@@ -157,13 +165,6 @@ def serving_distance_pdf(r0, bs_density: float):
 # fading attenuation factor and its derivatives
 
 
-def _channel_coeff(scn: NetworkScenario, r: float, los: bool) -> float:
-    # Mean received power per unit fading from a base station at distance r.
-    geom = scn.link(r)
-    return scn.tx_power * antenna_gain(geom, scn.pattern) * path_loss(
-        geom, scn.channel, los)
-
-
 def upsilon(scn: NetworkScenario, r: float, s: float, los: bool) -> float:
     """Laplace-domain attenuation factor of one interferer at distance ``r``:
     the fading-averaged value of ``exp(-s * received_power)``."""
@@ -179,23 +180,49 @@ def upsilon_derivative(scn: NetworkScenario, r: float, s: float, los: bool,
     if order < 0:
         raise DomainError("order must be non-negative")
     m = scn.channel.fading_order(los)
-    c = _channel_coeff(scn, r, los)
+    c = float(_serving_coeff(scn, r, los))
     x = s * c / m
     mag = math.perm(m + order - 1, order) * math.exp(
         order * math.log(c / m) - (m + order) * math.log1p(x))
     return mag if order % 2 == 0 else -mag
 
 
-def _scaled_upsilon_rows(x: np.ndarray, m: int, orders: int) -> np.ndarray:
+def _scaled_upsilon_rows(x: np.ndarray, m: int, orders: int,
+                         out: np.ndarray | None = None) -> np.ndarray:
     # Row j (1-based) holds s^j |upsilon^(j)| / j! elementwise, which equals
     # the negative-binomial term C(m+j-1, j) x^j / (1+x)^(m+j) and is <= 1.
-    # Each row is the previous one times (m+j-1)/j * x/(1+x), from the
-    # j = 0 term (1+x)^-m.
-    out = np.empty((orders, x.size))
-    ratio = x / (1.0 + x)
-    row = np.exp(-m * np.log1p(x))
+    # Each row is the previous one times x/(1+x) times (m+j-1)/j, from the
+    # j = 0 term (1+x)^-m; the rows go to out[j - 1] when out is given.
+    if out is None:
+        out = np.empty((orders,) + np.shape(x))
+    ratio = 1.0 + x
+    np.divide(x, ratio, out=ratio)
+    row = np.log1p(x)
+    row *= -m
+    np.exp(row, out=row)
     for j in range(1, orders + 1):
-        row = out[j - 1] = row * ratio * ((m + j - 1) / j)
+        row = np.multiply(row, ratio, out=out[j - 1])
+        row *= (m + j - 1) / j
+    return out
+
+
+def _link_rows(c: np.ndarray, area: np.ndarray, s, m: int,
+               orders: int) -> np.ndarray:
+    # Integrand rows j = 0..orders of the transform log over links with
+    # fading order m and mean received power c per unit fading, at
+    # argument s: row 0 is one minus the attenuation, row j the scaled
+    # attenuation derivative s^j |upsilon^(j)| / j!, each times area
+    # (2 pi lam r), written in place.
+    x = (s / m) * c
+    out = np.empty((orders + 1,) + x.shape)
+    row = out[0]
+    np.log1p(x, out=row)
+    row *= -m
+    np.expm1(row, out=row)
+    np.negative(row, out=row)
+    if orders:
+        _scaled_upsilon_rows(x, m, orders, out=out[1:])
+    out *= area
     return out
 
 
@@ -204,13 +231,29 @@ def _power_terms(alpha: float, m: int,
                  orders: int) -> tuple[tuple[float, int], ...]:
     # (coefficient, power q) per row j = 0..orders of a link with fading
     # order m: in its mean received power y the row is at most, and far
-    # out tends to, perm(m+j-1, j) / (j! m^j) y^q with q = max(j, 1).  The
-    # coefficient is divided by alpha q - 2, so that times d^2 it gives
+    # out tends to, C(m+j-1, j) / m^j y^q with q = max(j, 1).  The integer
+    # ratio is rounded once, so it stays exact where m^j overflows a float.
+    # The coefficient is divided by alpha q - 2, so that times d^2 it gives
     # the integral of that power law over r dr beyond 3-d distance d.
-    return tuple(((1.0 if j == 0 else math.perm(m + j - 1, j)
-                   / (math.factorial(j) * float(m) ** j))
+    return tuple(((1.0 if j == 0 else math.comb(m + j - 1, j) / m ** j)
                   / (alpha * max(j, 1) - 2.0), max(j, 1))
                  for j in range(orders + 1))
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple:
+    # Concatenated index ranges [start, stop) and the entry each index
+    # belongs to.
+    counts = np.maximum(stops - starts, 0)
+    entry = np.repeat(np.arange(starts.size), counts)
+    return (np.arange(entry.size) + np.repeat(starts - np.cumsum(counts)
+                                              + counts, counts), entry)
+
+
+def _flat(*arrays) -> tuple:
+    # Broadcast scalars or arrays together; the common shape and 1-D views.
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                   for a in arrays))
+    return (arrays[0].shape, *(a.ravel() for a in arrays))
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +262,8 @@ def _power_terms(alpha: float, m: int,
 
 class _Field:
     """Cached geometry, step tables, panel grid and tail bounds for one
-    scenario."""
+    scenario.  Its methods take arrays of serving distances and transform
+    arguments and treat the entries as one batch."""
 
     def __init__(self, scn: NetworkScenario, quad: QuadratureSpec) -> None:
         if scn.channel.alpha_nlos <= 2.0:
@@ -249,13 +293,11 @@ class _Field:
         self.k_start = int(quad.inner_radius_factor * self.r_outer
                            / self.step) + 1
         self._levels = np.empty(0)
-        self._step_gains: dict[int, tuple[float, float, float]] = {}
         # Panel grid of the inner transform, extended on demand; panels
         # below index _n_sight carry line-of-sight weights.
         self._edges = np.zeros(1)
         self._grid: StepPanels | None = None
         self._n_sight = 0
-        self._cut_panels: dict[int, tuple] = {}
 
     # ---------------------------------------------------------- step table
 
@@ -271,16 +313,18 @@ class _Field:
             scn.env, scn.bs_height, scn.ue_height, int(k_max)))
         return self._levels
 
-    def level_at(self, r: float) -> float:
-        return float(los_level_curve(r, self.levels_upto(int(r / self.step)),
-                                     self.step))
+    def level_at(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        return los_level_curve(
+            r, self.levels_upto(int(r.max(initial=0.0) / self.step)),
+            self.step)
 
     # ---------------------------------------------------------- tail bounds
 
-    def excess_bound(self, s: float, orders: int, ml: int, mn: int,
-                     k: int) -> float:
+    def excess_bound(self, s, orders: int, ml: int, mn: int, k) -> np.ndarray:
         """Certified bound on everything lost by zeroing the line-of-sight
-        probability beyond step ``k``.
+        probability beyond step ``k``, for arguments ``s`` (broadcast
+        against ``k``).
 
         Step levels never increase with distance, so the level at the cut
         majorizes the probability everywhere beyond it; each scaled
@@ -288,45 +332,51 @@ class _Field:
         of the 3-d distance whose tail integral is exact.
         """
         scn = self.scn
-        if k not in self._step_gains:
-            r = k * self.step
-            zl, zn = path_loss_curves(r, scn.bs_height, scn.ue_height,
-                                      scn.channel)
-            self._step_gains[k] = (r * r + self.gap2, float(zl), float(zn))
-        d2, zl, zn = self._step_gains[k]
-        c = s * scn.tx_power * self.g_max
-        tot = sum(coef * (c * z) ** q
-                  for z, alpha, m in ((zl, scn.channel.alpha_los, ml),
-                                      (zn, scn.channel.alpha_nlos, mn))
-                  for coef, q in _power_terms(alpha, m, orders))
-        return float(self.levels_upto(k)[k]) * 2.0 * math.pi \
-            * scn.bs_density * d2 * tot
+        k = np.asarray(k)
+        r = k * self.step
+        zl, zn = path_loss_curves(r, scn.bs_height, scn.ue_height,
+                                  scn.channel)
+        c = np.asarray(s) * scn.tx_power * self.g_max
+        tot = 0.0
+        for z, alpha, m in ((zl, scn.channel.alpha_los, ml),
+                            (zn, scn.channel.alpha_nlos, mn)):
+            for coef, q in _power_terms(alpha, m, orders):
+                tot = tot + coef * (c * z) ** q
+        return self.levels_upto(int(k.max()))[k] * 2.0 * math.pi \
+            * scn.bs_density * (r * r + self.gap2) * tot
 
-    def _cut_search(self, k0: int, s: float, orders: int, ml: int, mn: int,
-                    tol: float, cap: int) -> int | None:
-        # Doubling then bisection for the smallest step whose excess bound
-        # fits under tol; None when even the cap fails.
-        k = k0
-        while self.excess_bound(s, orders, ml, mn, k) > tol:
-            k *= 2
-            if k > cap:
-                return None
-        if k == k0:
-            return k
-        lo, hi = k // 2, k
-        while hi - lo > 1 + hi // 16:
-            mid = (lo + hi) // 2
-            if self.excess_bound(s, orders, ml, mn, mid) > tol:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+    def _cut_search(self, k0: np.ndarray, s: np.ndarray, orders: int,
+                    ml: int, mn: int, tol, cap: int) -> tuple:
+        # Per entry, the smallest step whose excess bound fits under tol:
+        # doubling from k0, then bisection to within hi // 16, all entries
+        # in lockstep.  Also returns whether the cap was kept.
+        tol = np.broadcast_to(tol, k0.shape)
+        hi = k0.copy()
+        ok = np.ones(k0.shape, dtype=bool)
+        grow = np.arange(k0.size)
+        while grow.size:
+            grow = grow[self.excess_bound(s[grow], orders, ml, mn, hi[grow])
+                        > tol[grow]]
+            hi[grow] *= 2
+            ok[grow[hi[grow] > cap]] = False
+            grow = grow[hi[grow] <= cap]
+        lo = hi // 2
+        move = np.flatnonzero(ok & (hi != k0))
+        while True:
+            move = move[hi[move] - lo[move] > 1 + hi[move] // 16]
+            if not move.size:
+                return hi, ok
+            mid = (lo[move] + hi[move]) // 2
+            over = self.excess_bound(s[move], orders, ml, mn, mid) > tol[move]
+            lo[move[over]] = mid[over]
+            hi[move[~over]] = mid[~over]
 
-    def choose_cut(self, r0: float, s: float, orders: int, ml: int,
-                   mn: int) -> tuple[int | None, float]:
-        """Line-of-sight cut step for one transform evaluation plus the
-        tolerance the evaluation must meet, or ``(None, eta_lower_bound)``
-        when the transform is certified negligible.
+    def choose_cut(self, r0: np.ndarray, s: np.ndarray, orders: int,
+                   ml: int, mn: int) -> tuple[np.ndarray, np.ndarray]:
+        """Line-of-sight cut step for each transform evaluation plus the
+        tolerance it must meet, or step -1 and a transform-log lower bound
+        in place of the tolerance where the transform is certified
+        negligible.
 
         The cut is first sought at the strict absolute tolerance.  When
         slowly decaying step levels push it past a moderate table, the
@@ -336,26 +386,35 @@ class _Field:
         every output pinned near zero in absolute terms.
         """
         quad = self.quad
-        k0 = max(self.k_start, int(r0 / self.step) + 1)
-        k = self._cut_search(k0, s, orders, ml, mn, 0.5 * quad.abs_tol,
-                             cap=20000)
-        if k is not None:
-            return k, quad.abs_tol
-        eta_lb = self.eta_lower(r0, s)
-        if eta_lb <= _ETA_FLOOR:
-            return None, eta_lb
-        tol = max(quad.abs_tol, quad.rel_tol * abs(eta_lb),
-                  quad.abs_tol * math.exp(min(-eta_lb, 60.0)))
-        k = self._cut_search(k0, s, orders, ml, mn, 0.5 * tol,
-                             cap=_MAX_TABLE - 1)
-        if k is None:
-            raise QuadratureError(
-                "line-of-sight interference mass decays too slowly for the "
-                "requested tolerance",
-                {"tolerance": tol, "step_cap": _MAX_TABLE - 1,
-                 "bound_at_cap": self.excess_bound(s, orders, ml, mn,
-                                                   _MAX_TABLE - 1)})
-        return k, tol
+        k0 = np.maximum(self.k_start,
+                        (r0 / self.step).astype(np.int64) + 1)
+        k, ok = self._cut_search(k0, s, orders, ml, mn, 0.5 * quad.abs_tol,
+                                 cap=20000)
+        aux = np.full(r0.shape, quad.abs_tol)
+        if ok.all():
+            return k, aux
+        redo = np.flatnonzero(~ok)
+        eta_lb = self.eta_lower(r0[redo], s[redo])
+        low = eta_lb <= _ETA_FLOOR
+        k[redo[low]] = -1
+        aux[redo[low]] = eta_lb[low]
+        redo, eta_lb = redo[~low], eta_lb[~low]
+        if redo.size:
+            tol = np.maximum(
+                np.maximum(quad.abs_tol, quad.rel_tol * np.abs(eta_lb)),
+                quad.abs_tol * np.exp(np.minimum(-eta_lb, 60.0)))
+            k[redo], ok = self._cut_search(k0[redo], s[redo], orders, ml, mn,
+                                           0.5 * tol, cap=_MAX_TABLE - 1)
+            if not ok.all():
+                i = int(np.flatnonzero(~ok)[0])
+                raise QuadratureError(
+                    "line-of-sight interference mass decays too slowly for "
+                    "the requested tolerance",
+                    {"tolerance": float(tol[i]), "step_cap": _MAX_TABLE - 1,
+                     "bound_at_cap": float(self.excess_bound(
+                         s[redo[i]], orders, ml, mn, _MAX_TABLE - 1))})
+            aux[redo] = tol
+        return k, aux
 
     # --------------------------------------------------- far-field closed forms
 
@@ -365,24 +424,27 @@ class _Field:
         r_gain = max(self.switches, default=0.0)
         return float(self.gain_profile(2.0 * r_gain + 1.0)), r_gain
 
-    def nlos_tail(self, s: float, orders: int, mn: int,
-                  r: float) -> tuple[np.ndarray, np.ndarray]:
+    def nlos_tail(self, s, orders: int, mn: int,
+                  r) -> tuple[np.ndarray, np.ndarray]:
         """Non-line-of-sight rows beyond ``r`` (past every gain switch) in
-        closed form, and the slack of that form per row: each row becomes
-        its leading power law ``m x`` or ``C(m+j-1, j) x^j``, whose tail
+        closed form, and the slack of that form per row, on a last axis
+        after the broadcast shape of ``s`` and ``r``: each row becomes its
+        leading power law ``m x`` or ``C(m+j-1, j) x^j``, whose tail
         integral is exact, off by a factor of at most ``(m + orders) x``
         with ``x`` taken at ``r``, where it is largest."""
         scn = self.scn
         g_far, _ = self.far_gain
+        r = np.asarray(r, dtype=float)
         _, zn = path_loss_curves(r, scn.bs_height, scn.ue_height, scn.channel)
-        y = s * scn.tx_power * g_far * float(zn)
+        y = np.asarray(s) * scn.tx_power * g_far * zn
         terms = _power_terms(scn.channel.alpha_nlos, mn, orders)
-        tail = np.array([coef * y ** q for coef, q in terms])
-        tail *= 2.0 * math.pi * scn.bs_density * (r * r + self.gap2)
-        return tail, (mn + orders) * (y / mn) * tail
+        tail = np.stack([coef * y ** q for coef, q in terms], axis=-1)
+        tail *= (2.0 * math.pi * scn.bs_density
+                 * (r * r + self.gap2))[..., None]
+        return tail, (mn + orders) * (y / mn)[..., None] * tail
 
-    def tail_start(self, s: float, orders: int, mn: int, r0: float,
-                   slack: float) -> float:
+    def tail_start(self, s: np.ndarray, orders: int, mn: int, r0: np.ndarray,
+                   slack: np.ndarray) -> np.ndarray:
         """Smallest radius beyond ``r0`` and the last gain switch from
         which every row of :meth:`nlos_tail` has at most ``slack``.  Each
         row's slack is ``B y^(q+1) d^2`` with ``y = a d^-alpha`` at the
@@ -390,14 +452,17 @@ class _Field:
         scn = self.scn
         g_far, r_gain = self.far_gain
         alpha = scn.channel.alpha_nlos
-        ln_a = math.log(s * scn.tx_power * g_far * scn.channel.intercept_nlos)
-        ln_d = max((math.log((mn + orders) / mn * 2.0 * math.pi
-                             * scn.bs_density * coef)
-                    + (q + 1) * ln_a - math.log(slack))
-                   / (alpha * (q + 1) - 2.0)
-                   for coef, q in _power_terms(alpha, mn, orders))
-        d2 = math.exp(min(2.0 * ln_d, 700.0))
-        return max(r0, r_gain, math.sqrt(max(d2 - self.gap2, 0.0)))
+        ln_a = np.log(s * scn.tx_power * g_far * scn.channel.intercept_nlos)
+        ln_slack = np.log(slack)
+        ln_d = np.max([(math.log((mn + orders) / mn * 2.0 * math.pi
+                                 * scn.bs_density * coef)
+                        + (q + 1) * ln_a - ln_slack)
+                       / (alpha * (q + 1) - 2.0)
+                       for coef, q in _power_terms(alpha, mn, orders)],
+                      axis=0)
+        d2 = np.exp(np.minimum(2.0 * ln_d, 700.0))
+        return np.maximum(np.maximum(r0, r_gain),
+                          np.sqrt(np.maximum(d2 - self.gap2, 0.0)))
 
     # ------------------------------------------------------------ integrand
 
@@ -415,33 +480,24 @@ class _Field:
         return np.array([power * zl, power * zn,
                          (2.0 * math.pi * scn.bs_density) * r])
 
-    @staticmethod
-    def link_rows(data: np.ndarray, k: int, s: float, orders: int, ml: int,
-                  mn: int) -> tuple[np.ndarray, np.ndarray]:
-        """Integrand rows ``j = 0..orders`` of the transform log from
-        :meth:`node_data` inputs: over a line-of-sight link on the first
-        ``k`` nodes and over a non-line-of-sight link on all of them.  Row
-        0 is one minus the attenuation, row ``j`` the scaled attenuation
-        derivative ``s^j |upsilon^(j)| / j!``, each times ``2 pi lam r``."""
-        cl, cn, area = data
+    def _link_integrand(self, s: np.ndarray, orders: int, ml: int, mn: int):
+        # integrate_steps callback: the transform-log rows of
+        # _link_rows over a line-of-sight link (weighted) or a
+        # non-line-of-sight one, each panel at the argument of the
+        # transform that owns it.
+        def rows(data, owner, weighted):
+            return _link_rows(data[0 if weighted else 1], data[2],
+                              s[owner][:, None], ml if weighted else mn,
+                              orders)
+        return rows
 
-        def rows(c, area, m):
-            x = (s / m) * c
-            out = np.empty((orders + 1, x.size))
-            out[0] = -np.expm1(-m * np.log1p(x))
-            if orders:
-                out[1:] = _scaled_upsilon_rows(x, m, orders)
-            out *= area
-            return out
-
-        return rows(cl[:k], area[:k], ml), rows(cn, area, mn)
-
-    def _panels(self, lo: np.ndarray, hi: np.ndarray,
-                k_sight: int) -> StepPanels:
+    def _panels(self, lo: np.ndarray, hi: np.ndarray, ends,
+                owner: np.ndarray | None = None) -> StepPanels:
         # Chebyshev panels [lo, hi] with the line-of-sight levels of the
-        # steps below k_sight.
+        # steps below ends (one value or one per panel).
         return step_panels(lo, hi, self.node_data(chebyshev_nodes(lo, hi)),
-                           self.step, self.levels_upto(k_sight)[:k_sight])
+                           self.step, self.levels_upto(int(np.max(ends))),
+                           ends, owner)
 
     def _grid_to(self, r: float) -> np.ndarray:
         """Edges of the cached panel grid, extended past ``r``.  Panels
@@ -471,60 +527,99 @@ class _Field:
                                                                new])
         return e
 
-    def integrate_rows(self, rows, r0: float, k_sight: int, r_end: float,
-                       *, rel_tol: float, abs_tol: float,
+    def integrate_rows(self, rows, r0: np.ndarray, k_sight: np.ndarray,
+                       r_end: np.ndarray, *, rel_tol: float, abs_tol: float,
                        max_rounds: int) -> tuple:
-        """Integral over ``[r0, R]`` of ``level * rows_L + (1 - level) *
-        rows_N`` (``rows(data, k)`` returns both, as :meth:`link_rows`
-        does), the level taken from the steps below ``k_sight`` and 0
-        beyond ``r_sight = k_sight * step``; ``R`` is ``r_sight``, or the
-        first grid edge past ``r_end`` when that lies beyond.  Returns the
-        integral and ``R``.  Only the panel from ``r0`` to the next edge
-        is built per call."""
-        r_sight = k_sight * self.step
-        e = self._grid_to(max(r_sight, r_end))
-        i0 = int(np.searchsorted(e, r0, side="right")) - 1
-        ic = int(np.searchsorted(e, r_sight, side="right")) - 1
-        if ic > self._n_sight:
-            g, n = self._grid, self._n_sight
-            self._grid = StepPanels.concat([g[:n], self._panels(
-                g.lo[n:ic], g.hi[n:ic], k_sight), g[ic:]])
-            self._n_sight = ic
-        cut = self._cut_panels.get(k_sight)
-        if cut is None:
-            # The panel holding r_sight, split there.
-            cut = self._cut_panels[k_sight] = (
-                self._panels(e[ic:ic + 1], np.array([r_sight]), k_sight)
-                if e[ic] < r_sight else None,
-                self._panels(np.array([r_sight]), e[ic + 1:ic + 2], k_sight))
-        parts = [self._grid[i0 + 1:ic], self._panels(
-            np.array([r0]), np.array([min(e[i0 + 1], r_sight)]), k_sight)]
-        if i0 < ic and cut[0] is not None:
-            parts.append(cut[0])
-        r_tail = r_sight
-        if r_end > r_sight:
-            i_end = max(ic + 1, int(np.searchsorted(e, r_end)))
-            parts += [cut[1], self._grid[ic + 1:i_end].unweighted()]
-            r_tail = float(e[i_end])
-        res = integrate_steps(
-            rows, StepPanels.concat(parts),
-            lambda lo, hi: self._panels(lo, hi, k_sight),
-            rel_tol=rel_tol, abs_tol=abs_tol,
-            max_panels=self.quad.max_panels, max_rounds=max_rounds)
-        return res, r_tail
+        """Integrals over ``[r0, R]`` of ``level * rows_L + (1 - level) *
+        rows_N``, one per entry of ``r0``, ``k_sight`` and ``r_end``: the
+        level is taken from the steps below ``k_sight`` and is 0 beyond
+        ``r_sight = k_sight * step``; ``R`` is ``r_sight``, or the first
+        grid edge past ``r_end`` when that lies beyond.  ``rows`` is an
+        :func:`integrate_steps` callback whose owners are the entries.
+        Returns the :class:`StepIntegrals` and ``R`` per entry.
 
-    def eta_lower(self, r0: float, s: float) -> float:
+        An entry's panels are the cached grid panels between ``r0`` and
+        ``r_sight``, the piece of the grid panel holding ``r0``, the piece
+        below ``r_sight`` of the panel holding it and, when ``R`` lies
+        beyond, the rest of that panel and the grid panels up to ``R``
+        without weights.  Entries go in batches of about
+        ``_NODE_BUDGET`` nodes, each with one :func:`step_panels` call for
+        its pieces and one :func:`integrate_steps` call.
+        """
+        r_sight = k_sight * self.step
+        e = self._grid_to(max(r_sight.max(), r_end.max()))
+        i0 = np.searchsorted(e, r0, side="right") - 1
+        ic = np.searchsorted(e, r_sight, side="right") - 1
+        for i in np.flatnonzero(ic > self._n_sight):
+            if ic[i] > self._n_sight:
+                g, n = self._grid, self._n_sight
+                self._grid = StepPanels.concat([g[:n], self._panels(
+                    g.lo[n:ic[i]], g.hi[n:ic[i]], k_sight[i]), g[ic[i]:]])
+                self._n_sight = int(ic[i])
+        far = r_end > r_sight
+        i_end = np.where(far, np.maximum(ic + 1, np.searchsorted(e, r_end)),
+                         ic + 1)
+        split_lo = (i0 < ic) & (e[ic] < r_sight)
+        nodes = CHEB_NODES * (np.maximum(ic - i0 - 1, 0) + 1 + split_lo
+                              + far + i_end - ic - 1)
+        batch = (np.cumsum(nodes) - nodes) // _NODE_BUDGET
+        bounds = [0, *(np.flatnonzero(np.diff(batch)) + 1), r0.size]
+        results = []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            # Pieces: the one at each r0, then the two sides of the cut of
+            # each distinct k_sight, which its entries share.
+            ks, which = np.unique(k_sight[a:b], return_inverse=True)
+            rs = ks * self.step
+            ics = np.searchsorted(e, rs, side="right") - 1
+            below = e[ics] < rs
+            pieces = self._panels(
+                np.concatenate([r0[a:b], e[ics[below]], rs]),
+                np.concatenate([np.minimum(e[i0[a:b] + 1], r_sight[a:b]),
+                                rs[below], e[ics + 1]]),
+                np.concatenate([k_sight[a:b], ks[below], ks]))
+            own = np.arange(b - a)
+            cut, past = own[split_lo[a:b]], own[far[a:b]]
+            sight, sight_owner = _ranges(i0[a:b] + 1, ic[a:b])
+            beyond, beyond_owner = _ranges(ic[a:b] + 1, i_end[a:b])
+            n_grid = self._grid.lo.size
+            first = n_grid + own.size + np.cumsum(below) - 1
+            panels = StepPanels.concat([self._grid, pieces])[np.concatenate(
+                [sight, n_grid + own, first[which[cut]],
+                 n_grid + own.size + below.sum() + which[past], beyond])]
+            panels.owner = np.concatenate([sight_owner, own, cut, past,
+                                           beyond_owner])
+            if beyond.size:
+                # The grid panels past the cut lose their weights.
+                unweighted = slice(-beyond.size, None)
+                panels.w0[unweighted] += panels.w1[unweighted]
+                panels.w1[unweighted] = 0.0
+                panels.top[unweighted] = panels.bottom[unweighted] = 0.0
+            results.append(integrate_steps(
+                lambda data, owner, weighted, a=a: rows(data, owner + a,
+                                                        weighted), panels,
+                lambda lo, hi, owner, a=a: self._panels(
+                    lo, hi, k_sight[a + owner], owner),
+                rel_tol=rel_tol, abs_tol=abs_tol,
+                max_panels=self.quad.max_panels, max_rounds=max_rounds))
+        res = StepIntegrals(*(np.concatenate([getattr(r, f.name)
+                                              for r in results])
+                              for f in fields(StepIntegrals)))
+        return res, np.where(far, e[i_end], r_sight)
+
+    def eta_lower(self, r0, s) -> np.ndarray:
         """Cheap lower bound on the transform log magnitude: the integrand
         is non-negative, so integrating a prefix of the range at unit
         fading orders under-counts it for any orders.  The prefix integral
         is loose, so its own error estimate is subtracted."""
-        r_end = max(self.quad.inner_radius_factor * self.r_outer,
-                    1.25 * r0 + 2.0 * self.step)
+        shape, r0, s = _flat(r0, s)
+        r_end = np.maximum(self.quad.inner_radius_factor * self.r_outer,
+                           1.25 * r0 + 2.0 * self.step)
         res, _ = self.integrate_rows(
-            lambda data, k: self.link_rows(data, k, s, 0, 1, 1),
-            r0, int(r_end / self.step) + 1, 0.0, rel_tol=1e-3,
-            abs_tol=1e-6, max_rounds=4)
-        return -max(res.value - res.error, 0.0)
+            self._link_integrand(s, 0, 1, 1), r0,
+            (r_end / self.step).astype(np.int64) + 1, np.zeros(r0.size),
+            rel_tol=1e-3, abs_tol=1e-6, max_rounds=4)
+        return -np.maximum(res.values[:, 0] - res.errors[:, 0],
+                           0.0).reshape(shape)
 
     @cached_property
     def _floor_steps(self) -> tuple[np.ndarray, ...]:
@@ -543,7 +638,7 @@ class _Field:
         tail = np.cumsum((area * np.maximum(zl, zn))[::-1])[::-1]
         return zl, zn, levels, area, tail
 
-    def eta_floor(self, r0: float, s: float, need: float = 0.0) -> float:
+    def eta_floor(self, r0, s, need=0.0) -> np.ndarray:
         """Closed-form lower bound on the transform log magnitude
         ``-ln L(s)`` at serving distance ``r0``, for any fading orders.
 
@@ -552,47 +647,62 @@ class _Field:
         on each step interval the right endpoint and the smaller antenna
         gain minorize ``y`` and the level is constant, so a right-endpoint
         sum over the intervals beyond ``r0`` under-counts the integral.
-        When even ``y / (1 + y) <= y`` cannot lift the sum above ``need``
-        the trivial bound 0 is returned without array work.
+        Entries where even ``y / (1 + y) <= y`` cannot lift the sum above
+        ``need`` get the trivial bound 0 without that sum.
         """
         zl, zn, levels, area, tail = self._floor_steps
-        k = int(r0 / self.step)
-        if k >= area.size:
-            return 0.0
+        shape, r0, s, need = _flat(r0, s, need)
+        out = np.zeros(r0.size)
+        k = (r0 / self.step).astype(np.int64)
         c = s * self.scn.tx_power * self.g_min
-        if c * tail[k] <= need:
-            return 0.0
-        yl = c * zl[k:]
-        yn = c * zn[k:]
-        weights = area[k:].copy()
-        weights[0] = math.pi * self.scn.bs_density * max(
-            ((k + 1) * self.step) ** 2 - r0 * r0, 0.0)
-        lev = levels[k:]
-        return float(np.dot(weights, lev * (yl / (1.0 + yl))
-                            + (1.0 - lev) * (yn / (1.0 + yn))))
+        live = np.flatnonzero(k < area.size)
+        live = live[c[live] * tail[k[live]] > need[live]]
+        # Blocks of at most _FLOOR_BLOCK terms, zero-weighted before each
+        # entry's own first interval.
+        per_block = max(1, _FLOOR_BLOCK // area.size)
+        for a in range(0, live.size, per_block):
+            i = live[a:a + per_block]
+            k0 = int(k[i].min())
+            lev = levels[k0:]
+            terms = np.zeros((i.size, area.size - k0))
+            for z, share in ((zl, lev), (zn, 1.0 - lev)):
+                y = c[i, None] * z[k0:]
+                y /= 1.0 + y
+                y *= share
+                terms += y
+            weights = np.where(np.arange(k0, area.size) >= k[i, None],
+                               area[k0:], 0.0)
+            weights[np.arange(i.size), k[i] - k0] = (
+                math.pi * self.scn.bs_density
+                * np.maximum(((k[i] + 1) * self.step) ** 2 - r0[i] * r0[i],
+                             0.0))
+            out[i] = np.einsum("ij,ij->i", weights, terms)
+        return out.reshape(shape)
 
-    def coverage_negligible(self, r0: float, s: float, m: int,
-                            weight: float) -> bool:
+    def coverage_negligible(self, r0, s, m: int, weight) -> np.ndarray:
         """Whether ``weight`` times the coverage of a serving link with
         fading order ``m`` and transform argument ``s = m T / c0`` is
-        certified to be at most half of ``abs_tol``.
+        certified to be at most half of ``abs_tol``, per entry.
 
         For integer ``m`` that coverage is ``E[Q(m, s I)]``, and the
         Chernoff bound at one half gives ``Q(m, x) <= 2^m exp(-x/2)``,
         so it is at most ``2^m L(s/2)``.
         """
-        need = math.log(weight * 2.0 ** m / (0.5 * self.quad.abs_tol))
-        return self.eta_floor(r0, 0.5 * s, need) >= need
+        need = np.log(np.asarray(weight) * 2.0 ** m
+                      / (0.5 * self.quad.abs_tol))
+        return self.eta_floor(r0, 0.5 * np.asarray(s), need) >= need
 
-    def eta_scaled(self, r0: float, s: float, orders: int,
-                   ml: int | None = None,
+    def eta_scaled(self, r0, s, orders: int, ml: int | None = None,
                    mn: int | None = None) -> tuple[np.ndarray, dict]:
         """Scaled transform-log derivatives ``t_j = s^j eta^(j) / j!`` for
-        ``j = 0..orders``, with a diagnostics dict.
+        ``j = 0..orders`` at serving distances ``r0`` and arguments ``s``,
+        broadcast together, on a last axis; with a diagnostics dict of
+        arrays of the same shape (``quad_errors`` per ``j`` as well).
 
         Optional fading-order overrides evaluate the field as if both link
         states had those orders; ``ml = mn = 1`` is the single-exponential
-        special case.
+        special case.  Suppressed entries hold their transform-log lower
+        bound in ``t_0`` and NaN in the diagnostics of the quadrature.
         """
         quad = self.quad
         scn = self.scn
@@ -600,32 +710,43 @@ class _Field:
             ml = scn.channel.m_los
         if mn is None:
             mn = scn.channel.m_nlos
+        shape, r0, s = _flat(r0, s)
         k_cut, aux = self.choose_cut(r0, s, orders, ml, mn)
-        if k_cut is None:
-            t = np.zeros(orders + 1)
-            t[0] = aux
-            return t, {"suppressed": True, "eta_lower_bound": aux}
-        res, r_end = self.integrate_rows(
-            lambda data, k: self.link_rows(data, k, s, orders, ml, mn),
-            r0, k_cut, self.tail_start(s, orders, mn, r0, 0.25 * aux),
-            rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
-            max_rounds=quad.max_rounds)
-        cut_bound = self.excess_bound(s, orders, ml, mn, k_cut)
-        tail, slack = self.nlos_tail(s, orders, mn, r_end)
-        t = res.values + tail
-        t[0] = -t[0]
-        t[1::2] = -t[1::2]
-        diag = {
-            "r_cut": k_cut * self.step,
-            "r_linear": r_end,
-            "tolerance": aux,
-            "cut_bound": cut_bound,
-            "linear_slack": float(slack.max()),
-            "num_panels": res.num_panels,
-            "num_evals": res.num_evals,
-            "quad_errors": (res.errors + slack + cut_bound).tolist(),
-        }
-        return t, diag
+        low = k_cut < 0
+        t = np.zeros((r0.size, orders + 1))
+        t[low, 0] = aux[low]
+        none = np.full(r0.size, np.nan)
+        diag = {"suppressed": low, "eta_lower_bound": np.where(low, aux, none),
+                "r_cut": none.copy(), "r_linear": none.copy(),
+                "tolerance": np.where(low, none, aux),
+                "cut_bound": none.copy(), "linear_slack": none.copy(),
+                "num_panels": np.zeros(r0.size, dtype=np.int64),
+                "num_evals": np.zeros(r0.size, dtype=np.int64),
+                "quad_errors": np.full(t.shape, np.nan)}
+        go = np.flatnonzero(~low)
+        if go.size:
+            r0, s, k_cut, aux = r0[go], s[go], k_cut[go], aux[go]
+            res, r_end = self.integrate_rows(
+                self._link_integrand(s, orders, ml, mn), r0, k_cut,
+                self.tail_start(s, orders, mn, r0, 0.25 * aux),
+                rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
+                max_rounds=quad.max_rounds)
+            cut_bound = self.excess_bound(s, orders, ml, mn, k_cut)
+            tail, slack = self.nlos_tail(s, orders, mn, r_end)
+            vals = res.values + tail
+            vals[:, 0] = -vals[:, 0]
+            vals[:, 1::2] = -vals[:, 1::2]
+            t[go] = vals
+            diag["r_cut"][go] = k_cut * self.step
+            diag["r_linear"][go] = r_end
+            diag["cut_bound"][go] = cut_bound
+            diag["linear_slack"][go] = slack.max(axis=1)
+            diag["num_panels"][go] = res.num_panels
+            diag["num_evals"][go] = res.num_evals
+            diag["quad_errors"][go] = res.errors + slack + cut_bound[:, None]
+        return t.reshape(shape + t.shape[1:]), {
+            key: val.reshape(shape + val.shape[1:])[()]
+            for key, val in diag.items()}
 
 
 @lru_cache(maxsize=32)
@@ -642,27 +763,36 @@ def _require_order(m: int) -> None:
 
 
 def _coverage_terms(t: np.ndarray, m: int) -> np.ndarray:
-    # M_k = s^k L^(k) / k! computed by the scaled product recursion.
-    msums = np.empty(m)
-    msums[0] = math.exp(t[0])
+    # M_k = s^k L^(k) / k! computed by the scaled product recursion, over
+    # the last axis of t.
+    msums = np.empty(t.shape[:-1] + (m,))
+    msums[..., 0] = np.exp(t[..., 0])
     for j in range(1, m):
         acc = 0.0
         for i in range(j):
-            acc += (j - i) / j * t[j - i] * msums[i]
-        msums[j] = acc
+            acc = acc + (j - i) / j * t[..., j - i] * msums[..., i]
+        msums[..., j] = acc
     return msums
 
 
-def _coverage_sum(t: np.ndarray, m: int) -> float:
-    # sum_k (-1)^k M_k, clipped to a probability.
+def _coverage_sum(t: np.ndarray, m: int) -> np.ndarray:
+    # sum_k (-1)^k M_k over the last axis of t, clipped to a probability.
     signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-    return float(min(max(np.dot(signs, _coverage_terms(t, m)), 0.0), 1.0))
+    return np.clip(_coverage_terms(t, m) @ signs, 0.0, 1.0)
 
 
-def _serving_coeff(scn: NetworkScenario, r0: float, los: bool) -> float:
-    if r0 < 0.0:
+def _serving_coeff(scn: NetworkScenario, r0, los: bool) -> np.ndarray:
+    # Mean received power per unit fading over serving links of ground
+    # length r0 in the given state.
+    r0 = np.asarray(r0, dtype=float)
+    if (r0 < 0.0).any():
         raise DomainError("serving distance must be non-negative")
-    return _channel_coeff(scn, r0, los)
+    if scn.bs_height == scn.ue_height and (r0 == 0.0).any():
+        raise DomainError("path loss undefined at zero link distance")
+    zl, zn = path_loss_curves(r0, scn.bs_height, scn.ue_height, scn.channel)
+    lobe = main_lobe_interval(scn.bs_height, scn.ue_height, scn.pattern)
+    return scn.tx_power * antenna_gain_curve(r0, lobe, scn.pattern) * (
+        zl if los else zn)
 
 
 def laplace_interference(scn: NetworkScenario, r0: float, s: float,
@@ -711,21 +841,23 @@ def mean_interference(scn: NetworkScenario, r0: float,
     _, r_gain = fld.far_gain
     k_lin = int(max(r0, r_gain, fld.step) / fld.step) + 1
     r_lin = k_lin * fld.step
-    scale = (fld.nlos_tail(1.0, 0, 1, r_lin)[0][0]
-             + fld.excess_bound(1.0, 0, 1, 1, k_lin))
+    scale = float(fld.nlos_tail(1.0, 0, 1, r_lin)[0][0]
+                  + fld.excess_bound(1.0, 0, 1, 1, k_lin))
     tol = max(qd.abs_tol, qd.rel_tol * scale)
-    k0 = max(fld.k_start, k_lin + 1)
-    k_cut = fld._cut_search(k0, 1.0, 0, 1, 1, 0.5 * tol, cap=_MAX_TABLE - 1)
-    if k_cut is None:
+    k_cut, ok = fld._cut_search(np.array([max(fld.k_start, k_lin + 1)]),
+                                np.ones(1), 0, 1, 1, 0.5 * tol,
+                                cap=_MAX_TABLE - 1)
+    if not ok[0]:
         raise QuadratureError(
             "line-of-sight interference mass decays too slowly for the "
             "requested tolerance",
             {"tolerance": tol, "step_cap": _MAX_TABLE - 1})
     res, r_end = fld.integrate_rows(
-        lambda data, k: ((data[0, :k] * data[2, :k])[None],
-                         (data[1] * data[2])[None]), r0, k_cut, r_lin,
+        lambda data, owner, weighted: (data[0 if weighted else 1]
+                                       * data[2])[None],
+        np.array([float(r0)]), k_cut, np.array([r_lin]),
         rel_tol=qd.rel_tol, abs_tol=qd.abs_tol, max_rounds=qd.max_rounds)
-    return res.value + float(fld.nlos_tail(1.0, 0, 1, r_end)[0][0])
+    return float(res.values[0, 0] + fld.nlos_tail(1.0, 0, 1, r_end[0])[0][0])
 
 
 def conditional_coverage(scn: NetworkScenario, r0: float, serving_los: bool,
@@ -736,10 +868,9 @@ def conditional_coverage(scn: NetworkScenario, r0: float, serving_los: bool,
     m = scn.channel.fading_order(serving_los)
     _require_order(m)
     fld = _field_for(scn, quad)
-    c0 = _serving_coeff(scn, r0, serving_los)
-    s = m * scn.sir_threshold / c0
+    s = m * scn.sir_threshold / _serving_coeff(scn, r0, serving_los)
     t, _ = fld.eta_scaled(r0, s, m - 1)
-    return _coverage_sum(t, m)
+    return float(_coverage_sum(t, m))
 
 
 def _integrate_outer(fld: _Field, ml: int,
@@ -748,36 +879,41 @@ def _integrate_outer(fld: _Field, ml: int,
     with fading order ``ml`` (``mn``) on every line-of-sight
     (non-line-of-sight) link, serving or interfering.
 
-    Terms that :meth:`_Field.coverage_negligible` certifies are skipped;
-    each is at most half of ``abs_tol`` times the serving-distance density,
-    so both states together lose at most ``abs_tol`` over the integral,
-    which is added to the error estimate once.
+    Each call of the outer integrand evaluates the inner transforms of all
+    its serving distances as one batch per serving-link state.  Terms that
+    :meth:`_Field.coverage_negligible` certifies are skipped; each is at
+    most half of ``abs_tol`` times the serving-distance density, so both
+    states together lose at most ``abs_tol`` over the integral, which is
+    added to the error estimate once.
     """
     quad = fld.quad
     scn = fld.scn
     thr = scn.sir_threshold
     skipped = inner_evals = inner_panels = 0
 
-    def cond_at(r0: float) -> float:
+    def conditional(r0: np.ndarray) -> np.ndarray:
         nonlocal skipped, inner_evals, inner_panels
         p_los = fld.level_at(r0)
-        total = 0.0
+        total = np.zeros(r0.size)
         for los, m, weight in ((True, ml, p_los), (False, mn, 1.0 - p_los)):
-            if weight == 0.0:
+            go = np.flatnonzero(weight != 0.0)
+            if not go.size:
                 continue
-            s = m * thr / _serving_coeff(scn, r0, los)
-            if fld.coverage_negligible(r0, s, m, weight):
-                skipped += 1
+            s = m * thr / _serving_coeff(scn, r0[go], los)
+            low = fld.coverage_negligible(r0[go], s, m, weight[go])
+            skipped += int(low.sum())
+            go, s = go[~low], s[~low]
+            if not go.size:
                 continue
-            t, info = fld.eta_scaled(r0, s, m - 1, ml, mn)
-            inner_evals += info.get("num_evals", 0)
-            inner_panels += info.get("num_panels", 0)
-            total += weight * _coverage_sum(t, m)
+            t, info = fld.eta_scaled(r0[go], s, m - 1, ml, mn)
+            inner_evals += int(info["num_evals"].sum())
+            inner_panels += int(info["num_panels"].sum())
+            total[go] += weight[go] * _coverage_sum(t, m)
         return total
 
     def integrand(r0s: np.ndarray) -> np.ndarray:
-        vals = np.array([cond_at(float(r0)) for r0 in r0s])
-        return np.atleast_2d(serving_distance_pdf(r0s, scn.bs_density) * vals)
+        return np.atleast_2d(serving_distance_pdf(r0s, scn.bs_density)
+                             * conditional(r0s))
 
     edges = build_edges(0.0, fld.r_outer, [
         *los_breakpoints(scn.env, fld.r_outer), *fld.switches])

@@ -27,7 +27,11 @@ Theory and Approximation Practice, 2013).  The rule is exact for
 polynomial ``f1``, ``f0`` of degree below ``CHEB_NODES`` whatever the
 jumps, and a panel's error estimate is its width times the last two
 Chebyshev coefficients of each member, weighted by the largest ``v`` and
-``1 - v`` on the panel.
+``1 - v`` on the panel.  Every panel carries the index of the integral it
+belongs to, its owner, so one call integrates many integrals: the
+integrand is evaluated once over all their panels, totals and errors are
+sums per owner, and refinement bisects only the panels of failing owners.
+The reported errors add a bound on the rounding of those sums.
 """
 
 from __future__ import annotations
@@ -40,9 +44,9 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 
-__all__ = ["CHEB_NODES", "FamilyIntegral", "StepPanels", "build_edges",
-           "chebyshev_nodes", "integrate_family", "integrate_steps",
-           "step_panels"]
+__all__ = ["CHEB_NODES", "FamilyIntegral", "StepIntegrals", "StepPanels",
+           "build_edges", "chebyshev_nodes", "integrate_family",
+           "integrate_steps", "step_panels"]
 
 # QUADPACK qk15 (Piessens et al. 1983): Kronrod nodes in [0, 1) in
 # decreasing order with their weights; entries 1, 3, 5 and 7 are the
@@ -194,7 +198,8 @@ _CHEB = np.array([math.cos(th) for th in _THETA])
 _DCT = np.array([[(1.0 if j else 0.5) * 2.0 / CHEB_NODES * math.cos(j * th)
                   for th in _THETA] for j in range(CHEB_NODES)])
 _TAIL = _DCT[-2:].T      # the last two coefficients
-_CHUNK = 4096            # jumps per block of antiderivative evaluations
+_CHUNK = 1024            # jumps per block of antiderivative evaluations
+_UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
 
 
 def _antiderivatives(t: np.ndarray) -> np.ndarray:
@@ -231,7 +236,8 @@ class StepPanels:
     integrand callback reads per node, node positions included.  The
     integral of ``v f1 + (1 - v) f0`` over the panels is ``sum(w1 * f1 +
     w0 * f0)``; ``top`` and ``bottom`` are the largest and smallest ``v``
-    per panel.
+    per panel, and ``owner`` is the index of the integral each panel
+    belongs to.
     """
 
     lo: np.ndarray
@@ -241,22 +247,17 @@ class StepPanels:
     w0: np.ndarray
     top: np.ndarray
     bottom: np.ndarray
+    owner: np.ndarray
 
     def __getitem__(self, idx) -> "StepPanels":
         return StepPanels(self.lo[idx], self.hi[idx], self.data[:, idx],
                           self.w1[idx], self.w0[idx], self.top[idx],
-                          self.bottom[idx])
+                          self.bottom[idx], self.owner[idx])
 
     @property
     def total(self) -> np.ndarray:
         """Weights of the plain integral ``int f``."""
         return self.w0 + self.w1
-
-    def unweighted(self) -> "StepPanels":
-        """The same panels with ``v = 0``."""
-        zero = np.zeros(self.lo.size)
-        return StepPanels(self.lo, self.hi, self.data,
-                          np.zeros_like(self.w1), self.total, zero, zero)
 
     @staticmethod
     def concat(parts: Sequence["StepPanels"]) -> "StepPanels":
@@ -266,7 +267,8 @@ class StepPanels:
                           np.concatenate([p.w1 for p in parts]),
                           np.concatenate([p.w0 for p in parts]),
                           np.concatenate([p.top for p in parts]),
-                          np.concatenate([p.bottom for p in parts]))
+                          np.concatenate([p.bottom for p in parts]),
+                          np.concatenate([p.owner for p in parts]))
 
 
 def chebyshev_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -277,10 +279,13 @@ def chebyshev_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def step_panels(lo: np.ndarray, hi: np.ndarray, data: np.ndarray,
-                step: float, levels: np.ndarray) -> StepPanels:
+                step: float, levels: np.ndarray, ends=None,
+                owner: np.ndarray | None = None) -> StepPanels:
     """Panels ``[lo, hi]`` of non-negative ``r`` for the step weight
     ``v(r) = levels[floor(r / step)]``, which must not increase with
-    ``r``, and ``v = 0`` past the end of ``levels``.
+    ``r``, and ``v = 0`` from step ``ends`` on: one value or one per
+    panel, at most ``levels.size``, which is the default.  ``owner``
+    (default 0) is stored with the panels.
 
     Each panel's weights follow from the jumps of ``v`` inside it:
     ``int v T_j = v_last U_j(1) - v_first U_j(-1) + sum(drop * U_j(t))``
@@ -289,110 +294,179 @@ def step_panels(lo: np.ndarray, hi: np.ndarray, data: np.ndarray,
     side, which gives the same weights, so edges that are multiples of
     ``step`` need no exact division.
     """
+    if owner is None:
+        owner = np.zeros(lo.size, dtype=np.intp)
     half = 0.5 * (hi - lo)
     total = half[:, None] * _FEJER
-    size = levels.size
+    size = np.broadcast_to(levels.size if ends is None else ends, lo.shape)
     k_first = np.minimum(np.floor(lo / step), size).astype(np.int64)
     k_last = np.minimum(np.ceil(hi / step) - 1, size).astype(np.int64)
 
-    def level(k):
-        return np.where(k < size, levels[np.minimum(k, size - 1)], 0.0)
+    def level(k, end):
+        return np.where(k < end, levels[np.minimum(k, levels.size - 1)], 0.0)
 
-    first = level(k_first) if size else np.zeros(lo.size)
+    first = level(k_first, size) if levels.size else np.zeros(lo.size)
     counts = k_last - k_first
     if not counts.any():
         w1 = first[:, None] * total
-        return StepPanels(lo, hi, data, w1, total - w1, first, first)
-    last = level(k_last)
+        return StepPanels(lo, hi, data, w1, total - w1, first, first, owner)
+    last = level(k_last, size)
     moments = np.multiply.outer(last, _U_HI) - np.multiply.outer(first, _U_LO)
-    owner = np.repeat(np.arange(lo.size), counts)
-    ks = (np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    panel = np.repeat(np.arange(lo.size), counts)
+    ks = (np.arange(panel.size) - np.repeat(np.cumsum(counts) - counts, counts)
           + np.repeat(k_first + 1, counts))
     mid = lo + half
-    for a in range(0, owner.size, _CHUNK):
-        o = owner[a:a + _CHUNK]
+    for a in range(0, panel.size, _CHUNK):
+        p = panel[a:a + _CHUNK]
         k = ks[a:a + _CHUNK]
-        jumps = ((level(k - 1) - level(k))[:, None]
-                 * _antiderivatives((k * step - mid[o]) / half[o]))
-        heads = np.flatnonzero(np.r_[True, o[1:] != o[:-1]])
-        moments[o[heads]] += np.add.reduceat(jumps, heads, axis=0)
+        end = size[p]
+        jumps = ((level(k - 1, end) - level(k, end))[:, None]
+                 * _antiderivatives((k * step - mid[p]) / half[p]))
+        heads = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+        moments[p[heads]] += np.add.reduceat(jumps, heads, axis=0)
     w1 = half[:, None] * (moments @ _DCT)
-    return StepPanels(lo, hi, data, w1, total - w1, first, last)
+    return StepPanels(lo, hi, data, w1, total - w1, first, last, owner)
 
 
-def _evaluate_steps(f, panels: StepPanels) -> tuple[np.ndarray, np.ndarray]:
-    # Per-panel integrals and error estimates; panels with v > 0 go first,
-    # so the callback evaluates f1 on a prefix of the nodes only.
+def _family_sums(g: np.ndarray, w: np.ndarray, share: np.ndarray) -> tuple:
+    # Per member and panel of the family g (members, panels, nodes) with
+    # weights w: the integral, the error estimate per unit width (tail
+    # coefficients times the panel's largest weight share) and a bound on
+    # sum |w g| (Cauchy-Schwarz: the product of the 2-norms).
+    vals = np.empty(g.shape[:2])
+    mags = np.empty(g.shape[:2])
+    for j, row in enumerate(g):
+        vals[j] = (row * w).sum(axis=1)
+        mags[j] = np.sqrt((row * row).sum(axis=1))
+    mags *= np.sqrt((w * w).sum(axis=1))
+    return vals, np.abs(g @ _TAIL).sum(axis=2) * share, mags
+
+
+def _evaluate_steps(f, panels: StepPanels) -> tuple:
+    # The panels, those with v > 0 first so that f1 is evaluated on a
+    # prefix of them only, with their integrals, error estimates and
+    # bounds on sum |w f|; one family is evaluated at a time.
     live = panels.top > 0.0
-    n_live = int(live.sum())
-    order = None
-    if not live[:n_live].all():
-        order = np.concatenate([np.flatnonzero(live), np.flatnonzero(~live)])
-        panels = panels[order]
-    g1, g0 = f(panels.data.reshape(panels.data.shape[0], -1),
-               n_live * CHEB_NODES)
-    g0 = np.asarray(g0, dtype=float).reshape(len(g0), -1, CHEB_NODES)
-    g1 = np.asarray(g1, dtype=float).reshape(len(g1), n_live, CHEB_NODES)
-    vals = (g0 * panels.w0).sum(axis=2)
-    vals[:, :n_live] += (g1 * panels.w1[:n_live]).sum(axis=2)
-    errs = np.abs(g0 @ _TAIL).sum(axis=2) * (1.0 - panels.bottom)
-    errs[:, :n_live] += np.abs(g1 @ _TAIL).sum(axis=2) * panels.top[:n_live]
+    n = int(live.sum())
+    if not live[:n].all():
+        panels = panels[np.concatenate([np.flatnonzero(live),
+                                        np.flatnonzero(~live)])]
+    vals, errs, mags = _family_sums(f(panels.data, panels.owner, False),
+                                    panels.w0, 1.0 - panels.bottom)
+    if n:
+        for total, part in zip((vals, errs, mags), _family_sums(
+                f(panels.data[:, :n], panels.owner[:n], True),
+                panels.w1[:n], panels.top[:n])):
+            total[:, :n] += part
     errs *= panels.hi - panels.lo
-    if order is None:
-        return vals, errs
-    out_v = np.empty_like(vals)
-    out_e = np.empty_like(errs)
-    out_v[:, order] = vals
-    out_e[:, order] = errs
-    return out_v, out_e
+    return panels, vals, errs, mags
+
+
+@dataclass
+class StepIntegrals:
+    """Per-owner results of one :func:`integrate_steps` call: arrays with
+    one row (``values``, ``errors``) or entry per owner.  Indexing by
+    owner gives that owner's :class:`FamilyIntegral`."""
+
+    values: np.ndarray
+    errors: np.ndarray
+    num_panels: np.ndarray
+    num_evals: np.ndarray
+    rounds: np.ndarray
+
+    def __getitem__(self, i: int) -> FamilyIntegral:
+        return FamilyIntegral(self.values[i], self.errors[i],
+                              int(self.num_panels[i]),
+                              int(self.num_evals[i]), int(self.rounds[i]))
+
+
+def _owner_sums(x: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
+    # Sums of each row of x over each owner's panels, shape (rows, n).
+    return np.array([np.bincount(owner, row, n) for row in x]).reshape(-1, n)
 
 
 def integrate_steps(f, panels: StepPanels, split, *, rel_tol: float,
                     abs_tol: float, max_panels: int = 4096,
-                    max_rounds: int = 12) -> FamilyIntegral:
-    """Integrate the family ``v f1 + (1 - v) f0`` over Chebyshev panels.
+                    max_rounds: int = 12) -> StepIntegrals:
+    """Integrate the family ``v f1 + (1 - v) f0`` of every owner over its
+    Chebyshev panels.
 
-    ``f(data, k)`` maps per-node inputs (shape ``(k_inputs, nodes)``) to
-    ``(f1, f0)``: ``f1`` of shape ``(members, k)`` on the first ``k``
-    nodes, the ones of panels where ``v`` is not identically 0, and ``f0``
-    of shape ``(members, nodes)`` on all of them.  ``split(lo, hi)`` builds
-    the :class:`StepPanels` of new panels when a panel is bisected.  Each
-    member must meet ``sum of panel errors <= max(abs_tol, rel_tol *
-    |integral|)``; while one fails, every panel whose error exceeds an
-    equal share of that tolerance is bisected.
+    ``f(data, owner, weighted)`` maps per-node inputs (shape
+    ``(k_inputs, panels, CHEB_NODES)``) and the owner of each panel to
+    ``f1`` when ``weighted`` is true and to ``f0`` otherwise, each of
+    shape ``(members, panels, CHEB_NODES)``; ``f1`` is asked for only on
+    panels where ``v`` is not identically 0.  ``split(lo, hi, owner)``
+    builds the :class:`StepPanels` of new panels when a panel is bisected.
+    Owners are numbered from 0 and each has a panel; one integral is the
+    case of one owner.  Each member of each owner must meet ``sum of its
+    panel errors <= max(abs_tol, rel_tol * |integral|)``; while one fails,
+    every panel of that owner whose error exceeds an equal share of that
+    tolerance is bisected.
+
+    The reported errors add ``gamma_n sum |w f|`` over the owner's nodes
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, §4.2),
+    with ``n`` bounding the roundings a term passes through: its product,
+    the sum over its panel's nodes, the two families and the sum over the
+    owner's panels.  ``sum |w f|`` is bounded per panel by the 2-norms of
+    ``w`` and ``f``.  The tolerance test leaves this term out, since
+    refinement cannot lower it.
     """
-    vals, errs = _evaluate_steps(f, panels)
-    lo, hi = panels.lo, panels.hi
-    num_evals = lo.size * CHEB_NODES
+    n_own = int(panels.owner.max()) + 1
+    panels, vals, errs, mags = _evaluate_steps(f, panels)
+    lo, hi, owner = panels.lo, panels.hi, panels.owner
+    out = StepIntegrals(np.empty((n_own, vals.shape[0])),
+                        np.empty((n_own, vals.shape[0])),
+                        np.zeros(n_own, dtype=np.int64),
+                        CHEB_NODES * np.bincount(owner, minlength=n_own),
+                        np.zeros(n_own, dtype=np.int64))
     for rounds in range(max_rounds + 1):
-        totals = vals.sum(axis=1)
-        total_err = errs.sum(axis=1)
+        count = np.bincount(owner, minlength=n_own)
+        totals = _owner_sums(vals, owner, n_own)
+        total_err = _owner_sums(errs, owner, n_own)
         tol = np.maximum(abs_tol, rel_tol * np.abs(totals))
         failing = total_err > tol
-        if not failing.any():
-            return FamilyIntegral(totals, total_err, lo.size, num_evals,
-                                  rounds)
-        if rounds == max_rounds or 2 * lo.size > max_panels:
+        fails = failing.any(axis=0)
+        done = (count > 0) & ~fails
+        if done.any():
+            roundings = (count + CHEB_NODES + 1) * _UNIT_ROUNDOFF
+            gamma = roundings / (1.0 - roundings)
+            out.values[done] = totals.T[done]
+            out.errors[done] = (total_err + gamma * _owner_sums(
+                mags, owner, n_own)).T[done]
+            out.num_panels[done] = count[done]
+            out.rounds[done] = rounds
+        if not fails.any():
+            return out
+        if rounds == max_rounds or (2 * count[fails] > max_panels).any():
             break
-        bad = (errs[failing] > tol[failing, None] / lo.size).any(axis=0)
-        if not bad.any():
-            bad[errs[failing].sum(axis=0).argmax()] = True
+        keep = fails[owner]
+        lo, hi, owner = lo[keep], hi[keep], owner[keep]
+        vals, errs, mags = vals[:, keep], errs[:, keep], mags[:, keep]
+        share = np.where(failing, tol / np.maximum(count, 1), np.inf)
+        bad = (errs > share[:, owner]).any(axis=0)
+        for o in np.flatnonzero(fails & (np.bincount(owner, bad, n_own) == 0)):
+            mine = np.flatnonzero(owner == o)
+            bad[mine[errs[failing[:, o]][:, mine].sum(axis=0).argmax()]] = True
         mid = 0.5 * (lo[bad] + hi[bad])
-        new = split(np.concatenate([lo[bad], mid]),
-                    np.concatenate([mid, hi[bad]]))
-        new_vals, new_errs = _evaluate_steps(f, new)
-        num_evals += new.lo.size * CHEB_NODES
+        new, new_vals, new_errs, new_mags = _evaluate_steps(f, split(
+            np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]]),
+            np.tile(owner[bad], 2)))
+        out.num_evals += CHEB_NODES * np.bincount(new.owner, minlength=n_own)
         lo = np.concatenate([lo[~bad], new.lo])
         hi = np.concatenate([hi[~bad], new.hi])
+        owner = np.concatenate([owner[~bad], new.owner])
         vals = np.concatenate([vals[:, ~bad], new_vals], axis=1)
         errs = np.concatenate([errs[:, ~bad], new_errs], axis=1)
-    worst = errs.sum(axis=0).argmax()
+        mags = np.concatenate([mags[:, ~bad], new_mags], axis=1)
+    o = int(np.flatnonzero(fails)[0])
+    mine = np.flatnonzero(owner == o)
+    worst = mine[errs[:, mine].sum(axis=0).argmax()]
     raise QuadratureError(
         "Chebyshev panel refinement did not reach the requested tolerance",
         diagnostics={
-            "total_error": total_err.tolist(),
-            "tolerance": tol.tolist(),
-            "num_panels": int(lo.size),
-            "num_evals": int(num_evals),
+            "total_error": total_err[:, o].tolist(),
+            "tolerance": tol[:, o].tolist(),
+            "num_panels": int(count[o]),
+            "num_evals": int(out.num_evals[o]),
             "worst_panel": (float(lo[worst]), float(hi[worst])),
         })

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,8 +27,9 @@ from dronecov.analytic import (
     upsilon,
     upsilon_derivative,
 )
-from dronecov.analytic import (_Field, _field_for, _scaled_upsilon_rows,
-                               _serving_coeff)
+import dronecov.analytic as analytic
+from dronecov.analytic import (_Field, _field_for, _link_rows, _power_terms,
+                               _scaled_upsilon_rows, _serving_coeff)
 from dronecov.channel import (AntennaPattern, ChannelParams,
                               EnvironmentParams, _los_levels_exact,
                               _los_levels_long, los_breakpoints,
@@ -58,6 +61,7 @@ def make_scenario(ue_height=60.0, bs_height=30.0, m_los=3, m_nlos=1,
 
 QUAD = QuadratureSpec()
 SCN = make_scenario()
+EPS = np.finfo(float).eps
 
 
 # ------------------------------------------------------ serving distance pdf
@@ -347,7 +351,9 @@ def _tight_rows(fld, r0, s, orders, ml, mn, diag):
     levels = fld.levels_upto(k_cut)[:k_cut]
 
     def rows(r):
-        gl, gn = fld.link_rows(fld.node_data(r), r.size, s, orders, ml, mn)
+        cl, cn, area = fld.node_data(r)
+        gl = _link_rows(cl, area, s, ml, orders)
+        gn = _link_rows(cn, area, s, mn, orders)
         pl = np.where(r < r_cut, los_level_curve(r, levels, fld.step), 0.0)
         return pl * gl + (1.0 - pl) * gn
 
@@ -382,6 +388,128 @@ def test_eta_rows_match_tight_step_panels(heights, r0):
         # Both sums round at a few units in the last place of the rows.
         assert np.all(np.abs(t - tight) <= np.array(diag["quad_errors"])
                       + 8.0 * np.finfo(float).eps * np.abs(tight))
+
+
+@pytest.mark.parametrize("los", [True, False], ids=["los", "nlos"])
+def test_eta_quad_errors_cover_rounding_at_altitude(los):
+    # At 150 m and r0 = 200 m the non-line-of-sight transform log is about
+    # -4644, and the rounding of its sums (two units in the last place)
+    # exceeds its quadrature error; quad_errors carries a bound on it.
+    scn = make_scenario(ue_height=150.0)
+    fld = _field_for(scn, QUAD)
+    r0, orders = 200.0, (2 if los else 0)
+    s = (scn.channel.fading_order(los) * scn.sir_threshold
+         / _serving_coeff(scn, r0, los))
+    t, diag = fld.eta_scaled(r0, s, orders)
+    tight = _tight_rows(fld, r0, s, orders, scn.channel.m_los,
+                        scn.channel.m_nlos, diag)
+    assert np.all(np.abs(t - tight) <= np.array(diag["quad_errors"]))
+
+
+def _float_power_coefficient(m, j):
+    # The row coefficient as it was computed in floats.
+    return math.perm(m + j - 1, j) / (math.factorial(j) * float(m) ** j)
+
+
+def test_power_terms_coefficient_exact_where_float_overflows():
+    alpha = 3.75
+    coef, q = _power_terms(alpha, 100, 99)[99]
+    assert q == 99
+    exact = Fraction(math.comb(198, 99), 100 ** 99)
+    assert coef == float(exact) / (alpha * q - 2.0)
+    assert_allclose(coef * (alpha * q - 2.0), 2.275e-140, rtol=1e-3)
+    # The float denominator overflows there, which zeroed the row.
+    assert _float_power_coefficient(100, 99) == 0.0
+
+
+def test_power_terms_coefficient_matches_float_formula():
+    # The integer ratio C(m+j-1, j) / m^j is rounded once; the float
+    # formula rounds perm, j!, their product with m^j and the quotient, so
+    # the two agree within 2 units in the last place, and exactly for
+    # m = 1 and, up to row 14, m = 3 (the default channel's orders).
+    alpha = 3.75
+    for m in range(1, MAX_FADING_ORDER + 1):
+        terms = _power_terms(alpha, m, MAX_FADING_ORDER - 1)
+        for j, (coef, q) in enumerate(terms):
+            exact = Fraction(math.comb(m + j - 1, j), m ** j)
+            assert coef == float(exact) / (alpha * q - 2.0)
+            old = (1.0 if j == 0 else _float_power_coefficient(m, j)) / (
+                alpha * q - 2.0)
+            if m == 1 or (m == 3 and j <= 14):
+                assert coef == old
+            assert abs(coef - old) <= 2.0 * np.spacing(old)
+
+
+# ------------------------------------------------ batched inner transforms
+
+SUBURBAN = EnvironmentParams(built_fraction=0.1, buildings_per_km2=750.0,
+                             height_scale=8.0)
+TILT15 = replace(PATTERN, downtilt_deg=15.0)
+
+
+@pytest.mark.parametrize("env, los", [(URBAN, True), (URBAN, False),
+                                     (SUBURBAN, False)],
+                         ids=["urban-los", "urban-nlos", "suburban-nlos"])
+def test_batched_eta_scaled_entries_equal_scalar_calls(env, los):
+    # In the suburban field some entries are suppressed and others need a
+    # relaxed tolerance, so every branch of the cut choice runs batched.
+    scn = replace(make_scenario(ue_height=60.0, bs_height=40.0,
+                                pattern=TILT15), env=env)
+    fld = _field_for(scn, QUAD)
+    r0 = np.array([5.0, 60.0, 170.0, 340.0])
+    m = scn.channel.fading_order(los)
+    s = m * scn.sir_threshold / _serving_coeff(scn, r0, los)
+    t, diag = fld.eta_scaled(r0, s, m - 1)
+    for i in range(r0.size):
+        # The same cut, panels and work; the sums agree to rounding.
+        one, one_diag = fld.eta_scaled(r0[i], s[i], m - 1)
+        assert_allclose(one, t[i], rtol=4 * EPS, atol=0.0)
+        for key, value in one_diag.items():
+            if key == "quad_errors":
+                assert_allclose(value, diag[key][i], rtol=1e-6,
+                                atol=8 * EPS * np.abs(one).max())
+            else:
+                np.testing.assert_array_equal(value, diag[key][i])
+    if env is SUBURBAN:
+        relaxed = ~diag["suppressed"] & (diag["tolerance"] > QUAD.abs_tol)
+        assert diag["suppressed"].any() and relaxed.any()
+
+
+@pytest.mark.parametrize("ue_height", [1.5, 60.0, 150.0])
+def test_batching_changes_no_result_or_work(monkeypatch, ue_height):
+    # One serving distance per batch does the same inner work as the
+    # default batches and gives the same probability.
+    scn = make_scenario(ue_height=ue_height)
+    runs = []
+    for budget in (analytic._NODE_BUDGET, 1):
+        monkeypatch.setattr(analytic, "_NODE_BUDGET", budget)
+        _field_for.cache_clear()
+        runs.append(coverage_probability(scn, QUAD))
+    batched, single = runs
+    assert abs(batched.probability - single.probability) <= 4.0 * EPS * (
+        batched.probability)
+    for key in ("inner_evals", "inner_panels", "skipped_terms"):
+        assert batched.diagnostics[key] == single.diagnostics[key]
+
+
+def test_inner_transforms_run_in_batches(monkeypatch):
+    # integrate_rows takes its entries in batches of about _NODE_BUDGET
+    # nodes, one integrate_steps call each.  At 60 m the outer integral
+    # converges in one round, so there is one integrate_rows call per
+    # serving-link state: 26 integrate_steps calls where one call per
+    # serving distance made 135.
+    calls = Counter()
+    for owner, name in ((analytic, "integrate_steps"),
+                        (_Field, "integrate_rows")):
+        def counted(*args, _name=name, _call=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    _field_for.cache_clear()
+    res = coverage_probability(SCN, QUAD)
+    assert calls["integrate_rows"] == 2
+    assert calls["integrate_steps"] <= calls["integrate_rows"] + (
+        res.diagnostics["inner_evals"] // analytic._NODE_BUDGET)
 
 
 # --------------------------------------------- closed-form skip of terms
@@ -422,7 +550,8 @@ def test_coverage_skips_certified_terms_at_altitude(monkeypatch):
     res = coverage_probability(scn, QUAD)
     assert res.diagnostics["skipped_terms"] > 0
     assert_allclose(res.probability, 5.258709652239982e-05, rtol=1e-6)
-    monkeypatch.setattr(_Field, "coverage_negligible", lambda *args: False)
+    monkeypatch.setattr(_Field, "coverage_negligible",
+                        lambda self, r0, *args: np.zeros(np.shape(r0), bool))
     full = coverage_probability(scn, QUAD)
     assert full.diagnostics["skipped_terms"] == 0
     assert abs(res.probability - full.probability) <= QUAD.abs_tol

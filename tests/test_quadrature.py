@@ -187,9 +187,12 @@ def test_step_rule_degree_n_is_not_exact():
     assert abs(t_n.integ()(1.0) - t_n.integ()(-1.0)) > 1e-3
 
 
+EPS = np.finfo(float).eps
+
+
 def _split(step, levels):
-    return lambda lo, hi: step_panels(lo, hi, chebyshev_nodes(lo, hi)[None],
-                                      step, levels)
+    return lambda lo, hi, owner=None: step_panels(
+        lo, hi, chebyshev_nodes(lo, hi)[None], step, levels, owner=owner)
 
 
 def test_integrate_steps_matches_piecewise_integral():
@@ -200,8 +203,8 @@ def test_integrate_steps_matches_piecewise_integral():
     edges = np.array([0.0, 0.5, 1.3, 2.0, 4.4, 6.0])
     split = _split(step, levels)
     res = integrate_steps(
-        lambda data, k: (f1(data[0, :k])[None], f0(data[0])[None]),
-        split(edges[:-1], edges[1:]), split, rel_tol=1e-13, abs_tol=1e-15)
+        lambda data, owner, weighted: (f1 if weighted else f0)(data[0])[None],
+        split(edges[:-1], edges[1:]), split, rel_tol=1e-13, abs_tol=1e-15)[0]
     pts = np.union1d(edges, step * np.arange(1, 17))
     k = np.floor(0.5 * (pts[:-1] + pts[1:]) / step).astype(int)
     v = np.where(k < levels.size, levels[np.minimum(k, levels.size - 1)],
@@ -215,13 +218,39 @@ def test_integrate_steps_matches_piecewise_integral():
 
 def test_integrate_steps_refines_then_raises_when_budget_spent():
     split = _split(1.0, np.ones(2))
-    kink = lambda data, k: (np.abs(data[0, :k] - 0.3)[None],
-                            np.abs(data[0] - 0.3)[None])
+    kink = lambda data, owner, weighted: np.abs(data[0] - 0.3)[None]
     res = integrate_steps(kink, split(np.array([0.0]), np.array([1.0])),
-                          split, rel_tol=1e-9, abs_tol=1e-12)
+                          split, rel_tol=1e-9, abs_tol=1e-12)[0]
     assert res.rounds > 0 and res.num_panels > 1
     assert abs(res.value - 0.5 * (0.3 ** 2 + 0.7 ** 2)) <= res.error
     with pytest.raises(QuadratureError) as exc:
         integrate_steps(kink, split(np.array([0.0]), np.array([1.0])),
                         split, rel_tol=1e-15, abs_tol=1e-18, max_rounds=3)
     assert exc.value.diagnostics["num_panels"] > 1
+
+
+def test_integrate_steps_owners_match_separate_integrals():
+    # Two integrals in one call: the smooth one is done at once, only the
+    # kinked one is refined, and each gets what it gets alone, up to the
+    # rounding of sums whose kernels may depend on the panel count.
+    split = _split(1.0, np.ones(2))
+
+    def f(data, owner, weighted):
+        x = data[0]
+        return np.where(owner[:, None] == 0, np.exp(-x), np.abs(x - 0.3))[None]
+
+    both = integrate_steps(f, split(np.zeros(2), np.ones(2), np.arange(2)),
+                           split, rel_tol=1e-9, abs_tol=1e-12)
+    assert both.rounds[0] == 0 and both.rounds[1] > 0
+    for o in (0, 1):
+        alone = integrate_steps(
+            lambda data, owner, weighted: f(data, owner + o, weighted),
+            split(np.zeros(1), np.ones(1)), split, rel_tol=1e-9,
+            abs_tol=1e-12)[0]
+        got = both[o]
+        assert_allclose(got.values, alone.values, rtol=4 * EPS, atol=0.0)
+        # Error estimates of a smooth integrand are rounding noise.
+        assert_allclose(got.errors, alone.errors, rtol=1e-6,
+                        atol=8 * EPS * abs(alone.values).max())
+        assert (got.num_panels, got.num_evals, got.rounds) == (
+            alone.num_panels, alone.num_evals, alone.rounds)
