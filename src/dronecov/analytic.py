@@ -8,8 +8,8 @@ coverage probability is a finite sum over derivatives of that transform.
 This module evaluates those integrals numerically with certified
 truncation: the line-of-sight field is cut only where its step level
 times an exact power-law tail integral certifies the remaining mass
-below tolerance, and the non-line-of-sight field beyond a radius solved
-from its linearization slack is summed in closed form.  In between, the
+below tolerance, and the non-line-of-sight field beyond a closed-form
+tail radius is summed as its leading power law.  In between, the
 line-of-sight level is a step function; a Chebyshev product rule on a
 panel grid cached per scenario moves the steps into per-node weights,
 so a panel costs two dozen nodes however many steps it spans.
@@ -53,7 +53,7 @@ from .channel import (
 )
 from .errors import CapabilityError, DomainError, QuadratureError
 from .quadrature import (CHEB_NODES, StepIntegrals, StepPanels, build_edges,
-                         chebyshev_nodes, integrate_family, integrate_steps,
+                         chebyshev_nodes, integrate_steps, kronrod_panels,
                          step_panels)
 
 __all__ = [
@@ -891,8 +891,10 @@ def _integrate_outer(fld: _Field, ml: int,
     thr = scn.sir_threshold
     skipped = inner_evals = inner_panels = 0
 
-    def conditional(r0: np.ndarray) -> np.ndarray:
+    def integrand(data, owner, weighted) -> np.ndarray:
+        # Density times conditional coverage at the panel nodes.
         nonlocal skipped, inner_evals, inner_panels
+        r0 = data[0].ravel()
         p_los = fld.level_at(r0)
         total = np.zeros(r0.size)
         for los, m, weight in ((True, ml, p_los), (False, mn, 1.0 - p_los)):
@@ -909,17 +911,15 @@ def _integrate_outer(fld: _Field, ml: int,
             inner_evals += int(info["num_evals"].sum())
             inner_panels += int(info["num_panels"].sum())
             total[go] += weight[go] * _coverage_sum(t, m)
-        return total
-
-    def integrand(r0s: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(serving_distance_pdf(r0s, scn.bs_density)
-                             * conditional(r0s))
+        return (serving_distance_pdf(r0, scn.bs_density)
+                * total).reshape(data.shape)
 
     edges = build_edges(0.0, fld.r_outer, [
         *los_breakpoints(scn.env, fld.r_outer), *fld.switches])
-    res = integrate_family(integrand, edges,
-                           rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
-                           max_panels=4096, max_rounds=8)
+    res = integrate_steps(integrand, kronrod_panels(edges[:-1], edges[1:]),
+                          kronrod_panels, rel_tol=quad.rel_tol,
+                          abs_tol=quad.abs_tol, max_panels=4096,
+                          max_rounds=8)[0]
     prob = float(min(max(res.value, 0.0), 1.0))
     err = res.error + quad.outer_trunc_prob + 8.0 * quad.abs_tol \
         + 4.0 * quad.rel_tol * max(prob, 1e-3)
@@ -954,9 +954,10 @@ def rayleigh_coverage(scn: NetworkScenario,
                       quad: QuadratureSpec | None = None) -> CoverageResult:
     """Coverage probability under Rayleigh fading on every link.
 
-    Independent of the fading orders configured in the scenario; this is
-    the simplified single-exponential form, useful for cross-checking the
-    general recursion at unit fading orders.
+    Independent of the fading orders configured in the scenario: this is
+    the outer integral of :func:`coverage_probability` at unit fading
+    orders on every link, the same code path, so at unit orders the two
+    agree by construction.
     """
     quad = quad or QuadratureSpec()
     prob, err, diag = _integrate_outer(_field_for(scn, quad), 1, 1)

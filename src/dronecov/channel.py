@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .quadrature import build_edges, integrate_family
+from .quadrature import integrate_steps, kronrod_panels
 
 __all__ = [
     "EnvironmentParams",
@@ -279,11 +279,10 @@ def _los_levels_long(env: EnvironmentParams, bs_height: float,
             "step-table asymptotics need a positive lower height",
             {"h_lo": h_lo})
 
-    def g(h):
-        return np.atleast_2d(np.log(_clearance(h, env)))
-
-    fam = integrate_family(g, build_edges(h_lo, h_hi),
-                           rel_tol=1e-12, abs_tol=1e-14)
+    fam = integrate_steps(
+        lambda data, owner, weighted: np.log(_clearance(data, env)),
+        kronrod_panels(np.array([h_lo]), np.array([h_hi])), kronrod_panels,
+        rel_tol=1e-12, abs_tol=1e-14)[0]
     dh = h_hi - h_lo
     slope_diff = _log_factor_slope(h_hi, c2) - _log_factor_slope(h_lo, c2)
     ks = np.arange(_K_EXACT + 1, k_max + 1, dtype=float)

@@ -1,52 +1,50 @@
-"""Adaptive panel integration: Gauss-Kronrod panels and a Chebyshev
-product rule for step-weighted integrands.
+"""Adaptive panel integration: one refinement driver, two panel rules.
 
 The integrands in this package are smooth except at a known, finite set of
-points (line-of-sight steps, antenna gain switches).  Splitting the range at
-those points and applying the nested 7-point Gauss / 15-point Kronrod pair
-(G7/K15, the QUADPACK ``qk15`` rule) to each panel gives a cheap embedded
-error estimate: the Gauss nodes are a subset of the Kronrod nodes, so one
-panel costs 15 integrand evaluations.  A panel's value is its K15 sum and
-its error estimate is |K15 - G7|, unscaled, so the reported error is a sum
-of conservative panel errors.  Panels whose estimate is too large are
-bisected until the requested tolerance is met or the budget runs out.
+points (line-of-sight steps, antenna gain switches).  :func:`integrate_steps`
+integrates ``v f1 + (1 - v) f0``, with smooth ``f1``, ``f0`` and a
+piecewise-constant weight ``v``, over panels split at those points, and
+bisects panels whose error estimate is too large until the tolerance is
+met or the budget runs out.  The panels (:class:`StepPanels`) carry their
+nodes, weights and error rule, so the driver never asks which rule it runs:
 
-``integrate_family`` evaluates several integrands that share the same nodes
-(one callback returning a 2-D array), refining wherever any member of the
-family is inaccurate.  This matters when a function and its derivatives are
-integrated together and must stay mutually consistent.
+* :func:`kronrod_panels`: the nested 7-point Gauss / 15-point Kronrod pair
+  (G7/K15, QUADPACK's ``qk15``) for a plain integrand (``v = 0``); a panel
+  costs 15 evaluations, its value is the K15 sum and its error estimate
+  |K15 - G7|, unscaled.
+* :func:`step_panels`: ``CHEB_NODES`` first-kind Chebyshev nodes for a ``v``
+  that may jump many times inside a panel.  ``v`` moves into per-node
+  product weights ``int v l_i`` (``l_i`` the node's Lagrange polynomial),
+  computed once from the antiderivatives of the Chebyshev polynomials at
+  the jumps (Clenshaw and Curtis, Numer. Math. 2, 1960; Trefethen,
+  Approximation Theory and Approximation Practice, 2013); the rule is exact
+  for polynomial ``f1``, ``f0`` of degree below ``CHEB_NODES`` whatever the
+  jumps.  A panel's error estimate is its width times the last two
+  Chebyshev coefficients of each member, weighted by the largest ``v`` and
+  ``1 - v`` on the panel.
 
-``integrate_steps`` serves integrands of the form ``v f1 + (1 - v) f0``
-with smooth ``f1``, ``f0`` and a piecewise-constant weight ``v`` that may
-jump many times inside one panel.  Each panel carries ``CHEB_NODES``
-first-kind Chebyshev nodes; the step weight is moved into per-node product
-weights ``int v l_i`` (``l_i`` the node's Lagrange polynomial), computed
-once from the antiderivatives of the Chebyshev polynomials at the jumps
-(Clenshaw and Curtis, Numer. Math. 2, 1960; Trefethen, Approximation
-Theory and Approximation Practice, 2013).  The rule is exact for
-polynomial ``f1``, ``f0`` of degree below ``CHEB_NODES`` whatever the
-jumps, and a panel's error estimate is its width times the last two
-Chebyshev coefficients of each member, weighted by the largest ``v`` and
-``1 - v`` on the panel.  Every panel carries the index of the integral it
-belongs to, its owner, so one call integrates many integrals: the
-integrand is evaluated once over all their panels, totals and errors are
-sums per owner, and refinement bisects only the panels of failing owners.
-The reported errors add a bound on the rounding of those sums.
+The integrand is a family of functions sharing the nodes (a function and
+its derivatives stay consistent), refined wherever any member is
+inaccurate.  Each panel carries the index of the integral it belongs to,
+its owner, so one call integrates many integrals: the integrand is
+evaluated once over all their panels, totals and errors are sums per
+owner, and refinement bisects only the panels of failing owners.  The
+reported errors add a bound on the rounding of those sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError
 
 __all__ = ["CHEB_NODES", "FamilyIntegral", "StepIntegrals", "StepPanels",
-           "build_edges", "chebyshev_nodes", "integrate_family",
-           "integrate_steps", "step_panels"]
+           "build_edges", "chebyshev_nodes", "integrate_steps",
+           "kronrod_panels", "step_panels"]
 
 # QUADPACK qk15 (Piessens et al. 1983): Kronrod nodes in [0, 1) in
 # decreasing order with their weights; entries 1, 3, 5 and 7 are the
@@ -77,11 +75,13 @@ _WG[1::2] = [0.129484966168869693270611432679082,
 _NODES = np.concatenate([-_XK[:-1], _XK[::-1]])
 _KRONROD = np.concatenate([_WK[:-1], _WK[::-1]])
 _GAUSS = np.concatenate([_WG[:-1], _WG[::-1]])
+# Error functional of a panel per unit width: (K15 - G7) / 2 on [-1, 1].
+_K15_G7 = (0.5 * (_KRONROD - _GAUSS))[:, None]
 
 
 @dataclass
 class FamilyIntegral:
-    """Result of one (possibly refined) family integration."""
+    """One owner's result of :func:`integrate_steps`."""
 
     values: np.ndarray
     errors: np.ndarray
@@ -118,73 +118,6 @@ def build_edges(lower: float, upper: float,
     if edges.size < 2 or edges[-1] <= edges[-2]:
         edges = np.array([lower, upper])
     return edges
-
-
-def _evaluate(f: Callable[[np.ndarray], np.ndarray],
-              lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Returns per-panel K15 integrals and their |K15 - G7| error estimates.
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = np.asarray(f(nodes.ravel()), dtype=float)
-    if y.ndim == 1:
-        y = y[None, :]
-    y = y.reshape(y.shape[0], lo.size, _NODES.size)
-    i_k = (y @ _KRONROD) * half
-    i_g = (y @ _GAUSS) * half
-    return i_k, np.abs(i_k - i_g)
-
-
-def integrate_family(f: Callable[[np.ndarray], np.ndarray],
-                     edges: np.ndarray, *, rel_tol: float, abs_tol: float,
-                     max_panels: int = 4096,
-                     max_rounds: int = 12) -> FamilyIntegral:
-    """Integrate a family of functions sharing evaluation nodes.
-
-    ``f`` maps a flat array of abscissas to an array of shape
-    ``(num_functions, num_points)`` (1-D output is treated as one function).
-    Each family member must separately meet
-    ``sum of panel errors <= max(abs_tol, rel_tol * |integral|)``.
-    """
-    lo = np.asarray(edges[:-1], dtype=float)
-    hi = np.asarray(edges[1:], dtype=float)
-    if lo.size == 0:
-        raise DomainError("need at least two panel edges")
-    vals, errs = _evaluate(f, lo, hi)
-    num_evals = lo.size * _NODES.size
-    for rounds in range(max_rounds + 1):
-        totals = vals.sum(axis=1)
-        total_err = errs.sum(axis=1)
-        tol = np.maximum(abs_tol, rel_tol * np.abs(totals))
-        failing = total_err > tol
-        if not failing.any():
-            return FamilyIntegral(totals, total_err, lo.size, num_evals, rounds)
-        if rounds == max_rounds or 2 * lo.size > max_panels:
-            break
-        width = hi - lo
-        share = tol[:, None] * (width[None, :] / width.sum())
-        bad = (errs[failing] > share[failing]).any(axis=0)
-        if not bad.any():
-            bad[errs[failing].sum(axis=0).argmax()] = True
-        mid = 0.5 * (lo[bad] + hi[bad])
-        new_lo = np.concatenate([lo[bad], mid])
-        new_hi = np.concatenate([mid, hi[bad]])
-        new_vals, new_errs = _evaluate(f, new_lo, new_hi)
-        num_evals += new_lo.size * _NODES.size
-        lo = np.concatenate([lo[~bad], new_lo])
-        hi = np.concatenate([hi[~bad], new_hi])
-        vals = np.concatenate([vals[:, ~bad], new_vals], axis=1)
-        errs = np.concatenate([errs[:, ~bad], new_errs], axis=1)
-    raise QuadratureError(
-        "panel refinement did not reach the requested tolerance",
-        diagnostics={
-            "total_error": total_err.tolist(),
-            "tolerance": tol.tolist(),
-            "num_panels": int(lo.size),
-            "num_evals": int(num_evals),
-            "worst_panel": (float(lo[errs.sum(axis=0).argmax()]),
-                            float(hi[errs.sum(axis=0).argmax()])),
-        })
 
 
 # --------------------------------------------- Chebyshev product rule
@@ -230,14 +163,16 @@ _FEJER = ((_U_HI - _U_LO)[:, None] * _DCT).sum(axis=0)
 
 @dataclass
 class StepPanels:
-    """Chebyshev panels with per-node inputs and product weights.
+    """Panels with per-node inputs, weights and their error rule.
 
-    ``data`` (shape ``(k, panels, CHEB_NODES)``) holds whatever the
-    integrand callback reads per node, node positions included.  The
-    integral of ``v f1 + (1 - v) f0`` over the panels is ``sum(w1 * f1 +
-    w0 * f0)``; ``top`` and ``bottom`` are the largest and smallest ``v``
-    per panel, and ``owner`` is the index of the integral each panel
-    belongs to.
+    ``data`` (shape ``(k, panels, nodes)``) holds whatever the integrand
+    callback reads per node, node positions included.  The integral of
+    ``v f1 + (1 - v) f0`` over the panels is ``sum(w1 * f1 + w0 * f0)``;
+    ``top`` and ``bottom`` are the largest and smallest ``v`` per panel,
+    and ``owner`` is the index of the integral each panel belongs to.  A
+    panel's error estimate is its width times ``sum |f @ error_rule|``
+    over the columns of ``error_rule`` (shape ``(nodes, columns)``),
+    weighted by ``top`` for ``f1`` and by ``1 - bottom`` for ``f0``.
     """
 
     lo: np.ndarray
@@ -248,11 +183,13 @@ class StepPanels:
     top: np.ndarray
     bottom: np.ndarray
     owner: np.ndarray
+    error_rule: np.ndarray
 
     def __getitem__(self, idx) -> "StepPanels":
         return StepPanels(self.lo[idx], self.hi[idx], self.data[:, idx],
                           self.w1[idx], self.w0[idx], self.top[idx],
-                          self.bottom[idx], self.owner[idx])
+                          self.bottom[idx], self.owner[idx],
+                          self.error_rule)
 
     @property
     def total(self) -> np.ndarray:
@@ -268,7 +205,8 @@ class StepPanels:
                           np.concatenate([p.w0 for p in parts]),
                           np.concatenate([p.top for p in parts]),
                           np.concatenate([p.bottom for p in parts]),
-                          np.concatenate([p.owner for p in parts]))
+                          np.concatenate([p.owner for p in parts]),
+                          parts[0].error_rule)
 
 
 def chebyshev_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -276,6 +214,21 @@ def chebyshev_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return mid[:, None] + half[:, None] * _CHEB[None, :]
+
+
+def kronrod_panels(lo: np.ndarray, hi: np.ndarray,
+                   owner: np.ndarray | None = None) -> StepPanels:
+    """G7/K15 panels ``[lo, hi]`` of a plain integrand (``v = 0``, so
+    ``f1`` is never asked for): ``data`` holds the 15 node positions, and
+    ``owner`` (default 0) is stored with the panels."""
+    if owner is None:
+        owner = np.zeros(lo.size, dtype=np.intp)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = mid[:, None] + half[:, None] * _NODES[None, :]
+    zero = np.zeros(lo.size)
+    return StepPanels(lo, hi, nodes[None], np.zeros(nodes.shape),
+                      half[:, None] * _KRONROD, zero, zero, owner, _K15_G7)
 
 
 def step_panels(lo: np.ndarray, hi: np.ndarray, data: np.ndarray,
@@ -309,7 +262,8 @@ def step_panels(lo: np.ndarray, hi: np.ndarray, data: np.ndarray,
     counts = k_last - k_first
     if not counts.any():
         w1 = first[:, None] * total
-        return StepPanels(lo, hi, data, w1, total - w1, first, first, owner)
+        return StepPanels(lo, hi, data, w1, total - w1, first, first, owner,
+                          _TAIL)
     last = level(k_last, size)
     moments = np.multiply.outer(last, _U_HI) - np.multiply.outer(first, _U_LO)
     panel = np.repeat(np.arange(lo.size), counts)
@@ -325,13 +279,15 @@ def step_panels(lo: np.ndarray, hi: np.ndarray, data: np.ndarray,
         heads = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
         moments[p[heads]] += np.add.reduceat(jumps, heads, axis=0)
     w1 = half[:, None] * (moments @ _DCT)
-    return StepPanels(lo, hi, data, w1, total - w1, first, last, owner)
+    return StepPanels(lo, hi, data, w1, total - w1, first, last, owner,
+                      _TAIL)
 
 
-def _family_sums(g: np.ndarray, w: np.ndarray, share: np.ndarray) -> tuple:
+def _family_sums(g: np.ndarray, w: np.ndarray, e: np.ndarray,
+                 share: np.ndarray) -> tuple:
     # Per member and panel of the family g (members, panels, nodes) with
-    # weights w: the integral, the error estimate per unit width (tail
-    # coefficients times the panel's largest weight share) and a bound on
+    # weights w and error rule e: the integral, the error estimate per
+    # unit width (e times the panel's largest weight share) and a bound on
     # sum |w g| (Cauchy-Schwarz: the product of the 2-norms).
     vals = np.empty(g.shape[:2])
     mags = np.empty(g.shape[:2])
@@ -339,7 +295,7 @@ def _family_sums(g: np.ndarray, w: np.ndarray, share: np.ndarray) -> tuple:
         vals[j] = (row * w).sum(axis=1)
         mags[j] = np.sqrt((row * row).sum(axis=1))
     mags *= np.sqrt((w * w).sum(axis=1))
-    return vals, np.abs(g @ _TAIL).sum(axis=2) * share, mags
+    return vals, np.abs(g @ e).sum(axis=2) * share, mags
 
 
 def _evaluate_steps(f, panels: StepPanels) -> tuple:
@@ -352,11 +308,12 @@ def _evaluate_steps(f, panels: StepPanels) -> tuple:
         panels = panels[np.concatenate([np.flatnonzero(live),
                                         np.flatnonzero(~live)])]
     vals, errs, mags = _family_sums(f(panels.data, panels.owner, False),
-                                    panels.w0, 1.0 - panels.bottom)
+                                    panels.w0, panels.error_rule,
+                                    1.0 - panels.bottom)
     if n:
         for total, part in zip((vals, errs, mags), _family_sums(
                 f(panels.data[:, :n], panels.owner[:n], True),
-                panels.w1[:n], panels.top[:n])):
+                panels.w1[:n], panels.error_rule, panels.top[:n])):
             total[:, :n] += part
     errs *= panels.hi - panels.lo
     return panels, vals, errs, mags
@@ -389,19 +346,19 @@ def integrate_steps(f, panels: StepPanels, split, *, rel_tol: float,
                     abs_tol: float, max_panels: int = 4096,
                     max_rounds: int = 12) -> StepIntegrals:
     """Integrate the family ``v f1 + (1 - v) f0`` of every owner over its
-    Chebyshev panels.
+    panels, built by :func:`kronrod_panels` or :func:`step_panels`.
 
     ``f(data, owner, weighted)`` maps per-node inputs (shape
-    ``(k_inputs, panels, CHEB_NODES)``) and the owner of each panel to
-    ``f1`` when ``weighted`` is true and to ``f0`` otherwise, each of
-    shape ``(members, panels, CHEB_NODES)``; ``f1`` is asked for only on
-    panels where ``v`` is not identically 0.  ``split(lo, hi, owner)``
-    builds the :class:`StepPanels` of new panels when a panel is bisected.
-    Owners are numbered from 0 and each has a panel; one integral is the
-    case of one owner.  Each member of each owner must meet ``sum of its
-    panel errors <= max(abs_tol, rel_tol * |integral|)``; while one fails,
-    every panel of that owner whose error exceeds an equal share of that
-    tolerance is bisected.
+    ``(k_inputs, panels, nodes)``) and the owner of each panel to ``f1``
+    when ``weighted`` is true and to ``f0`` otherwise, each of shape
+    ``(members, panels, nodes)``; ``f1`` is asked for only on panels where
+    ``v`` is not identically 0.  ``split(lo, hi, owner)`` builds the
+    :class:`StepPanels` of new panels when a panel is bisected.  Owners
+    are numbered from 0 and each has a panel; one integral is the case of
+    one owner.  Each member of each owner must meet ``sum of its panel
+    errors <= max(abs_tol, rel_tol * |integral|)``; while one fails, every
+    panel of that owner whose error exceeds its share of that tolerance,
+    in proportion to its width, is bisected.
 
     The reported errors add ``gamma_n sum |w f|`` over the owner's nodes
     (Higham, Accuracy and Stability of Numerical Algorithms, 2002, §4.2),
@@ -412,12 +369,13 @@ def integrate_steps(f, panels: StepPanels, split, *, rel_tol: float,
     refinement cannot lower it.
     """
     n_own = int(panels.owner.max()) + 1
+    nodes = panels.data.shape[-1]
     panels, vals, errs, mags = _evaluate_steps(f, panels)
     lo, hi, owner = panels.lo, panels.hi, panels.owner
     out = StepIntegrals(np.empty((n_own, vals.shape[0])),
                         np.empty((n_own, vals.shape[0])),
                         np.zeros(n_own, dtype=np.int64),
-                        CHEB_NODES * np.bincount(owner, minlength=n_own),
+                        nodes * np.bincount(owner, minlength=n_own),
                         np.zeros(n_own, dtype=np.int64))
     for rounds in range(max_rounds + 1):
         count = np.bincount(owner, minlength=n_own)
@@ -428,7 +386,7 @@ def integrate_steps(f, panels: StepPanels, split, *, rel_tol: float,
         fails = failing.any(axis=0)
         done = (count > 0) & ~fails
         if done.any():
-            roundings = (count + CHEB_NODES + 1) * _UNIT_ROUNDOFF
+            roundings = (count + nodes + 1) * _UNIT_ROUNDOFF
             gamma = roundings / (1.0 - roundings)
             out.values[done] = totals.T[done]
             out.errors[done] = (total_err + gamma * _owner_sums(
@@ -442,8 +400,9 @@ def integrate_steps(f, panels: StepPanels, split, *, rel_tol: float,
         keep = fails[owner]
         lo, hi, owner = lo[keep], hi[keep], owner[keep]
         vals, errs, mags = vals[:, keep], errs[:, keep], mags[:, keep]
-        share = np.where(failing, tol / np.maximum(count, 1), np.inf)
-        bad = (errs > share[:, owner]).any(axis=0)
+        width = hi - lo
+        bad = (errs > np.where(failing, tol, np.inf)[:, owner] * (
+            width / np.bincount(owner, width, n_own)[owner])).any(axis=0)
         for o in np.flatnonzero(fails & (np.bincount(owner, bad, n_own) == 0)):
             mine = np.flatnonzero(owner == o)
             bad[mine[errs[failing[:, o]][:, mine].sum(axis=0).argmax()]] = True
@@ -451,7 +410,7 @@ def integrate_steps(f, panels: StepPanels, split, *, rel_tol: float,
         new, new_vals, new_errs, new_mags = _evaluate_steps(f, split(
             np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]]),
             np.tile(owner[bad], 2)))
-        out.num_evals += CHEB_NODES * np.bincount(new.owner, minlength=n_own)
+        out.num_evals += nodes * np.bincount(new.owner, minlength=n_own)
         lo = np.concatenate([lo[~bad], new.lo])
         hi = np.concatenate([hi[~bad], new.hi])
         owner = np.concatenate([owner[~bad], new.owner])
@@ -462,7 +421,7 @@ def integrate_steps(f, panels: StepPanels, split, *, rel_tol: float,
     mine = np.flatnonzero(owner == o)
     worst = mine[errs[:, mine].sum(axis=0).argmax()]
     raise QuadratureError(
-        "Chebyshev panel refinement did not reach the requested tolerance",
+        "panel refinement did not reach the requested tolerance",
         diagnostics={
             "total_error": total_err[:, o].tolist(),
             "tolerance": tol[:, o].tolist(),

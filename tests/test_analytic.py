@@ -35,7 +35,8 @@ from dronecov.channel import (AntennaPattern, ChannelParams,
                               _los_levels_long, los_breakpoints,
                               los_level_curve)
 from dronecov.errors import CapabilityError, DomainError
-from dronecov.quadrature import CHEB_NODES, build_edges, integrate_family
+from dronecov.quadrature import (CHEB_NODES, build_edges, integrate_steps,
+                                 kronrod_panels)
 
 URBAN = EnvironmentParams(built_fraction=0.3, buildings_per_km2=500.0,
                           height_scale=15.0)
@@ -302,6 +303,17 @@ def test_coverage_work_repeats_from_fresh_caches():
     assert runs[0][3:] == (105000, 4375)
 
 
+@pytest.mark.parametrize("ue_height, outer", [(60.0, (135, 7)),
+                                              (150.0, (105, 6))])
+def test_outer_work_is_pinned(ue_height, outer):
+    # The outer driver bisects a failing panel when its error exceeds its
+    # width's share of the tolerance; an equal share per panel refines more
+    # at 150 m.
+    res = coverage_probability(make_scenario(ue_height=ue_height), QUAD)
+    assert (res.diagnostics["outer_evals"],
+            res.diagnostics["outer_panels"]) == outer
+
+
 def test_coverage_decreasing_in_threshold():
     probs = [coverage_probability(make_scenario(sir_threshold=t),
                                   QUAD).probability
@@ -360,9 +372,12 @@ def _tight_rows(fld, r0, s, orders, ml, mn, diag):
     far = r_cut * 1.25 ** np.arange(1, 200)
     pts = [*los_breakpoints(fld.scn.env, r_cut), *fld.switches,
            *far[far < r_end]]
-    res = integrate_family(rows, build_edges(r0, r_end, pts), rel_tol=1e-12,
-                           abs_tol=1e-3 * min(diag["quad_errors"]),
-                           max_panels=400_000)
+    edges = build_edges(r0, r_end, pts)
+    res = integrate_steps(lambda data, owner, weighted: rows(data[0]),
+                          kronrod_panels(edges[:-1], edges[1:]),
+                          kronrod_panels, rel_tol=1e-12,
+                          abs_tol=1e-3 * min(diag["quad_errors"]),
+                          max_panels=400_000)[0]
     vals = res.values + fld.nlos_tail(s, orders, mn, r_end)[0]
     vals[0] = -vals[0]
     vals[1::2] = -vals[1::2]

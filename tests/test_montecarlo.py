@@ -392,3 +392,39 @@ def test_simulator_does_not_import_analytic_route():
             imported += [f"{base}.{alias.name}" for alias in node.names]
     assert imported
     assert not [name for name in imported if "analytic" in name.split(".")]
+
+
+def _called_name(node: ast.Call) -> str:
+    func = node.func
+    return getattr(func, "id", None) or getattr(func, "attr", "")
+
+
+def test_package_has_one_adaptive_integrator():
+    # quadrature.integrate_steps is the only refinement engine: every other
+    # integrate_* in the package is a wrapper that calls it, every
+    # integrate_* called is one of those, and only quadrature.py raises the
+    # refinement QuadratureError, once.
+    defined, wrappers, called, refusals = [], set(), set(), []
+    for path in Path(montecarlo.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.lstrip("_").startswith("integrate_")):
+                defined.append((path.name, node.name))
+                if any(isinstance(n, ast.Call)
+                       and _called_name(n) == "integrate_steps"
+                       for n in ast.walk(node)):
+                    wrappers.add(node.name)
+            elif (isinstance(node, ast.Call) and _called_name(node)
+                    .lstrip("_").startswith("integrate_")):
+                called.add(_called_name(node))
+            elif (isinstance(node, ast.Raise)
+                    and isinstance(node.exc, ast.Call)
+                    and _called_name(node.exc) == "QuadratureError"
+                    and "refinement" in ast.dump(node.exc)):
+                refusals.append(path.name)
+    assert [d for d in defined if d[0] == "quadrature.py"] == [
+        ("quadrature.py", "integrate_steps")]
+    assert {d[1] for d in defined} - {"integrate_steps"} <= wrappers
+    assert "integrate_steps" in called
+    assert called <= wrappers | {"integrate_steps"}
+    assert refusals == ["quadrature.py"]

@@ -11,21 +11,31 @@ from numpy.testing import assert_allclose
 from dronecov.errors import DomainError, QuadratureError
 from dronecov.quadrature import (_GAUSS, _KRONROD, _NODES, CHEB_NODES,
                                  build_edges, chebyshev_nodes,
-                                 integrate_family, integrate_steps,
+                                 integrate_steps, kronrod_panels,
                                  step_panels)
 
 TOLS = {"rel_tol": 1e-10, "abs_tol": 1e-12}
 
 
+def integrate_kronrod(f, edges, **kwargs):
+    # G7/K15 panels on the edges through the one driver; f maps a flat
+    # array of abscissas to one function's values or to a family's rows.
+    def family(data, owner, weighted):
+        x = data[0]
+        return np.asarray(f(x.ravel()), dtype=float).reshape(-1, *x.shape)
+    return integrate_steps(family, kronrod_panels(edges[:-1], edges[1:]),
+                           kronrod_panels, **kwargs)[0]
+
+
 def test_polynomial_exact():
-    res = integrate_family(lambda x: 3.0 * x * x, build_edges(0.0, 2.0),
-                           **TOLS)
+    res = integrate_kronrod(lambda x: 3.0 * x * x, build_edges(0.0, 2.0),
+                            **TOLS)
     assert_allclose(res.value, 8.0, rtol=1e-14)
     assert res.error < 1e-12
 
 
 def test_exponential():
-    res = integrate_family(np.exp, build_edges(0.0, 1.0), **TOLS)
+    res = integrate_kronrod(np.exp, build_edges(0.0, 1.0), **TOLS)
     assert_allclose(res.value, math.e - 1.0, rtol=1e-13)
     assert res.error < 1e-10
 
@@ -33,18 +43,18 @@ def test_exponential():
 def test_split_at_kink():
     f = lambda x: np.abs(x - 0.3)
     exact = 0.5 * (0.3 ** 2 + 0.7 ** 2)
-    res = integrate_family(f, build_edges(0.0, 1.0, [0.3]), **TOLS)
+    res = integrate_kronrod(f, build_edges(0.0, 1.0, [0.3]), **TOLS)
     assert_allclose(res.value, exact, rtol=1e-14)
     # Without the split the refinement loop has to work for it.
-    res2 = integrate_family(f, build_edges(0.0, 1.0), rel_tol=1e-9,
-                            abs_tol=1e-12)
+    res2 = integrate_kronrod(f, build_edges(0.0, 1.0), rel_tol=1e-9,
+                             abs_tol=1e-12)
     assert_allclose(res2.value, exact, rtol=1e-8)
     assert res2.error < 1e-8
 
 
 def test_step_function_with_matching_edge():
     f = lambda x: np.where(x < 0.25, 2.0, 5.0)
-    res = integrate_family(f, build_edges(0.0, 1.0, [0.25]), **TOLS)
+    res = integrate_kronrod(f, build_edges(0.0, 1.0, [0.25]), **TOLS)
     assert_allclose(res.value, 0.25 * 2.0 + 0.75 * 5.0, rtol=1e-14)
     assert res.error < 1e-13
 
@@ -53,7 +63,7 @@ def test_family_shares_refinement():
     def fam(x):
         return np.vstack([np.exp(-x), np.abs(x - 0.6) ** 1.5])
     edges = build_edges(0.0, 1.0)
-    res = integrate_family(fam, edges, rel_tol=1e-10, abs_tol=1e-13)
+    res = integrate_kronrod(fam, edges, rel_tol=1e-10, abs_tol=1e-13)
     assert_allclose(res.values[0], 1.0 - math.exp(-1.0), rtol=1e-10)
     exact = (0.6 ** 2.5 + 0.4 ** 2.5) / 2.5
     assert_allclose(res.values[1], exact, rtol=1e-9)
@@ -64,8 +74,8 @@ def test_family_shares_refinement():
 def test_budget_exhaustion_raises():
     f = lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300))
     with pytest.raises(QuadratureError) as exc:
-        integrate_family(f, build_edges(0.0, 1.0), rel_tol=1e-12,
-                         abs_tol=1e-14, max_rounds=3)
+        integrate_kronrod(f, build_edges(0.0, 1.0), rel_tol=1e-12,
+                          abs_tol=1e-14, max_rounds=3)
     diag = exc.value.diagnostics
     assert diag["num_panels"] >= 1
     assert "worst_panel" in diag
@@ -83,8 +93,8 @@ def test_build_edges_filters_interior():
 def test_many_panels_long_range():
     # Hundreds of split points, as the interference integral produces.
     pts = np.arange(1.0, 500.0, 0.7)
-    res = integrate_family(lambda x: x * np.exp(-0.01 * x),
-                           build_edges(0.5, 600.0, pts), **TOLS)
+    res = integrate_kronrod(lambda x: x * np.exp(-0.01 * x),
+                            build_edges(0.5, 600.0, pts), **TOLS)
     exact = ((0.5 / 0.01 + 1.0 / 0.01 ** 2) * math.exp(-0.01 * 0.5)
              - (600.0 / 0.01 + 1.0 / 0.01 ** 2) * math.exp(-0.01 * 600.0))
     assert_allclose(res.value, exact, rtol=1e-12)
@@ -124,8 +134,8 @@ def test_rule_exact_on_monomials(weights, degree):
 def test_one_panel_degree_13_polynomial():
     # Every coefficient nonzero, so no Gauss-exactness comes for free.
     poly = np.polynomial.Polynomial(1.0 / np.arange(1.0, 15.0))
-    res = integrate_family(poly, np.array([-0.5, 1.0]), rel_tol=1e-12,
-                           abs_tol=1e-14)
+    res = integrate_kronrod(poly, np.array([-0.5, 1.0]), rel_tol=1e-12,
+                            abs_tol=1e-14)
     exact = poly.integ()(1.0) - poly.integ()(-0.5)
     assert_allclose(res.value, exact, rtol=1e-14)
     assert res.error < 1e-14
