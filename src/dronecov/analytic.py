@@ -45,6 +45,7 @@ from .channel import (
     antenna_gain_curve,
     gain_switch_radii,
     los_breakpoints,
+    los_exact_steps,
     los_level_curve,
     los_step_levels,
     los_step_width,
@@ -934,6 +935,9 @@ def _integrate_outer(fld: _Field, ml: int,
         "inner_panels": inner_panels,
         "truncated_mass": quad.outer_trunc_prob,
         "skipped_terms": skipped,
+        "los_table_steps": max(fld._levels.size - 1, 0),
+        "los_exact_steps": los_exact_steps(scn.env, scn.bs_height,
+                                           scn.ue_height),
     }
     return prob, err, diag
 

@@ -36,6 +36,7 @@ __all__ = [
     "los_breakpoints",
     "los_step_width",
     "los_step_levels",
+    "los_exact_steps",
     "antenna_gain",
     "main_lobe_interval",
     "gain_switch_radii",
@@ -184,11 +185,11 @@ def _clearance(h, env: EnvironmentParams):
     return -np.expm1(-h * h / (2.0 * env.height_scale ** 2))
 
 
-def _blocker_clearances(env: EnvironmentParams, bs_height: float,
-                        ue_height: float, k: int) -> np.ndarray:
-    # Clearance of the k blockers of a link k steps long, at link height.
-    h = bs_height + (np.arange(k) + 0.5) * (ue_height - bs_height) / k
-    return _clearance(h, env)
+def _log_clearance(h, env: EnvironmentParams):
+    # ln of _clearance, without cancellation at either end of h.
+    x = h * h / (2.0 * env.height_scale ** 2)
+    return np.where(x > math.log(2.0), np.log1p(-np.exp(-x)),
+                    np.log(-np.expm1(-x)))
 
 
 def los_probability(geom: LinkGeometry, env: EnvironmentParams) -> float:
@@ -221,82 +222,113 @@ def los_breakpoints(env: EnvironmentParams, r_max: float):
     return step * np.arange(1, n + 1)
 
 
-_K_EXACT = 4000   # exact product entries; longer tables use asymptotics
+# Tables keep exact blocker products up to the first of these steps where
+# the level law validates, or up to the last (_K_EXACT) if none does.
+_K_SWITCHES = (512, 1024, 2048, 4000)
+_K_EXACT = _K_SWITCHES[-1]
 
 
-class _ExactLevels:
-    """Exact blocker products of one link geometry, extended from their
-    current length when a longer table is asked for.  Each entry is its
-    own ``np.prod``, so no entry depends on the order of requests."""
+def _log_clearance_derivatives(h: float, c2: float) -> tuple[float, ...]:
+    # g', g''' and g^(5) of g = ln(1 - exp(-h^2 / c2)), from the Taylor
+    # jets of e = exp(-(h + t)^2 / c2) and of ln(1 - e) in t.
+    e, f, g = [0.0, math.exp(-h * h / c2)], [-math.expm1(-h * h / c2)], [0.0]
+    for n in range(1, 6):
+        e.append(-2.0 * (h * e[-1] + e[-2]) / (n * c2))
+        f.append(-e[-1])
+        g.append((f[n] - sum(j * g[j] * f[n - j] for j in range(1, n)) / n)
+                 / f[0])
+    return g[1], 6.0 * g[3], 120.0 * g[5]
+
+
+def _level_law(env: EnvironmentParams, h_lo: float, h_hi: float):
+    # Midpoint Euler-Maclaurin form (DLMF 2.10) of ln level_k, the sum of
+    # g = ln(clearance) at k heights dh/k apart across [h_lo, h_hi]:
+    #   (k/dh) int g - (dh/24k) dg' + (7 dh^3/5760k^3) dg'''
+    #   - (31 dh^5/967680k^5) dg^(5),   dg^(j) = g^(j)(h_hi) - g^(j)(h_lo).
+    c2, dh = 2.0 * env.height_scale ** 2, h_hi - h_lo
+    total = integrate_steps(
+        lambda data, owner, weighted: _log_clearance(data, env),
+        kronrod_panels(np.array([h_lo]), np.array([h_hi])), kronrod_panels,
+        rel_tol=1e-12, abs_tol=0.0)[0].value
+    d1, d3, d5 = (hi - lo for hi, lo in zip(
+        _log_clearance_derivatives(h_hi, c2),
+        _log_clearance_derivatives(h_lo, c2)))
+    return lambda k: (k / dh * total - dh / (24.0 * k) * d1
+                      + 7.0 * dh ** 3 / (5760.0 * k ** 3) * d3
+                      - 31.0 * dh ** 5 / (967680.0 * k ** 5) * d5)
+
+
+class _LevelTable:
+    """Line-of-sight levels of one link geometry, extended when a longer
+    table is asked for: exact blocker products, each its own ``np.prod``,
+    up to the switch step, searched once a table passes 512 steps, and the
+    level law past it, so no entry depends on the order of requests."""
 
     def __init__(self, env: EnvironmentParams, bs_height: float,
                  ue_height: float) -> None:
         self.link = (env, bs_height, ue_height)
         self.levels = np.empty(0)
+        self.switch, self.law = None, None
+        self.mismatch: dict[int, float] = {}
+
+    def _heights(self, k: int) -> np.ndarray:
+        # Link height at the k blockers of a link k steps long.
+        _, bs_height, ue_height = self.link
+        return bs_height + (np.arange(k) + 0.5) * (ue_height - bs_height) / k
+
+    def _extend(self, k_max: int, law=None) -> np.ndarray:
+        # Entries up to k_max: exact products, or the law held below the
+        # switch entry so that levels never increase across the switch.
+        ks = np.arange(self.levels.size, k_max + 1)
+        if ks.size:
+            self.levels = np.concatenate([self.levels, [
+                np.prod(_clearance(self._heights(k), self.link[0]))
+                for k in ks] if law is None else np.minimum(
+                    np.exp(law(ks.astype(float))), self.levels[self.switch])])
+            self.levels.setflags(write=False)
+        return self.levels
+
+    def _find_switch(self) -> None:
+        # Take the law at the first candidate step k where it is within
+        # 1e-13 max(1, |ln|) of the fsum of clearance logs at k and at 2k.
+        env, (h_lo, h_hi) = self.link[0], sorted(self.link[1:])
+        law = _level_law(env, h_lo, h_hi) if h_lo >= 1e-9 else None
+        for k in _K_SWITCHES:
+            self.switch = k
+            if self._extend(k)[k] == 0.0:
+                # Levels never increase: an underflowed product stays 0.
+                self.law = lambda ks: np.full(ks.shape, -np.inf)
+                return
+            self.mismatch[k] = math.inf if law is None else max(
+                abs(law(j) - ln) / max(1.0, abs(ln)) for j in (k, 2 * k)
+                for ln in [math.fsum(_log_clearance(self._heights(j), env))])
+            if self.mismatch[k] <= 1e-13:
+                self.law = law
+                return
 
     def upto(self, k_max: int) -> np.ndarray:
-        have = self.levels.size
-        if have <= k_max:
-            levels = np.concatenate([self.levels, [
-                np.prod(_blocker_clearances(*self.link, k))
-                for k in range(have, k_max + 1)]])
-            levels.setflags(write=False)
-            self.levels = levels
-        return self.levels[:k_max + 1]
+        if self.switch is None and k_max > _K_SWITCHES[0]:
+            self._find_switch()
+        end = min(k_max, self.switch or k_max)
+        if k_max > end and self.law is None:
+            raise QuadratureError(
+                "step-table asymptotics failed validation",
+                {"k_switch": end, "log_mismatch": self.mismatch})
+        self._extend(end)
+        return self._extend(k_max, self.law)[:k_max + 1]
 
 
 @lru_cache(maxsize=64)
 def _los_levels_exact(env: EnvironmentParams, bs_height: float,
-                      ue_height: float) -> _ExactLevels:
-    return _ExactLevels(env, bs_height, ue_height)
+                      ue_height: float) -> _LevelTable:
+    return _LevelTable(env, bs_height, ue_height)
 
 
-def _log_factor_slope(h: float, c2: float) -> float:
-    e = math.exp(-h * h / c2)
-    return e * (2.0 * h / c2) / (1.0 - e)
-
-
-@lru_cache(maxsize=16)
-def _los_levels_long(env: EnvironmentParams, bs_height: float,
-                     ue_height: float, k_max: int) -> np.ndarray:
-    # Midpoint Euler-Maclaurin asymptotics: the log of the k-blocker
-    # product approaches k/dh * int(ln f) with a 1/k correction from the
-    # endpoint slopes of ln f.  Validated against the exact log-product at
-    # the switch index, summed in logs so that a product below the double
-    # range still checks; accurate to ~1e-11 in the log beyond it.
-    exact = _los_levels_exact(env, bs_height, ue_height).upto(_K_EXACT)
-    if exact[-1] == 0.0:
-        # Levels never increase with k, so an underflowed product stays 0.
-        out = np.concatenate([exact, np.zeros(k_max - _K_EXACT)])
-        out.setflags(write=False)
-        return out
-    h_lo, h_hi = sorted((bs_height, ue_height))
-    c2 = 2.0 * env.height_scale ** 2
-    ln_exact = float(np.sum(np.log(_blocker_clearances(
-        env, bs_height, ue_height, _K_EXACT))))
-    if h_lo < 1e-9:
-        raise QuadratureError(
-            "step-table asymptotics need a positive lower height",
-            {"h_lo": h_lo})
-
-    fam = integrate_steps(
-        lambda data, owner, weighted: np.log(_clearance(data, env)),
-        kronrod_panels(np.array([h_lo]), np.array([h_hi])), kronrod_panels,
-        rel_tol=1e-12, abs_tol=1e-14)[0]
-    dh = h_hi - h_lo
-    slope_diff = _log_factor_slope(h_hi, c2) - _log_factor_slope(h_lo, c2)
-    ks = np.arange(_K_EXACT + 1, k_max + 1, dtype=float)
-    ln_tail = ks / dh * fam.value - (dh / (24.0 * ks)) * slope_diff
-    ln_at_switch = (_K_EXACT / dh * fam.value
-                    - (dh / (24.0 * _K_EXACT)) * slope_diff)
-    mismatch = abs(ln_at_switch - ln_exact)
-    if mismatch > 1e-6 * max(1.0, abs(ln_at_switch)) + 1e-6:
-        raise QuadratureError("step-table asymptotics failed validation",
-                              {"k_switch": _K_EXACT,
-                               "log_mismatch": float(mismatch)})
-    out = np.concatenate([exact, np.exp(ln_tail)])
-    out.setflags(write=False)
-    return out
+def los_exact_steps(env: EnvironmentParams, bs_height: float,
+                    ue_height: float) -> int:
+    """Last step of :func:`los_step_levels` that is an exact blocker
+    product: the link geometry's switch, 4,000 until one is needed."""
+    return _los_levels_exact(env, bs_height, ue_height).switch or _K_EXACT
 
 
 def los_step_levels(env: EnvironmentParams, bs_height: float,
@@ -306,10 +338,10 @@ def los_step_levels(env: EnvironmentParams, bs_height: float,
     ``levels[k]`` is the probability on the k-th constant piece, i.e. for
     ground distances in ``[k*step, (k+1)*step)``; :func:`los_level_curve`
     reads it at ground distances.  Entry ``k`` does not depend on
-    ``k_max`` as long as ``k <= k_max``.  Entries are the exact
-    blocker products up to a few thousand steps and continue with an
-    asymptotic form of the log-product beyond; equal heights collapse to
-    a closed geometric decay.
+    ``k_max`` as long as ``k <= k_max``, and never increases with ``k``.
+    Entries are exact blocker products up to a per-geometry switch step
+    (:func:`los_exact_steps`) and a validated Euler-Maclaurin law of the
+    log-product beyond; equal heights collapse to a geometric decay.
     """
     if k_max < 0:
         raise DomainError("k_max must be non-negative")
@@ -325,9 +357,7 @@ def los_step_levels(env: EnvironmentParams, bs_height: float,
             out[0] = 1.0
         out.setflags(write=False)
         return out
-    if k_max <= _K_EXACT:
-        return _los_levels_exact(env, bs_height, ue_height).upto(k_max)
-    return _los_levels_long(env, bs_height, ue_height, k_max)
+    return _los_levels_exact(env, bs_height, ue_height).upto(k_max)
 
 
 def los_level_curve(r, levels: np.ndarray, step: float) -> np.ndarray:

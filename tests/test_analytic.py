@@ -32,8 +32,7 @@ from dronecov.analytic import (_Field, _field_for, _link_rows, _power_terms,
                                _scaled_upsilon_rows, _serving_coeff)
 from dronecov.channel import (AntennaPattern, ChannelParams,
                               EnvironmentParams, _los_levels_exact,
-                              _los_levels_long, los_breakpoints,
-                              los_level_curve)
+                              los_breakpoints, los_level_curve)
 from dronecov.errors import CapabilityError, DomainError
 from dronecov.quadrature import (CHEB_NODES, build_edges, integrate_steps,
                                  kronrod_panels)
@@ -290,7 +289,7 @@ def test_coverage_work_repeats_from_fresh_caches():
     # same value.
     runs = []
     for _ in range(2):
-        for cached in (_field_for, _los_levels_exact, _los_levels_long):
+        for cached in (_field_for, _los_levels_exact):
             cached.cache_clear()
         res = coverage_probability(SCN, QUAD)
         runs.append((res.probability, res.diagnostics["outer_evals"],
@@ -301,6 +300,22 @@ def test_coverage_work_repeats_from_fresh_caches():
     assert runs[0][1] % 15 == 0  # 15 evaluations per panel evaluated
     assert runs[0][3] == CHEB_NODES * runs[0][4]
     assert runs[0][3:] == (105000, 4375)
+
+
+def test_coverage_reports_step_table_regime():
+    # At 150 m the cut search reads the line-of-sight table past 5,000
+    # steps, of which the first 512 are exact blocker products; a ground
+    # user's table stays short enough that no switch is searched.
+    for cached in (_field_for, _los_levels_exact):
+        cached.cache_clear()
+    diag = coverage_probability(make_scenario(ue_height=150.0),
+                                QUAD).diagnostics
+    assert diag["los_table_steps"] >= 5040
+    assert diag["los_exact_steps"] == 512
+    diag = coverage_probability(make_scenario(ue_height=1.5),
+                                QUAD).diagnostics
+    assert diag["los_table_steps"] <= 512
+    assert diag["los_exact_steps"] == 4000
 
 
 @pytest.mark.parametrize("ue_height, outer", [(60.0, (135, 7)),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dronecov.channel import (
     fading_pdf,
     gain_switch_radii,
     los_breakpoints,
+    los_exact_steps,
     los_probability,
     los_step_levels,
     los_step_width,
@@ -28,9 +30,10 @@ from dronecov.channel import (
     path_loss_curves,
     sample_fading,
 )
+import dronecov.channel as channel
 from dronecov.channel import _los_levels_exact
 from dronecov.config import builtin_environments
-from dronecov.errors import DomainError
+from dronecov.errors import DomainError, QuadratureError
 
 URBAN = EnvironmentParams(built_fraction=0.3, buildings_per_km2=500.0,
                           height_scale=15.0)
@@ -149,15 +152,24 @@ def test_los_step_levels_match_scalar_probability():
 @pytest.mark.parametrize("name, env", builtin_environments())
 def test_los_probability_reads_step_table_at_breakpoints(name, env):
     # Breakpoints are where a step index computed another way would pick
-    # the neighbouring step; past 4,000 steps the table is asymptotic.
+    # the neighbouring step; past the switch step the table follows the
+    # Euler-Maclaurin level law.
     step = los_step_width(env)
     levels = los_step_levels(env, 30.0, 60.0, 5000)
     for r in los_breakpoints(env, 5000 * step):
         k = int(r / step)
         assert los_probability(LinkGeometry(r, 30.0, 60.0), env) == levels[k]
-    # A table's entries do not depend on its length.
-    for k in (1, 2, 77, 4000, 4001, 4999):
+    # A table's entries do not depend on its length or on the order in
+    # which tables were asked for.
+    switch = los_exact_steps(env, 30.0, 60.0)
+    for k in (1, 2, 77, switch - 1, switch, switch + 1, 4000, 4001, 4999):
         assert los_step_levels(env, 30.0, 60.0, k)[k] == levels[k]
+        _los_levels_exact.cache_clear()
+        assert los_step_levels(env, 30.0, 60.0, k)[k] == levels[k]
+    _los_levels_exact.cache_clear()
+    for k_max in (switch + 1, 3 * switch, 700, 5000):
+        grown = los_step_levels(env, 30.0, 60.0, k_max)
+    assert np.array_equal(grown, levels)
 
 
 def test_exact_step_table_grows_without_rebuilding():
@@ -183,6 +195,69 @@ def _log_blocker_product(env, bs_height, ue_height, k):
     h = bs_height + (np.arange(k) + 0.5) * (ue_height - bs_height) / k
     return float(np.sum(np.log(-np.expm1(-h * h / (2.0 * env.height_scale
                                                     ** 2)))))
+
+
+GEOMETRIES = [(30.0, 1.5), (150.0, 1.5), (30.0, 60.0), (30.0, 150.0),
+              (10.0, 300.0), (150.0, 60.0)]
+
+
+def _fsum_log_level(env, bs_height, ue_height, k):
+    # Exact log of the k-blocker product: math.fsum of the clearance logs,
+    # each free of cancellation whether the clearance is near 0 or 1.
+    h = bs_height + (np.arange(k) + 0.5) * (ue_height - bs_height) / k
+    x = h * h / (2.0 * env.height_scale ** 2)
+    return math.fsum(math.log1p(-math.exp(-v)) if v > math.log(2.0)
+                     else math.log(-math.expm1(-v)) for v in x)
+
+
+@pytest.mark.parametrize("heights", GEOMETRIES,
+                         ids=[f"{a:g}-{b:g}" for a, b in GEOMETRIES])
+@pytest.mark.parametrize("name, env", builtin_environments())
+def test_level_law_matches_exact_log_product(name, env, heights):
+    # Past the switch the table follows the level law; it must stay within
+    # 1e-12 of the exact log-product wherever that product is a normal
+    # double, and never increase, across the switch included, which the
+    # constant-level tail majorant of the analytic route relies on.
+    levels = los_step_levels(env, *heights, 10000)
+    switch = los_exact_steps(env, *heights)
+    assert switch in (512, 1024, 2048, 4000)
+    assert levels[switch + 1] <= levels[switch]
+    assert np.all(np.diff(levels) <= 0.0)
+    for k in (switch + 1, 2 * switch, 4000, 4001, 10000):
+        ln = _fsum_log_level(env, *heights, k)
+        if ln < math.log(sys.float_info.min):
+            continue
+        assert abs(math.log(levels[k]) - ln) <= 1e-12 * max(1.0, abs(ln))
+
+
+@pytest.mark.parametrize("ue_height", [60.0, 150.0])
+def test_level_law_switches_at_first_candidate_for_urban_links(ue_height):
+    los_step_levels(URBAN, 30.0, ue_height, 600)
+    assert los_exact_steps(URBAN, 30.0, ue_height) == 512
+
+
+def test_step_table_without_valid_law_stays_exact_to_4000(monkeypatch):
+    # A law off by 1e-12 in the log fails validation at every switch: the
+    # table keeps exact blocker products to step 4,000 and refuses past it.
+    law = channel._level_law
+    monkeypatch.setattr(channel, "_level_law", lambda *args: (
+        lambda k, exact=law(*args): exact(k) * (1.0 + 1e-12)))
+    _los_levels_exact.cache_clear()
+    try:
+        levels = los_step_levels(URBAN, 30.0, 60.0, 4000)
+        assert los_exact_steps(URBAN, 30.0, 60.0) == 4000
+        for k in (513, 1025, 2049, 4000):
+            h = 30.0 + (np.arange(k) + 0.5) * 30.0 / k
+            assert levels[k] == np.prod(
+                -np.expm1(-h * h / (2.0 * URBAN.height_scale ** 2)))
+        with pytest.raises(QuadratureError,
+                           match="asymptotics failed validation") as err:
+            los_step_levels(URBAN, 30.0, 60.0, 4001)
+        mismatch = err.value.diagnostics["log_mismatch"]
+        assert sorted(mismatch) == [512, 1024, 2048, 4000]
+        assert min(mismatch.values()) > 1e-13
+    finally:
+        _los_levels_exact.cache_clear()
 
 
 def test_los_step_levels_long_table_follows_log_product():
