@@ -12,7 +12,10 @@ below tolerance, and the non-line-of-sight field beyond a closed-form
 tail radius is summed as its leading power law.  In between, the
 line-of-sight level is a step function; a Chebyshev product rule on a
 panel grid cached per scenario moves the steps into per-node weights,
-so a panel costs two dozen nodes however many steps it spans.
+so a panel costs two dozen nodes however many steps it spans.  Each
+panel is about one 3-d distance wide, and every line-of-sight cut is
+moved out to the next grid edge on a breakpoint, which keeps it
+certified, so the grid panels serve every cut unchanged.
 Conditional terms that a closed-form Chernoff bound already certifies
 below tolerance are skipped before any of that quadrature runs.
 
@@ -501,27 +504,32 @@ class _Field:
                            ends, owner)
 
     def _grid_to(self, r: float) -> np.ndarray:
-        """Edges of the cached panel grid, extended past ``r``.  Panels
-        are a quarter of ``hypot(r, gap)`` wide; narrower than a step, they
-        end on the next line-of-sight breakpoint when they would come
-        within a quarter panel of it, so each carries one level.  Every
-        gain switch is an edge."""
+        """Edges of the cached panel grid, extended past ``r`` to a
+        line-of-sight breakpoint.  Panels are one 3-d distance
+        ``hypot(x, gap)`` wide from their lower edge ``x``; wider than a
+        step, they end on the first breakpoint past that width, and
+        narrower, on the next breakpoint when they would come within a
+        quarter panel of it, so each carries one level.  Every gain switch
+        and the table cap's last step are edges."""
+        step = self.step
         if self._edges[-1] > r:
             return self._edges
         edges = self._edges.tolist()
         start = len(edges) - 1
-        x = edges[-1]
-        while x <= r:
-            d = 0.25 * max(math.hypot(x, math.sqrt(self.gap2)),
-                           1e-3 * self.step)
-            nxt = x + d
-            k = int(x / self.step) + 1     # the next breakpoint
-            k += k * self.step <= x
-            if d < self.step and nxt > k * self.step - 0.25 * d:
-                nxt = k * self.step
-            nxt = min([nxt] + [w for w in self.switches if x < w < nxt])
-            edges.append(nxt)
-            x = nxt
+        x, k, cap = edges[-1], 0, _MAX_TABLE - 1
+        while x <= r or k < 0:
+            d = max(math.hypot(x, math.sqrt(self.gap2)), 1e-3 * step)
+            k = int(x / step) + 1     # the next breakpoint
+            k += k * step <= x
+            if d >= step:
+                k = math.ceil((x + d) / step)
+            elif x + d <= k * step - 0.25 * d:
+                k = -1
+            # Edges with their step, -1 off the breakpoints.
+            stops = [(x + d if k < 0 else k * step, k), (cap * step, cap),
+                     *((w, -1) for w in self.switches)]
+            x, k = min(stop for stop in stops if stop[0] > x)
+            edges.append(x)
         self._edges = e = np.asarray(edges)
         new = self._panels(e[start:-1], e[start + 1:], 0)
         self._grid = new if start == 0 else StepPanels.concat([self._grid,
@@ -533,65 +541,53 @@ class _Field:
                        max_rounds: int) -> tuple:
         """Integrals over ``[r0, R]`` of ``level * rows_L + (1 - level) *
         rows_N``, one per entry of ``r0``, ``k_sight`` and ``r_end``: the
-        level is taken from the steps below ``k_sight`` and is 0 beyond
-        ``r_sight = k_sight * step``; ``R`` is ``r_sight``, or the first
-        grid edge past ``r_end`` when that lies beyond.  ``rows`` is an
+        cut is the first grid edge on a breakpoint at or past step
+        ``k_sight``, the level is taken from the steps below it and is 0
+        beyond; ``R`` is the cut, or the first grid edge at or past
+        ``r_end`` when that lies beyond.  ``rows`` is an
         :func:`integrate_steps` callback whose owners are the entries.
-        Returns the :class:`StepIntegrals` and ``R`` per entry.
+        Returns the :class:`StepIntegrals`, ``R`` and the cut step per
+        entry.
 
-        An entry's panels are the cached grid panels between ``r0`` and
-        ``r_sight``, the piece of the grid panel holding ``r0``, the piece
-        below ``r_sight`` of the panel holding it and, when ``R`` lies
-        beyond, the rest of that panel and the grid panels up to ``R``
-        without weights.  Entries go in batches of about
+        Moving a cut out to an edge keeps it certified: the excess bound
+        never increases with the step, and a prefix of a non-negative
+        integrand only grows with it.  An entry's panels are the piece of
+        the grid panel holding ``r0`` above ``r0``, the cached grid panels
+        from there to the cut and, when ``R`` lies beyond, the grid panels
+        up to ``R`` without weights.  Entries go in batches of about
         ``_NODE_BUDGET`` nodes, each with one :func:`step_panels` call for
         its pieces and one :func:`integrate_steps` call.
         """
+        e = self._grid_to(max(k_sight.max() * self.step, r_end.max()))
+        steps = np.round(e / self.step).astype(np.int64)
+        cuts = steps[steps * self.step == e]
+        k_sight = cuts[np.searchsorted(cuts, k_sight)]
         r_sight = k_sight * self.step
-        e = self._grid_to(max(r_sight.max(), r_end.max()))
         i0 = np.searchsorted(e, r0, side="right") - 1
-        ic = np.searchsorted(e, r_sight, side="right") - 1
-        for i in np.flatnonzero(ic > self._n_sight):
-            if ic[i] > self._n_sight:
-                g, n = self._grid, self._n_sight
-                self._grid = StepPanels.concat([g[:n], self._panels(
-                    g.lo[n:ic[i]], g.hi[n:ic[i]], k_sight[i]), g[ic[i]:]])
-                self._n_sight = int(ic[i])
+        ic = np.searchsorted(e, r_sight)
+        n, top = self._n_sight, int(ic.max())
+        if top > n:
+            g = self._grid
+            self._grid = StepPanels.concat([g[:n], self._panels(
+                g.lo[n:top], g.hi[n:top], k_sight.max()), g[top:]])
+            self._n_sight = top
         far = r_end > r_sight
-        i_end = np.where(far, np.maximum(ic + 1, np.searchsorted(e, r_end)),
-                         ic + 1)
-        split_lo = (i0 < ic) & (e[ic] < r_sight)
-        nodes = CHEB_NODES * (np.maximum(ic - i0 - 1, 0) + 1 + split_lo
-                              + far + i_end - ic - 1)
+        i_end = np.where(far, np.searchsorted(e, r_end), ic)
+        nodes = CHEB_NODES * (i_end - i0)
         batch = (np.cumsum(nodes) - nodes) // _NODE_BUDGET
         bounds = [0, *(np.flatnonzero(np.diff(batch)) + 1), r0.size]
         results = []
         for a, b in zip(bounds[:-1], bounds[1:]):
-            # Pieces: the one at each r0, then the two sides of the cut of
-            # each distinct k_sight, which its entries share.
-            ks, which = np.unique(k_sight[a:b], return_inverse=True)
-            rs = ks * self.step
-            ics = np.searchsorted(e, rs, side="right") - 1
-            below = e[ics] < rs
-            pieces = self._panels(
-                np.concatenate([r0[a:b], e[ics[below]], rs]),
-                np.concatenate([np.minimum(e[i0[a:b] + 1], r_sight[a:b]),
-                                rs[below], e[ics + 1]]),
-                np.concatenate([k_sight[a:b], ks[below], ks]))
             own = np.arange(b - a)
-            cut, past = own[split_lo[a:b]], own[far[a:b]]
             sight, sight_owner = _ranges(i0[a:b] + 1, ic[a:b])
-            beyond, beyond_owner = _ranges(ic[a:b] + 1, i_end[a:b])
-            n_grid = self._grid.lo.size
-            first = n_grid + own.size + np.cumsum(below) - 1
-            panels = StepPanels.concat([self._grid, pieces])[np.concatenate(
-                [sight, n_grid + own, first[which[cut]],
-                 n_grid + own.size + below.sum() + which[past], beyond])]
-            panels.owner = np.concatenate([sight_owner, own, cut, past,
-                                           beyond_owner])
+            beyond, beyond_owner = _ranges(ic[a:b], i_end[a:b])
+            panels = StepPanels.concat([
+                self._grid[np.concatenate([sight, beyond])],
+                self._panels(r0[a:b], e[i0[a:b] + 1], k_sight[a:b])])
+            panels.owner = np.concatenate([sight_owner, beyond_owner, own])
             if beyond.size:
                 # The grid panels past the cut lose their weights.
-                unweighted = slice(-beyond.size, None)
+                unweighted = slice(sight.size, sight.size + beyond.size)
                 panels.w0[unweighted] += panels.w1[unweighted]
                 panels.w1[unweighted] = 0.0
                 panels.top[unweighted] = panels.bottom[unweighted] = 0.0
@@ -605,7 +601,7 @@ class _Field:
         res = StepIntegrals(*(np.concatenate([getattr(r, f.name)
                                               for r in results])
                               for f in fields(StepIntegrals)))
-        return res, np.where(far, e[i_end], r_sight)
+        return res, np.where(far, e[i_end], r_sight), k_sight
 
     def eta_lower(self, r0, s) -> np.ndarray:
         """Cheap lower bound on the transform log magnitude: the integrand
@@ -615,7 +611,7 @@ class _Field:
         shape, r0, s = _flat(r0, s)
         r_end = np.maximum(self.quad.inner_radius_factor * self.r_outer,
                            1.25 * r0 + 2.0 * self.step)
-        res, _ = self.integrate_rows(
+        res, _, _ = self.integrate_rows(
             self._link_integrand(s, 0, 1, 1), r0,
             (r_end / self.step).astype(np.int64) + 1, np.zeros(r0.size),
             rel_tol=1e-3, abs_tol=1e-6, max_rounds=4)
@@ -727,7 +723,7 @@ class _Field:
         go = np.flatnonzero(~low)
         if go.size:
             r0, s, k_cut, aux = r0[go], s[go], k_cut[go], aux[go]
-            res, r_end = self.integrate_rows(
+            res, r_end, k_cut = self.integrate_rows(
                 self._link_integrand(s, orders, ml, mn), r0, k_cut,
                 self.tail_start(s, orders, mn, r0, 0.25 * aux),
                 rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
@@ -838,13 +834,14 @@ def mean_interference(scn: NetworkScenario, r0: float,
     # switch the non-line-of-sight field has an exact power-law closed
     # form.  The moment majorants coincide with the transform-row
     # majorants at unit argument and unit fading orders, which fixes the
-    # line-of-sight cut.
+    # line-of-sight cut.  The tolerance is relative to the field's scale
+    # alone: the moment is of order 1e-9, far below abs_tol.
     _, r_gain = fld.far_gain
     k_lin = int(max(r0, r_gain, fld.step) / fld.step) + 1
     r_lin = k_lin * fld.step
     scale = float(fld.nlos_tail(1.0, 0, 1, r_lin)[0][0]
                   + fld.excess_bound(1.0, 0, 1, 1, k_lin))
-    tol = max(qd.abs_tol, qd.rel_tol * scale)
+    tol = qd.rel_tol * scale
     k_cut, ok = fld._cut_search(np.array([max(fld.k_start, k_lin + 1)]),
                                 np.ones(1), 0, 1, 1, 0.5 * tol,
                                 cap=_MAX_TABLE - 1)
@@ -853,11 +850,11 @@ def mean_interference(scn: NetworkScenario, r0: float,
             "line-of-sight interference mass decays too slowly for the "
             "requested tolerance",
             {"tolerance": tol, "step_cap": _MAX_TABLE - 1})
-    res, r_end = fld.integrate_rows(
+    res, r_end, _ = fld.integrate_rows(
         lambda data, owner, weighted: (data[0 if weighted else 1]
                                        * data[2])[None],
         np.array([float(r0)]), k_cut, np.array([r_lin]),
-        rel_tol=qd.rel_tol, abs_tol=qd.abs_tol, max_rounds=qd.max_rounds)
+        rel_tol=qd.rel_tol, abs_tol=tol, max_rounds=qd.max_rounds)
     return float(res.values[0, 0] + fld.nlos_tail(1.0, 0, 1, r_end[0])[0][0])
 
 

@@ -338,8 +338,11 @@ class StepIntegrals:
 
 
 def _owner_sums(x: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
-    # Sums of each row of x over each owner's panels, shape (rows, n).
-    return np.array([np.bincount(owner, row, n) for row in x]).reshape(-1, n)
+    # Sums of each row of x over each owner's panels, shape (rows, n): one
+    # bincount with a bin per row and owner, each summed in panel order.
+    rows = x.shape[0]
+    bins = owner + n * np.arange(rows)[:, None]
+    return np.bincount(bins.ravel(), x.ravel(), n * rows).reshape(rows, n)
 
 
 def integrate_steps(f, panels: StepPanels, split, *, rel_tol: float,

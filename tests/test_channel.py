@@ -183,12 +183,22 @@ def test_exact_step_table_grows_without_rebuilding():
     assert table.levels.size == 301
     assert _los_levels_exact.cache_info().misses == 1
     step = los_step_width(URBAN)
+    for k in range(301):
+        assert levels[k] == _blocker_product(URBAN, 30.0, 60.0, k)
     for k in (0, 1, 17, 299, 300):
-        h = 30.0 + (np.arange(k) + 0.5) * 30.0 / k if k else np.empty(0)
-        assert levels[k] == np.prod(
-            -np.expm1(-h * h / (2.0 * URBAN.height_scale ** 2)))
         assert los_probability(LinkGeometry((k + 0.5) * step, 30.0, 60.0),
                                URBAN) == levels[k]
+    # The exact entries of a 2,048-step switch span about two million
+    # blocker heights, which the table builds in many blocks.
+    levels = los_step_levels(URBAN, 150.0, 1.5, 2048)
+    assert los_exact_steps(URBAN, 150.0, 1.5) == 2048
+    for k in range(1400, 2049):
+        assert levels[k] == _blocker_product(URBAN, 150.0, 1.5, k)
+
+
+def _blocker_product(env, bs_height, ue_height, k):
+    h = bs_height + (np.arange(k) + 0.5) * (ue_height - bs_height) / k
+    return np.prod(-np.expm1(-h * h / (2.0 * env.height_scale ** 2)))
 
 
 def _log_blocker_product(env, bs_height, ue_height, k):
