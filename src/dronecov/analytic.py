@@ -6,25 +6,18 @@ serving distance the interference admits a Laplace transform in closed
 integral form, and for integer Nakagami fading orders the conditional
 coverage probability is a finite sum over derivatives of that transform.
 This module evaluates those integrals numerically with certified
-truncation: the line-of-sight field is cut only where its step level
-times an exact power-law tail integral certifies the remaining mass
-below tolerance, and the non-line-of-sight field beyond a closed-form
-tail radius is summed as its leading power law.  In between, the
-line-of-sight level is a step function; a Chebyshev product rule on a
-panel grid cached per scenario moves the steps into per-node weights,
-so a panel costs two dozen nodes however many steps it spans.  Each
-panel is about one 3-d distance wide, and every line-of-sight cut is
-moved out to the next grid edge on a breakpoint, which keeps it
-certified, so the grid panels serve every cut unchanged.
-Conditional terms that a closed-form Chernoff bound already certifies
-below tolerance are skipped before any of that quadrature runs.
-
-The inner transforms are array code: every serving distance that one
-call of the outer integrand receives goes, per serving-link state,
-through one skip screen, one lockstep cut search and batched panel
-quadrature, where each panel carries the index of the transform it
-belongs to.  Each transform still gets the cut, panels and error test it
-would get alone.
+tails: past a line-of-sight handover on a grid edge, and past a
+blocked-field radius, every row is its leading power law, summed in
+closed form and from the tail sums of :func:`channel.los_tail_sums`,
+with its slack inside the tolerance.  Before them a Chebyshev product
+rule on a panel grid cached per scenario moves the line-of-sight steps
+into per-node weights, so a panel of about one 3-d distance costs two
+dozen nodes however many steps it spans.  Conditional terms that a
+closed-form Chernoff bound already certifies below tolerance are
+skipped.  Every serving distance one call of the outer integrand
+receives goes, per serving-link state, through one skip screen, one
+handover choice and batched panel quadrature, and gets the handover,
+panels and error test it would get alone.
 
 Internally all derivative bookkeeping uses the scaled quantities
 ``t_j = s^j eta^(j) / j!`` and ``M_k = s^k L^(k) / k!``; every term of the
@@ -52,8 +45,10 @@ from .channel import (
     los_level_curve,
     los_step_levels,
     los_step_width,
+    los_tail_sums,
     main_lobe_interval,
     path_loss_curves,
+    power_law_integral,
 )
 from .errors import CapabilityError, DomainError, QuadratureError
 from .quadrature import (CHEB_NODES, StepIntegrals, StepPanels, build_edges,
@@ -82,9 +77,9 @@ __all__ = [
 MAX_FADING_ORDER = 32
 
 _MAX_TABLE = 400_000      # hard cap on step-table length
-_ETA_FLOOR = -80.0        # transform log below which coverage is treated as 0
+_STRICT_STEPS = 20_000    # reach of a handover at the strict tolerance
 _NODE_BUDGET = 4096       # Chebyshev nodes per batch of inner transforms
-_FLOOR_BLOCK = 2048       # step terms per block of the closed-form floor
+_FLOOR_BLOCK = 1 << 16    # step terms per block of the closed-form floor
 
 
 @dataclass(frozen=True)
@@ -125,15 +120,12 @@ class QuadratureSpec:
     """Accuracy and budget knobs for the analytic evaluation.
 
     ``outer_trunc_prob`` is the serving-distance probability mass allowed
-    beyond the outer integration limit.  ``inner_radius_factor`` scales the
-    starting guess for the interference truncation radius; the radius then
-    grows until the analytic tail bounds fall below ``abs_tol``.
+    beyond the outer integration limit.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     outer_trunc_prob: float = 1e-8
-    inner_radius_factor: float = 10.0
     max_panels: int = 20000
     max_rounds: int = 12
 
@@ -142,8 +134,6 @@ class QuadratureSpec:
             raise DomainError("tolerances must be positive")
         if not 0.0 < self.outer_trunc_prob < 0.1:
             raise DomainError("outer_trunc_prob must lie in (0, 0.1)")
-        if self.inner_radius_factor < 1.0:
-            raise DomainError("inner_radius_factor must be at least 1")
         if self.max_panels < 16 or self.max_rounds < 1:
             raise DomainError("quadrature budget too small")
 
@@ -230,18 +220,25 @@ def _link_rows(c: np.ndarray, area: np.ndarray, s, m: int,
     return out
 
 
+def _row_coefs(m: int, orders: int) -> list[tuple[float, int]]:
+    # (c, q) per row j = 0..orders of a link with fading order m: in its
+    # mean received power y the row is at most, and far out tends to,
+    # c y^q, c = C(m+j-1, j) / m^j rounded once, exact past float m^j.
+    return [(math.comb(m + j - 1, j) / m ** j, max(j, 1))
+            for j in range(orders + 1)]
+
+
 @lru_cache(maxsize=256)
 def _power_terms(alpha: float, m: int,
                  orders: int) -> tuple[tuple[float, int], ...]:
-    # (coefficient, power q) per row j = 0..orders of a link with fading
-    # order m: in its mean received power y the row is at most, and far
-    # out tends to, C(m+j-1, j) / m^j y^q with q = max(j, 1).  The integer
-    # ratio is rounded once, so it stays exact where m^j overflows a float.
-    # The coefficient is divided by alpha q - 2, so that times d^2 it gives
-    # the integral of that power law over r dr beyond 3-d distance d.
-    return tuple(((1.0 if j == 0 else math.comb(m + j - 1, j) / m ** j)
-                  / (alpha * max(j, 1) - 2.0), max(j, 1))
-                 for j in range(orders + 1))
+    # _row_coefs, each divided by alpha q - 2 so that times d^2 it is the
+    # integral of its power law over r dr beyond 3-d distance d.
+    return tuple((c / (alpha * q - 2.0), q) for c, q in _row_coefs(m, orders))
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    # ln x, -inf where x is 0, without a warning.
+    return np.log(x, out=np.full(np.shape(x), -np.inf), where=x > 0.0)
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple:
@@ -265,20 +262,14 @@ def _flat(*arrays) -> tuple:
 
 
 class _Field:
-    """Cached geometry, step tables, panel grid and tail bounds for one
+    """Cached geometry, step tables, panel grid and tail sums for one
     scenario.  Its methods take arrays of serving distances and transform
     arguments and treat the entries as one batch."""
 
     def __init__(self, scn: NetworkScenario, quad: QuadratureSpec) -> None:
-        if scn.channel.alpha_nlos <= 2.0:
-            raise DomainError(
-                "non-line-of-sight path-loss exponent must exceed 2; the "
-                "interference field has infinite mean otherwise")
-        if scn.channel.alpha_los <= 2.0:
-            raise DomainError(
-                "line-of-sight path-loss exponent must exceed 2 for the "
-                "analytic evaluation; the power-law truncation bounds do "
-                "not close otherwise")
+        if min(scn.channel.alpha_los, scn.channel.alpha_nlos) <= 2.0:
+            raise DomainError("path-loss exponents must exceed 2; the "
+                              "interference field has infinite mean otherwise")
         self.scn = scn
         self.quad = quad
         self.step = los_step_width(scn.env)
@@ -286,35 +277,28 @@ class _Field:
                                        scn.pattern)
         self.switches = gain_switch_radii(scn.bs_height, scn.ue_height,
                                           scn.pattern)
-        self.g_max = max(scn.pattern.gain_main, scn.pattern.gain_side)
-        self.g_min = min(scn.pattern.gain_main, scn.pattern.gain_side)
         self.gap2 = (scn.bs_height - scn.ue_height) ** 2
+        self.area = 2.0 * math.pi * scn.bs_density
         self.r_outer = math.sqrt(
             math.log(1.0 / quad.outer_trunc_prob)
             / (math.pi * scn.bs_density))
-        # First step the cut search tries for a serving distance inside
-        # the outer radius.
-        self.k_start = int(quad.inner_radius_factor * self.r_outer
-                           / self.step) + 1
         self._levels = np.empty(0)
-        # Panel grid of the inner transform, extended on demand; panels
-        # below index _n_sight carry line-of-sight weights.
+        # Panel grid, extended on demand, with line-of-sight weights below
+        # _n_sight, and tail sums per power set at its handover candidates.
         self._edges = np.zeros(1)
         self._grid: StepPanels | None = None
         self._n_sight = 0
+        self._cuts, self._cut_edges = np.empty(0, dtype=np.int64), 0
+        self._tails: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     # ---------------------------------------------------------- step table
 
     def levels_upto(self, k_max: int) -> np.ndarray:
-        if k_max >= _MAX_TABLE:
-            raise QuadratureError(
-                "line-of-sight step table too long",
-                {"k_max": int(k_max), "cap": _MAX_TABLE})
-        if self._levels.size > k_max:
-            return self._levels
-        scn = self.scn
-        self._levels = np.asarray(los_step_levels(
-            scn.env, scn.bs_height, scn.ue_height, int(k_max)))
+        # Handovers and the floor stay below _MAX_TABLE steps.
+        if self._levels.size <= k_max:
+            self._levels = np.asarray(los_step_levels(
+                self.scn.env, self.scn.bs_height, self.scn.ue_height,
+                int(k_max)))
         return self._levels
 
     def level_at(self, r) -> np.ndarray:
@@ -323,110 +307,14 @@ class _Field:
             r, self.levels_upto(int(r.max(initial=0.0) / self.step)),
             self.step)
 
-    # ---------------------------------------------------------- tail bounds
-
-    def excess_bound(self, s, orders: int, ml: int, mn: int, k) -> np.ndarray:
-        """Certified bound on everything lost by zeroing the line-of-sight
-        probability beyond step ``k``, for arguments ``s`` (broadcast
-        against ``k``).
-
-        Step levels never increase with distance, so the level at the cut
-        majorizes the probability everywhere beyond it; each scaled
-        attenuation row of either link state sits below an explicit power
-        of the 3-d distance whose tail integral is exact.
-        """
-        scn = self.scn
-        k = np.asarray(k)
-        r = k * self.step
-        zl, zn = path_loss_curves(r, scn.bs_height, scn.ue_height,
-                                  scn.channel)
-        c = np.asarray(s) * scn.tx_power * self.g_max
-        tot = 0.0
-        for z, alpha, m in ((zl, scn.channel.alpha_los, ml),
-                            (zn, scn.channel.alpha_nlos, mn)):
-            for coef, q in _power_terms(alpha, m, orders):
-                tot = tot + coef * (c * z) ** q
-        return self.levels_upto(int(k.max()))[k] * 2.0 * math.pi \
-            * scn.bs_density * (r * r + self.gap2) * tot
-
-    def _cut_search(self, k0: np.ndarray, s: np.ndarray, orders: int,
-                    ml: int, mn: int, tol, cap: int) -> tuple:
-        # Per entry, the smallest step whose excess bound fits under tol:
-        # doubling from k0, then bisection to within hi // 16, all entries
-        # in lockstep.  Also returns whether the cap was kept.
-        tol = np.broadcast_to(tol, k0.shape)
-        hi = k0.copy()
-        ok = np.ones(k0.shape, dtype=bool)
-        grow = np.arange(k0.size)
-        while grow.size:
-            grow = grow[self.excess_bound(s[grow], orders, ml, mn, hi[grow])
-                        > tol[grow]]
-            hi[grow] *= 2
-            ok[grow[hi[grow] > cap]] = False
-            grow = grow[hi[grow] <= cap]
-        lo = hi // 2
-        move = np.flatnonzero(ok & (hi != k0))
-        while True:
-            move = move[hi[move] - lo[move] > 1 + hi[move] // 16]
-            if not move.size:
-                return hi, ok
-            mid = (lo[move] + hi[move]) // 2
-            over = self.excess_bound(s[move], orders, ml, mn, mid) > tol[move]
-            lo[move[over]] = mid[over]
-            hi[move[~over]] = mid[~over]
-
-    def choose_cut(self, r0: np.ndarray, s: np.ndarray, orders: int,
-                   ml: int, mn: int) -> tuple[np.ndarray, np.ndarray]:
-        """Line-of-sight cut step for each transform evaluation plus the
-        tolerance it must meet, or step -1 and a transform-log lower bound
-        in place of the tolerance where the transform is certified
-        negligible.
-
-        The cut is first sought at the strict absolute tolerance.  When
-        slowly decaying step levels push it past a moderate table, the
-        tolerance is relaxed to what the final accuracy actually needs: a
-        transform-log error is a relative error of the transform, and once
-        the transform log is very negative even a large log error leaves
-        every output pinned near zero in absolute terms.
-        """
-        quad = self.quad
-        k0 = np.maximum(self.k_start,
-                        (r0 / self.step).astype(np.int64) + 1)
-        k, ok = self._cut_search(k0, s, orders, ml, mn, 0.5 * quad.abs_tol,
-                                 cap=20000)
-        aux = np.full(r0.shape, quad.abs_tol)
-        if ok.all():
-            return k, aux
-        redo = np.flatnonzero(~ok)
-        eta_lb = self.eta_lower(r0[redo], s[redo])
-        low = eta_lb <= _ETA_FLOOR
-        k[redo[low]] = -1
-        aux[redo[low]] = eta_lb[low]
-        redo, eta_lb = redo[~low], eta_lb[~low]
-        if redo.size:
-            tol = np.maximum(
-                np.maximum(quad.abs_tol, quad.rel_tol * np.abs(eta_lb)),
-                quad.abs_tol * np.exp(np.minimum(-eta_lb, 60.0)))
-            k[redo], ok = self._cut_search(k0[redo], s[redo], orders, ml, mn,
-                                           0.5 * tol, cap=_MAX_TABLE - 1)
-            if not ok.all():
-                i = int(np.flatnonzero(~ok)[0])
-                raise QuadratureError(
-                    "line-of-sight interference mass decays too slowly for "
-                    "the requested tolerance",
-                    {"tolerance": float(tol[i]), "step_cap": _MAX_TABLE - 1,
-                     "bound_at_cap": float(self.excess_bound(
-                         s[redo[i]], orders, ml, mn, _MAX_TABLE - 1))})
-            aux[redo] = tol
-        return k, aux
-
     # --------------------------------------------------- far-field closed forms
 
     @cached_property
     def far_gain(self) -> tuple[float, float]:
         # Constant gain seen far out and the radius from which it applies.
         r_gain = max(self.switches, default=0.0)
-        return float(self.gain_profile(2.0 * r_gain + 1.0)), r_gain
+        return float(antenna_gain_curve(2.0 * r_gain + 1.0, self.lobe,
+                                        self.scn.pattern)), r_gain
 
     def nlos_tail(self, s, orders: int, mn: int,
                   r) -> tuple[np.ndarray, np.ndarray]:
@@ -443,8 +331,7 @@ class _Field:
         y = np.asarray(s) * scn.tx_power * g_far * zn
         terms = _power_terms(scn.channel.alpha_nlos, mn, orders)
         tail = np.stack([coef * y ** q for coef, q in terms], axis=-1)
-        tail *= (2.0 * math.pi * scn.bs_density
-                 * (r * r + self.gap2))[..., None]
+        tail *= (self.area * (r * r + self.gap2))[..., None]
         return tail, (mn + orders) * (y / mn)[..., None] * tail
 
     def tail_start(self, s: np.ndarray, orders: int, mn: int, r0: np.ndarray,
@@ -468,10 +355,112 @@ class _Field:
         return np.maximum(np.maximum(r0, r_gain),
                           np.sqrt(np.maximum(d2 - self.gap2, 0.0)))
 
-    # ------------------------------------------------------------ integrand
+    def los_tails(self, powers: tuple, end: float) -> tuple:
+        """Handover candidates (grid edges on breakpoints past the last
+        gain switch) to the first past ``end`` or as far as sums are at
+        hand, and :func:`los_tail_sums` with errors there, rows per power."""
+        scn, e = self.scn, self._grid_to(end)
+        if self._cut_edges != e.size:
+            steps = np.round(e / self.step).astype(np.int64)
+            self._cuts = steps[(steps * self.step == e) & (steps > 0)
+                               & (steps < _MAX_TABLE)
+                               & (e >= self.far_gain[1])]
+            self._cut_edges = e.size
+        vals, errs = self._tails.get(powers, (np.zeros((len(powers), 0)),) * 2)
+        n = max(np.searchsorted(self._cuts * self.step, end, side="right") + 1,
+                vals.shape[1])
+        if vals.shape[1] < n:
+            more = los_tail_sums(scn.env, scn.bs_height, scn.ue_height, powers,
+                                 self._cuts[vals.shape[1]:n])
+            vals, errs = self._tails[powers] = (np.hstack([vals, more[0]]),
+                                                np.hstack([errs, more[1]]))
+        return self._cuts[:n], vals[:, :n], errs[:, :n]
 
-    def gain_profile(self, r: np.ndarray) -> np.ndarray:
-        return antenna_gain_curve(r, self.lobe, self.scn.pattern)
+    def handover(self, r0: np.ndarray, s: np.ndarray, orders: int, ml: int,
+                 mn: int) -> tuple:
+        """Per entry, the line-of-sight handover step ``K``, the radius
+        past which the blocked field is closed-form too, the rows beyond
+        both, their errors, and the largest line-of-sight and blocked
+        shares.  Past ``K`` rows are power laws ``c y^q`` (:meth:`nlos_tail`)
+        with ``y = s P g A``: the line-of-sight correction is ``2 pi lam
+        (c_L yL^q T_(alpha_L q)[K] - c_N yN^q T_(alpha_N q)[K])``, ``T`` from
+        :func:`los_tail_sums`, off by ``(m + orders) / m c y^(q+1)
+        T_(alpha (q+1))[K]`` per state plus the sums' errors.  ``K`` is the
+        first candidate past ``r0`` where that slack fits a quarter of the
+        tolerance, read off all candidates at once."""
+        quad, scn, ch = self.quad, self.scn, self.scn.channel
+        g_far, r_gain = self.far_gain
+        ln_y = np.log(np.multiply.outer(
+            [ch.intercept_los, ch.intercept_nlos], s * scn.tx_power * g_far))
+        # Sums up to one past the largest power any row of the scenario's
+        # orders needs, shared; state i's at alpha_i q is row i top + q - 1.
+        top = max(orders, ch.m_los - 1, ch.m_nlos - 1, 1) + 1
+        powers = tuple(alpha * q for alpha in (ch.alpha_los, ch.alpha_nlos)
+                       for q in range(1, top + 1))
+        # Per row, each state's next power law and own sum's error: log
+        # coefficient, power of y, state and row of the sums, then errors.
+        terms = np.array([term for row in zip(_row_coefs(ml, orders),
+                                              _row_coefs(mn, orders))
+                          for i, (c, q) in enumerate(row) for term in (
+            (math.log(self.area * c * (1.0 + orders / (ml, mn)[i])), q + 1,
+             i, i * top + q),
+            (math.log(self.area * c), q, i, len(powers) + i * top + q - 1))
+        ]).reshape(-1, 4, 4)
+        ln_c, pw = terms[..., 0, None], terms[..., 1, None]
+        st, at = terms[..., 2].astype(int), terms[..., 3].astype(int)
+
+        def ln_slack(i, vals, errs):
+            # ln of the largest row slack per entry i and candidate.
+            ln_t = _log(np.concatenate([vals, errs]))[at][:, :, None]
+            return np.logaddexp.reduce((ln_c + pw * ln_y[:, i][st])[..., None]
+                                       + ln_t, axis=1).max(axis=0)
+
+        # A transform-log error is a relative error of the transform: keep
+        # it within rel_tol min(L, 1), L the floor of -eta, or where the
+        # floor's last level does not certify a fit by _STRICT_STEPS, grow
+        # it to rel_tol L or abs_tol e^min(L, 60), within abs_tol outputs.
+        low = self.eta_floor(r0, s)
+        tol = np.maximum(quad.abs_tol, quad.rel_tol * np.minimum(low, 1.0))
+        far = self._floor_steps[1][0, -1] * power_law_integral(
+            (_STRICT_STEPS * self.step) ** 2 + self.gap2, np.inf,
+            np.array(powers)[:, None])
+        loose = ln_slack(np.arange(r0.size), far, 0.0 * far)[:, 0] \
+            > np.log(0.25 * tol)
+        tol[loose] = np.maximum(quad.abs_tol * np.exp(np.minimum(low, 60.0)),
+                                quad.rel_tol * low)[loose]
+        r_end = self.tail_start(s, orders, mn, r0, 0.25 * tol)
+        self._grid_to(r_end.max())
+        pick, seen, end = np.full(r0.size, -1), 0, max(r0.max(), r_gain)
+        while (pick < 0).any():
+            # Candidates past end or with sums at hand; each open entry
+            # takes its first new one that fits.
+            if seen and ks[-1] >= _MAX_TABLE - 1:
+                i = np.flatnonzero(pick < 0)[0]
+                raise QuadratureError("line-of-sight tail slack exceeds its "
+                                      "tolerance at the step-table cap", {
+                    "tolerance": tol[i], "r0": r0[i], "s": s[i]})
+            ks, vals, errs = self.los_tails(powers, end)
+            i = np.flatnonzero(pick < 0)
+            fits = ((ln_slack(i, vals[:, seen:], errs[:, seen:])
+                     <= np.log(0.25 * tol[i])[:, None])
+                    & (ks[seen:] * self.step > r0[i, None]))
+            hit = fits.any(axis=1)
+            pick[i[hit]] = seen + fits[hit].argmax(axis=1)
+            seen, end = ks.size, min(4 * ks[-1], _MAX_TABLE - 1) * self.step
+        e = self._edges
+        r_end = e[np.searchsorted(e, np.maximum(ks[pick] * self.step, r_end))]
+        tail, nlos_slack = self.nlos_tail(s, orders, mn, r_end)
+        # At the handovers: the slack, and the correction read off the
+        # error terms' coefficients.
+        ln_c = ln_c + pw * ln_y[st]
+        ln_t = _log(np.concatenate([vals, errs]))[:, pick]
+        los_err = np.exp(ln_c + ln_t[at]).sum(axis=1).T
+        tail += ((1 - 2 * st[:, 1::2, None]) * np.exp(
+            ln_c[:, 1::2] + ln_t[at[:, 1::2] - len(powers)])).sum(axis=1).T
+        return ks[pick], r_end, tail, nlos_slack + los_err, \
+            los_err.max(axis=1), nlos_slack.max(axis=1)
+
+    # ------------------------------------------------------------ integrand
 
     def node_data(self, r: np.ndarray) -> np.ndarray:
         """Per-node inputs of the integrand rows at ground distances ``r``:
@@ -480,9 +469,8 @@ class _Field:
         scn = self.scn
         zl, zn = path_loss_curves(r, scn.bs_height, scn.ue_height,
                                   scn.channel)
-        power = scn.tx_power * self.gain_profile(r)
-        return np.array([power * zl, power * zn,
-                         (2.0 * math.pi * scn.bs_density) * r])
+        power = scn.tx_power * antenna_gain_curve(r, self.lobe, scn.pattern)
+        return np.array([power * zl, power * zn, self.area * r])
 
     def _link_integrand(self, s: np.ndarray, orders: int, ml: int, mn: int):
         # integrate_steps callback: the transform-log rows of
@@ -538,55 +526,41 @@ class _Field:
 
     def integrate_rows(self, rows, r0: np.ndarray, k_sight: np.ndarray,
                        r_end: np.ndarray, *, rel_tol: float, abs_tol: float,
-                       max_rounds: int) -> tuple:
-        """Integrals over ``[r0, R]`` of ``level * rows_L + (1 - level) *
-        rows_N``, one per entry of ``r0``, ``k_sight`` and ``r_end``: the
-        cut is the first grid edge on a breakpoint at or past step
-        ``k_sight``, the level is taken from the steps below it and is 0
-        beyond; ``R`` is the cut, or the first grid edge at or past
-        ``r_end`` when that lies beyond.  ``rows`` is an
+                       max_rounds: int) -> StepIntegrals:
+        """Integrals over ``[r0, r_end]`` of ``level * rows_L + (1 - level)
+        * rows_N``, the level from the steps below ``k_sight`` and 0
+        beyond, per entry: each ``k_sight`` a handover candidate past
+        ``r0`` and ``r_end`` a grid edge at or past it; ``rows`` is an
         :func:`integrate_steps` callback whose owners are the entries.
-        Returns the :class:`StepIntegrals`, ``R`` and the cut step per
-        entry.
-
-        Moving a cut out to an edge keeps it certified: the excess bound
-        never increases with the step, and a prefix of a non-negative
-        integrand only grows with it.  An entry's panels are the piece of
-        the grid panel holding ``r0`` above ``r0``, the cached grid panels
-        from there to the cut and, when ``R`` lies beyond, the grid panels
-        up to ``R`` without weights.  Entries go in batches of about
-        ``_NODE_BUDGET`` nodes, each with one :func:`step_panels` call for
-        its pieces and one :func:`integrate_steps` call.
+        An entry's panels are the part of the grid panel holding ``r0``
+        above it and the grid panels on to ``r_end``, without weights
+        past the handover.  Entries go in batches of about
+        ``_NODE_BUDGET`` nodes, one :func:`integrate_steps` call each.
         """
-        e = self._grid_to(max(k_sight.max() * self.step, r_end.max()))
-        steps = np.round(e / self.step).astype(np.int64)
-        cuts = steps[steps * self.step == e]
-        k_sight = cuts[np.searchsorted(cuts, k_sight)]
-        r_sight = k_sight * self.step
+        e = self._grid_to(r_end.max())
         i0 = np.searchsorted(e, r0, side="right") - 1
-        ic = np.searchsorted(e, r_sight)
+        ic = np.searchsorted(e, k_sight * self.step)
+        i_end = np.searchsorted(e, r_end)
         n, top = self._n_sight, int(ic.max())
         if top > n:
             g = self._grid
             self._grid = StepPanels.concat([g[:n], self._panels(
                 g.lo[n:top], g.hi[n:top], k_sight.max()), g[top:]])
             self._n_sight = top
-        far = r_end > r_sight
-        i_end = np.where(far, np.searchsorted(e, r_end), ic)
         nodes = CHEB_NODES * (i_end - i0)
         batch = (np.cumsum(nodes) - nodes) // _NODE_BUDGET
         bounds = [0, *(np.flatnonzero(np.diff(batch)) + 1), r0.size]
         results = []
         for a, b in zip(bounds[:-1], bounds[1:]):
-            own = np.arange(b - a)
             sight, sight_owner = _ranges(i0[a:b] + 1, ic[a:b])
             beyond, beyond_owner = _ranges(ic[a:b], i_end[a:b])
             panels = StepPanels.concat([
                 self._grid[np.concatenate([sight, beyond])],
                 self._panels(r0[a:b], e[i0[a:b] + 1], k_sight[a:b])])
-            panels.owner = np.concatenate([sight_owner, beyond_owner, own])
+            panels.owner = np.concatenate([sight_owner, beyond_owner,
+                                           np.arange(b - a)])
             if beyond.size:
-                # The grid panels past the cut lose their weights.
+                # The grid panels past the handover lose their weights.
                 unweighted = slice(sight.size, sight.size + beyond.size)
                 panels.w0[unweighted] += panels.w1[unweighted]
                 panels.w1[unweighted] = 0.0
@@ -598,34 +572,19 @@ class _Field:
                     lo, hi, k_sight[a + owner], owner),
                 rel_tol=rel_tol, abs_tol=abs_tol,
                 max_panels=self.quad.max_panels, max_rounds=max_rounds))
-        res = StepIntegrals(*(np.concatenate([getattr(r, f.name)
-                                              for r in results])
-                              for f in fields(StepIntegrals)))
-        return res, np.where(far, e[i_end], r_sight), k_sight
-
-    def eta_lower(self, r0, s) -> np.ndarray:
-        """Cheap lower bound on the transform log magnitude: the integrand
-        is non-negative, so integrating a prefix of the range at unit
-        fading orders under-counts it for any orders.  The prefix integral
-        is loose, so its own error estimate is subtracted."""
-        shape, r0, s = _flat(r0, s)
-        r_end = np.maximum(self.quad.inner_radius_factor * self.r_outer,
-                           1.25 * r0 + 2.0 * self.step)
-        res, _, _ = self.integrate_rows(
-            self._link_integrand(s, 0, 1, 1), r0,
-            (r_end / self.step).astype(np.int64) + 1, np.zeros(r0.size),
-            rel_tol=1e-3, abs_tol=1e-6, max_rounds=4)
-        return -np.maximum(res.values[:, 0] - res.errors[:, 0],
-                           0.0).reshape(shape)
+        return StepIntegrals(*(np.concatenate([getattr(r, f.name)
+                                               for r in results])
+                               for f in fields(StepIntegrals)))
 
     @cached_property
     def _floor_steps(self) -> tuple[np.ndarray, ...]:
-        # Step intervals out to four times the cut search's start: path
-        # gains at their right endpoints, step levels, the mass of
-        # 2 pi lam r dr on each interval, and suffix sums of that mass
-        # times the larger path gain.
+        # Step intervals out to 40 outer radii (four times ten, rounded up
+        # to steps): path gains at their right endpoints, step levels and
+        # their complements, the mass of 2 pi lam r dr on each interval,
+        # and suffix sums of that mass times the larger path gain.
         scn = self.scn
-        n = min(4 * self.k_start, _MAX_TABLE - 1)
+        n = min(4 * (int(10.0 * self.r_outer / self.step) + 1),
+                _MAX_TABLE - 1)
         right = self.step * np.arange(1, n + 1, dtype=float)
         zl, zn = path_loss_curves(right, scn.bs_height, scn.ue_height,
                                   scn.channel)
@@ -633,7 +592,8 @@ class _Field:
         area = math.pi * scn.bs_density * (right ** 2
                                            - (right - self.step) ** 2)
         tail = np.cumsum((area * np.maximum(zl, zn))[::-1])[::-1]
-        return zl, zn, levels, area, tail
+        return (np.stack([zl, zn]), np.stack([levels, 1.0 - levels]), area,
+                tail)
 
     def eta_floor(self, r0, s, need=0.0) -> np.ndarray:
         """Closed-form lower bound on the transform log magnitude
@@ -647,11 +607,12 @@ class _Field:
         Entries where even ``y / (1 + y) <= y`` cannot lift the sum above
         ``need`` get the trivial bound 0 without that sum.
         """
-        zl, zn, levels, area, tail = self._floor_steps
+        z, shares, area, tail = self._floor_steps
         shape, r0, s, need = _flat(r0, s, need)
         out = np.zeros(r0.size)
         k = (r0 / self.step).astype(np.int64)
-        c = s * self.scn.tx_power * self.g_min
+        pattern = self.scn.pattern
+        c = s * self.scn.tx_power * min(pattern.gain_main, pattern.gain_side)
         live = np.flatnonzero(k < area.size)
         live = live[c[live] * tail[k[live]] > need[live]]
         # Blocks of at most _FLOOR_BLOCK terms, zero-weighted before each
@@ -660,13 +621,9 @@ class _Field:
         for a in range(0, live.size, per_block):
             i = live[a:a + per_block]
             k0 = int(k[i].min())
-            lev = levels[k0:]
-            terms = np.zeros((i.size, area.size - k0))
-            for z, share in ((zl, lev), (zn, 1.0 - lev)):
-                y = c[i, None] * z[k0:]
-                y /= 1.0 + y
-                y *= share
-                terms += y
+            y = np.multiply.outer(c[i], z[:, k0:])
+            y /= 1.0 + y
+            terms = (y * shares[:, k0:]).sum(axis=1)
             weights = np.where(np.arange(k0, area.size) >= k[i, None],
                                area[k0:], 0.0)
             weights[np.arange(i.size), k[i] - k0] = (
@@ -696,51 +653,28 @@ class _Field:
         broadcast together, on a last axis; with a diagnostics dict of
         arrays of the same shape (``quad_errors`` per ``j`` as well).
 
+        The field is integrated up to :meth:`handover` and closed beyond.
         Optional fading-order overrides evaluate the field as if both link
         states had those orders; ``ml = mn = 1`` is the single-exponential
-        special case.  Suppressed entries hold their transform-log lower
-        bound in ``t_0`` and NaN in the diagnostics of the quadrature.
+        special case.
         """
         quad = self.quad
-        scn = self.scn
-        if ml is None:
-            ml = scn.channel.m_los
-        if mn is None:
-            mn = scn.channel.m_nlos
+        ml = self.scn.channel.m_los if ml is None else ml
+        mn = self.scn.channel.m_nlos if mn is None else mn
         shape, r0, s = _flat(r0, s)
-        k_cut, aux = self.choose_cut(r0, s, orders, ml, mn)
-        low = k_cut < 0
-        t = np.zeros((r0.size, orders + 1))
-        t[low, 0] = aux[low]
-        none = np.full(r0.size, np.nan)
-        diag = {"suppressed": low, "eta_lower_bound": np.where(low, aux, none),
-                "r_cut": none.copy(), "r_linear": none.copy(),
-                "tolerance": np.where(low, none, aux),
-                "cut_bound": none.copy(), "linear_slack": none.copy(),
-                "num_panels": np.zeros(r0.size, dtype=np.int64),
-                "num_evals": np.zeros(r0.size, dtype=np.int64),
-                "quad_errors": np.full(t.shape, np.nan)}
-        go = np.flatnonzero(~low)
-        if go.size:
-            r0, s, k_cut, aux = r0[go], s[go], k_cut[go], aux[go]
-            res, r_end, k_cut = self.integrate_rows(
-                self._link_integrand(s, orders, ml, mn), r0, k_cut,
-                self.tail_start(s, orders, mn, r0, 0.25 * aux),
-                rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
-                max_rounds=quad.max_rounds)
-            cut_bound = self.excess_bound(s, orders, ml, mn, k_cut)
-            tail, slack = self.nlos_tail(s, orders, mn, r_end)
-            vals = res.values + tail
-            vals[:, 0] = -vals[:, 0]
-            vals[:, 1::2] = -vals[:, 1::2]
-            t[go] = vals
-            diag["r_cut"][go] = k_cut * self.step
-            diag["r_linear"][go] = r_end
-            diag["cut_bound"][go] = cut_bound
-            diag["linear_slack"][go] = slack.max(axis=1)
-            diag["num_panels"][go] = res.num_panels
-            diag["num_evals"][go] = res.num_evals
-            diag["quad_errors"][go] = res.errors + slack + cut_bound[:, None]
+        k, r_end, tail, tail_err, los_err, slack = self.handover(
+            r0, s, orders, ml, mn)
+        res = self.integrate_rows(
+            self._link_integrand(s, orders, ml, mn), r0, k, r_end,
+            rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
+            max_rounds=quad.max_rounds)
+        t = res.values + tail
+        t[:, 0] = -t[:, 0]
+        t[:, 1::2] = -t[:, 1::2]
+        diag = {"r_handover": k * self.step, "los_tail_error": los_err,
+                "r_linear": r_end, "linear_slack": slack,
+                "num_panels": res.num_panels, "num_evals": res.num_evals,
+                "quad_errors": res.errors + tail_err}
         return t.reshape(shape + t.shape[1:]), {
             key: val.reshape(shape + val.shape[1:])[()]
             for key, val in diag.items()}
@@ -825,37 +759,29 @@ def laplace_derivatives(scn: NetworkScenario, r0: float, s: float,
 
 def mean_interference(scn: NetworkScenario, r0: float,
                       quad: QuadratureSpec | None = None) -> float:
-    """Mean aggregate interference power given serving distance ``r0``."""
+    """Mean aggregate interference power given serving distance ``r0``:
+    linear in the path gain, so exactly its power laws beyond the first
+    handover candidate past ``r0`` (:meth:`_Field.handover`), with the
+    quadrature tolerance relative to that tail, since the moment is of
+    order 1e-9, far below ``abs_tol``."""
     if r0 < 0.0:
         raise DomainError("serving distance must be non-negative")
-    fld = _field_for(scn, quad or QuadratureSpec())
-    qd = fld.quad
-    # The first moment is linear in the path gain, so past the last gain
-    # switch the non-line-of-sight field has an exact power-law closed
-    # form.  The moment majorants coincide with the transform-row
-    # majorants at unit argument and unit fading orders, which fixes the
-    # line-of-sight cut.  The tolerance is relative to the field's scale
-    # alone: the moment is of order 1e-9, far below abs_tol.
-    _, r_gain = fld.far_gain
-    k_lin = int(max(r0, r_gain, fld.step) / fld.step) + 1
-    r_lin = k_lin * fld.step
-    scale = float(fld.nlos_tail(1.0, 0, 1, r_lin)[0][0]
-                  + fld.excess_bound(1.0, 0, 1, 1, k_lin))
-    tol = qd.rel_tol * scale
-    k_cut, ok = fld._cut_search(np.array([max(fld.k_start, k_lin + 1)]),
-                                np.ones(1), 0, 1, 1, 0.5 * tol,
-                                cap=_MAX_TABLE - 1)
-    if not ok[0]:
-        raise QuadratureError(
-            "line-of-sight interference mass decays too slowly for the "
-            "requested tolerance",
-            {"tolerance": tol, "step_cap": _MAX_TABLE - 1})
-    res, r_end, _ = fld.integrate_rows(
+    fld, ch = _field_for(scn, quad or QuadratureSpec()), scn.channel
+    g_far, r_gain = fld.far_gain
+    ks, (t_los, t_nlos), _ = fld.los_tails((ch.alpha_los, ch.alpha_nlos),
+                                           max(r0, r_gain))
+    k = ks[np.searchsorted(ks * fld.step, r0, side="right")]
+    tail = float(fld.nlos_tail(1.0, 0, 1, k * fld.step)[0][0]
+                 + fld.area * scn.tx_power * g_far * (
+                     ch.intercept_los * t_los[ks == k][0]
+                     - ch.intercept_nlos * t_nlos[ks == k][0]))
+    res = fld.integrate_rows(
         lambda data, owner, weighted: (data[0 if weighted else 1]
                                        * data[2])[None],
-        np.array([float(r0)]), k_cut, np.array([r_lin]),
-        rel_tol=qd.rel_tol, abs_tol=tol, max_rounds=qd.max_rounds)
-    return float(res.values[0, 0] + fld.nlos_tail(1.0, 0, 1, r_end[0])[0][0])
+        np.array([float(r0)]), np.array([k]), np.array([k * fld.step]),
+        rel_tol=fld.quad.rel_tol, abs_tol=fld.quad.rel_tol * tail,
+        max_rounds=fld.quad.max_rounds)
+    return float(res.values[0, 0] + tail)
 
 
 def conditional_coverage(scn: NetworkScenario, r0: float, serving_los: bool,

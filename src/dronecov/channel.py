@@ -7,12 +7,12 @@ station and the user plus the two antenna heights; whether the link is
 line-of-sight is a Bernoulli variable whose probability depends on the
 built-up environment.
 
-Each model has one vectorized kernel that both the analytic and the Monte
-Carlo routes call: :func:`path_loss_curves` for path gain,
-:func:`los_step_levels` read by :func:`los_level_curve` for the
-line-of-sight level, and :func:`antenna_gain_curve` for antenna gain.  The
-scalar helpers :func:`path_loss`, :func:`los_probability` and
-:func:`antenna_gain` are wrappers over them.
+Both routes call one vectorized kernel per model: :func:`path_loss_curves`
+for path gain, :func:`los_step_levels` read by :func:`los_level_curve` for
+the line-of-sight level and :func:`los_tail_sums` for its power-law tails,
+and :func:`antenna_gain_curve` for antenna gain.  The scalar helpers
+:func:`path_loss`, :func:`los_probability` and :func:`antenna_gain` are
+wrappers over them.
 """
 
 from __future__ import annotations
@@ -240,7 +240,28 @@ def _log_clearance_derivatives(h: float, c2: float) -> tuple[float, ...]:
     return g[1], 6.0 * g[3], 120.0 * g[5]
 
 
-def _level_law(env: EnvironmentParams, h_lo: float, h_hi: float):
+@dataclass(frozen=True)
+class _LevelLaw:
+    """``ln level_k = a k + b/k + c/k^3 + d/k^5``, for real ``k``."""
+
+    a: float
+    b: float = 0.0
+    c: float = 0.0
+    d: float = 0.0
+
+    def __call__(self, k):
+        return self.a * k + self.b / k + self.c / k ** 3 + self.d / k ** 5
+
+    def jets(self, x, order: int) -> list:
+        # Taylor coefficients 0..order at x; k^-n adds C(-n, m) x^(-n-m).
+        return [self(x)] + [(self.a if m == 1 else 0.0) + sum(
+            c * (-1) ** m * math.comb(n + m - 1, m) / x ** (n + m)
+            for c, n in ((self.b, 1), (self.c, 3), (self.d, 5)))
+            for m in range(1, order + 1)]
+
+
+def _level_law(env: EnvironmentParams, h_lo: float,
+               h_hi: float) -> _LevelLaw:
     # Midpoint Euler-Maclaurin form (DLMF 2.10) of ln level_k, the sum of
     # g = ln(clearance) at k heights dh/k apart across [h_lo, h_hi]:
     #   (k/dh) int g - (dh/24k) dg' + (7 dh^3/5760k^3) dg'''
@@ -253,9 +274,9 @@ def _level_law(env: EnvironmentParams, h_lo: float, h_hi: float):
     d1, d3, d5 = (hi - lo for hi, lo in zip(
         _log_clearance_derivatives(h_hi, c2),
         _log_clearance_derivatives(h_lo, c2)))
-    return lambda k: (k / dh * total - dh / (24.0 * k) * d1
-                      + 7.0 * dh ** 3 / (5760.0 * k ** 3) * d3
-                      - 31.0 * dh ** 5 / (967680.0 * k ** 5) * d5)
+    return _LevelLaw(total / dh, -dh / 24.0 * d1,
+                     7.0 * dh ** 3 / 5760.0 * d3,
+                     -31.0 * dh ** 5 / 967680.0 * d5)
 
 
 class _LevelTable:
@@ -319,7 +340,7 @@ class _LevelTable:
             self.switch = k
             if self._extend(k)[k] == 0.0:
                 # Levels never increase: an underflowed product stays 0.
-                self.law = lambda ks: np.full(ks.shape, -np.inf)
+                self.law = _LevelLaw(-math.inf)
                 return
             self.mismatch[k] = math.inf if law is None else max(
                 abs(law(j) - ln) / max(1.0, abs(ln)) for j in (k, 2 * k)
@@ -388,6 +409,124 @@ def los_level_curve(r, levels: np.ndarray, step: float) -> np.ndarray:
     ``levels[min(int(r / step), levels.size - 1)]``."""
     k = (np.asarray(r, dtype=float) / step).astype(np.int64)
     return levels[np.minimum(k, levels.size - 1)]
+
+
+def power_law_integral(u, du, p):
+    """``int r (r^2 + gap^2)^(-p/2) dr`` for ``p > 2`` from the ground
+    distance where ``r^2 + gap^2`` is ``u`` on to where it is ``u + du``
+    (``du`` may be infinite), free of cancellation for small ``du``."""
+    e = 1.0 - 0.5 * np.asarray(p, dtype=float)
+    u = np.asarray(u, dtype=float)
+    return u ** e / (-2.0 * e) * -np.expm1(e * np.log1p(du / u))
+
+
+def _step_integrals(k, step: float, gap2: float, p):
+    return power_law_integral((k * step) ** 2 + gap2,
+                              (2.0 * k + 1.0) * step * step, p)
+
+
+@lru_cache(maxsize=256)
+def _exact_sums(env: EnvironmentParams, bs_height: float, ue_height: float,
+                powers: tuple[float, ...], n: int) -> tuple:
+    # Per power, level-weighted step integrals summed from n - 1 down to k
+    # = 1..n-1, rounding bounds, and the level at n times the tail beyond.
+    step, gap2 = los_step_width(env), (bs_height - ue_height) ** 2
+    p, k = np.array(powers)[:, None], np.arange(1, n)
+    levels = los_step_levels(env, bs_height, ue_height, n)
+    d = np.cumsum((levels[1:n] * _step_integrals(k, step, gap2, p))[:, ::-1],
+                  axis=1)[:, ::-1]
+    return d, (n - k + 4) * np.finfo(float).eps * d, levels[n] * \
+        power_law_integral((n * step) ** 2 + gap2, np.inf, p)[:, 0]
+
+
+@lru_cache(maxsize=256)
+def _smooth_tail(env: EnvironmentParams, bs_height: float, ue_height: float,
+                 powers: tuple[float, ...], k: int) -> tuple:
+    # The smooth level law's first step (the table's validated law, held
+    # below its last exact level, or equal heights' geometric decay) and
+    # tail sums from k, or that step, by midpoint Euler-Maclaurin (DLMF
+    # 2.10) for g = exp(law) times the step integral at x0 = k - 1/2:
+    # int_{x0}^inf g + g'/24 - 7 g'''/5760, off by 31 |g^(5)| / 967680.
+    # The integral runs on G7/K15 panels doubling from x0 until the law
+    # falls by e^-50; the level there times the power-law tail bounds the
+    # rest, and the law's excess over the cap at x0 the capped levels.
+    step, gap2 = los_step_width(env), (bs_height - ue_height) ** 2
+    if bs_height == ue_height:
+        f = float(_clearance(bs_height, env))
+        start, cap = 512, math.inf
+        law = _LevelLaw(math.log(f) if f > 0.0 else -math.inf)
+    else:
+        table = _los_levels_exact(env, bs_height, ue_height)
+        table.upto(_K_SWITCHES[0] + 1)
+        start, law = table.switch + 1, table.law
+        cap = float(table.upto(start)[start - 1])
+    x0, p = max(k, start) - 0.5, np.array(powers)
+
+    def tail(x):
+        return power_law_integral((x * step) ** 2 + gap2, np.inf, p)
+
+    if law.a in (0.0, -math.inf):    # every clearance 1, or none past 0
+        return start, tail(x0 + 0.5) * (law.a == 0.0), np.zeros(p.size)
+    width = min(x0, -1.0 / law.a)
+    edges = x0 + width * (2.0 ** np.arange(min(math.ceil(math.log2(
+        1.0 - 50.0 / (law.a * width))), 60) + 1) - 1.0)
+    res = integrate_steps(
+        lambda data, owner, weighted: np.exp(law(data[0])) * _step_integrals(
+            data[0], step, gap2, p[:, None, None]),
+        kronrod_panels(edges[:-1], edges[1:]), kronrod_panels,
+        rel_tol=1e-13, abs_tol=0.0)[0]
+    # Taylor coefficients of g at x0 (DLMF 1.10): exp of the law's, times
+    # those of I(x) = F(x) - F(x + 1), F = u^e / (p - 2) the power-law
+    # tail with u(x + t) = u + 2 x step^2 t + step^2 t^2.
+    ln, e, lev = law.jets(x0, 5), 1.0 - 0.5 * p, []
+    for m in range(6):
+        lev.append(sum(j * ln[j] * lev[m - j] for j in range(1, m + 1)) / m
+                   if m else math.exp(ln[0]))
+    w = [[((x * step) ** 2 + gap2) ** e / (p - 2.0)] for x in (x0, x0 + 1.0)]
+    for x, wx in zip((x0, x0 + 1.0), w):
+        u = ((x * step) ** 2 + gap2, 2.0 * step * step * x, step * step)
+        for m in range(1, 6):
+            wx.append(sum(((e + 1.0) * j - m) * u[j] * wx[m - j]
+                          for j in (1, 2) if j <= m) / (m * u[0]))
+    piece = [_step_integrals(x0, step, gap2, p)] + [
+        a - b for a, b in zip(w[0][1:], w[1][1:])]
+    g = [sum(lev[j] * piece[m - j] for j in range(m + 1)) for m in range(6)]
+    # g^(n) = n! g[n]: 7 * 3! / 5760 = 7 / 960 and 31 * 5! / 967680.
+    return (start, res.values + g[1] / 24.0 - 7.0 / 960.0 * g[3],
+            res.errors + 31.0 / 8064.0 * np.abs(g[5])
+            + math.exp(law(edges[-1])) * tail(edges[-1])
+            + max(lev[0] - cap, 0.0) * tail(x0))
+
+
+def los_tail_sums(env: EnvironmentParams, bs_height: float, ue_height: float,
+                  powers, ks) -> tuple[np.ndarray, np.ndarray]:
+    """``T_p[K] = sum_{k >= K} levels[k] int_{k step}^{(k+1) step} r (r^2
+    + gap^2)^(-p/2) dr`` over :func:`los_step_levels`, for powers ``p > 2``
+    (rows) and starts ``K >= 1`` (columns), with certified errors: summed
+    exactly to the first of 64 to 512 steps, 32 past ``K``, where the
+    level times the power-law tail beyond, which bounds the rest and adds
+    to the error, is below half an ulp of the sum from step 1; else to
+    the smooth level law and by Euler-Maclaurin beyond.  No value
+    depends on the other starts."""
+    powers = tuple(float(p) for p in powers)
+    geo = (env, bs_height, ue_height, powers)
+    sums, errs = np.zeros((2, len(powers), len(ks)))
+    for j, k in enumerate(int(k) for k in ks):
+        for n in (64, 128, 256, 512):
+            if k <= n - 32:
+                d, rnd, rest = _exact_sums(*geo, n)
+                if (rest <= 0.5 * np.finfo(float).eps * d[:, 0]).all():
+                    sums[:, j], errs[:, j] = d[:, k - 1], rnd[:, k - 1] + rest
+                    break
+        else:
+            start, sums[:, j], errs[:, j] = _smooth_tail(*geo, 0)
+            if k < start:
+                d, rnd, _ = _exact_sums(*geo, start)
+                sums[:, j] += d[:, k - 1]
+                errs[:, j] += rnd[:, k - 1]
+            else:
+                _, sums[:, j], errs[:, j] = _smooth_tail(*geo, k)
+    return sums, errs
 
 
 def depression_angle_deg(ground_distance: float, bs_height: float,

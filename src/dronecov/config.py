@@ -234,7 +234,6 @@ _QUADRATURE_KEYS = {
     "rel_tol": (_parse_float, _identity),
     "abs_tol": (_parse_float, _identity),
     "outer_trunc_prob": (_parse_float, _identity),
-    "inner_radius_factor": (_parse_float, _identity),
     "max_panels": (_parse_int, _identity),
     "max_rounds": (_parse_int, _identity),
 }

@@ -10,7 +10,8 @@ The interference from outside the sampling disk is not negligible here:
 the line-of-sight component decays so slowly that a disk small enough to
 simulate quickly would bias coverage upward by far more than the Monte
 Carlo noise.  Instead of growing the disk, every drop adds the exact
-mean of the out-of-disk interference as a deterministic offset.  What
+mean of the out-of-disk interference, from :func:`channel.los_tail_sums`
+for every geometry, as a deterministic offset.  What
 that replacement ignores is only the fluctuation of a sum of thousands
 of individually tiny far-field terms; its standard deviation divided by
 the typical total interference is reported as ``far_ripple`` in the
@@ -42,10 +43,12 @@ from .channel import (
     los_level_curve,
     los_step_levels,
     los_step_width,
+    los_tail_sums,
     main_lobe_interval,
     path_loss_curves,
+    power_law_integral,
 )
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 
 __all__ = [
     "SimulationSpec",
@@ -62,8 +65,6 @@ __all__ = [
 _SERVING_TRUNC = 1e-8     # nearest-station mass ignored by the radius floor
 _RIPPLE_TARGET = 1e-2     # allowed far-field spread over the reference mean
 _MAX_MEAN_COUNT = 6e4     # cost ceiling on the expected stations per drop
-_TAIL_REL = 1e-9          # relative cutoff for the far-field step sums
-_MAX_TAIL_STEPS = 2 ** 22  # hard ceiling on far-field step-sum length
 
 
 @dataclass(frozen=True)
@@ -119,114 +120,45 @@ class CoverageEstimate:
 # ---------------------------------------------------------------- far field
 
 
-def _power_law_segments(u_lo: np.ndarray, u_hi: np.ndarray,
-                        alpha: float) -> np.ndarray:
-    # int r (r^2 + gap^2)^(-alpha/2) dr over segments, via u = r^2 + gap^2.
-    e = 0.5 * (2.0 - alpha)
-    return (u_hi ** e - u_lo ** e) / (2.0 * e)
-
-
-def _annulus_moments(scn, a: float, b: float, step: float,
-                     gap2: float) -> tuple[float, float]:
-    # Mean and variance density sums over [a, b), per unit 2*pi*lam and
-    # without the antenna gain or transmit power factors.
-    ch = scn.channel
-    w2l = (ch.m_los + 1.0) / ch.m_los
-    w2n = (ch.m_nlos + 1.0) / ch.m_nlos
-    al2 = ch.intercept_los * ch.intercept_los
-    an2 = ch.intercept_nlos * ch.intercept_nlos
-    mean = var = 0.0
-    k = int(a / step)
-    block = 2048
-    while True:
-        k_hi = k + block
-        ks = np.arange(k, k_hi)
-        lo = np.maximum(ks * step, a)
-        hi = np.minimum((ks + 1) * step, b)
-        live = hi > lo
-        if not live.any():
-            break
-        levels = los_step_levels(scn.env, scn.bs_height, scn.ue_height,
-                                 k_hi - 1)[ks[live]]
-        u_lo = lo[live] ** 2 + gap2
-        u_hi = hi[live] ** 2 + gap2
-        q_l = _power_law_segments(u_lo, u_hi, ch.alpha_los)
-        q_n = _power_law_segments(u_lo, u_hi, ch.alpha_nlos)
-        mean += float(np.dot(levels, ch.intercept_los * q_l)
-                      + np.dot(1.0 - levels, ch.intercept_nlos * q_n))
-        var += float(np.dot(levels, al2 * w2l
-                            * _power_law_segments(u_lo, u_hi,
-                                                  2.0 * ch.alpha_los))
-                     + np.dot(1.0 - levels, an2 * w2n
-                              * _power_law_segments(u_lo, u_hi,
-                                                    2.0 * ch.alpha_nlos)))
-        if math.isfinite(b):
-            if b <= k_hi * step:
-                break
-            k = k_hi
-            block *= 2
-            continue
-        # Close the remaining mass with the last level persisted to
-        # infinity.  The true levels only fall from there, so the
-        # estimate is off by at most the last level times the sum of
-        # both closed-form tails, whichever way the remaining mass
-        # splits between the two states.
-        u_end = (k_hi * step) ** 2 + gap2
-        lvl = float(levels[-1])
-        tail_los = (ch.intercept_los
-                    * u_end ** (0.5 * (2.0 - ch.alpha_los))
-                    / (ch.alpha_los - 2.0))
-        tail_nlos = (ch.intercept_nlos
-                     * u_end ** (0.5 * (2.0 - ch.alpha_nlos))
-                     / (ch.alpha_nlos - 2.0))
-        if lvl * (tail_los + tail_nlos) <= _TAIL_REL * mean:
-            var += (lvl * al2 * w2l
-                    * u_end ** (0.5 * (2.0 - 2.0 * ch.alpha_los))
-                    / (2.0 * ch.alpha_los - 2.0)
-                    + an2 * w2n
-                    * u_end ** (0.5 * (2.0 - 2.0 * ch.alpha_nlos))
-                    / (2.0 * ch.alpha_nlos - 2.0))
-            mean += lvl * tail_los + (1.0 - lvl) * tail_nlos
-            break
-        if k_hi > _MAX_TAIL_STEPS:
-            raise QuadratureError(
-                "line-of-sight occupancy decays too slowly for the "
-                "far-field interference tail to close",
-                {"steps": k_hi, "last_level": lvl,
-                 "tail_bound": lvl * (tail_los + tail_nlos),
-                 "accumulated_mean": mean})
-        k = k_hi
-        block *= 2
-    return mean, var
-
-
 @lru_cache(maxsize=64)
 def _far_field_moments(scn, radius: float) -> tuple[float, float]:
     """Exact mean and variance of the aggregate interference received from
-    every station beyond ``radius``, fading and states averaged out."""
+    every station beyond ``radius``, fading and states averaged out: per
+    annulus between gain switches, the line-of-sight share of each power
+    law is the partial step up to a breakpoint plus :func:`los_tail_sums`
+    from there, and the blocked share the rest of its closed form."""
     ch = scn.channel
-    if ch.alpha_los <= 2.0:
-        raise DomainError("line-of-sight path-loss exponent must exceed 2 "
-                          "for a finite far-field interference mean")
-    if ch.alpha_nlos <= 2.0:
-        raise DomainError("non-line-of-sight path-loss exponent must "
-                          "exceed 2 for a finite interference mean")
+    if min(ch.alpha_los, ch.alpha_nlos) <= 2.0:
+        raise DomainError("path-loss exponents must exceed 2 for a finite "
+                          "far-field interference mean")
     gap2 = (scn.bs_height - scn.ue_height) ** 2
     step = los_step_width(scn.env)
     lobe = main_lobe_interval(scn.bs_height, scn.ue_height, scn.pattern)
-    cuts = sorted([float(radius)] + [
+    cuts = np.array(sorted([float(radius)] + [
         x for x in gain_switch_radii(scn.bs_height, scn.ue_height, scn.pattern)
-        if x > radius])
-    mean = var = 0.0
-    for i, lo in enumerate(cuts):
-        hi = cuts[i + 1] if i + 1 < len(cuts) else math.inf
-        probe = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo + step
-        gain = float(antenna_gain_curve(probe, lobe, scn.pattern))
-        m, v = _annulus_moments(scn, lo, hi, step, gap2)
-        mean += gain * m
-        var += gain * gain * v
+        if x > radius]))
+    # Rows: line-of-sight mean and variance, then blocked mean and variance.
+    p = np.array([ch.alpha_los, 2.0 * ch.alpha_los, ch.alpha_nlos,
+                  2.0 * ch.alpha_nlos])
+    ks, u = (cuts / step).astype(np.int64) + 1, cuts * cuts + gap2
+    sight = los_step_levels(scn.env, scn.bs_height, scn.ue_height, int(
+        ks.max()))[ks - 1] * power_law_integral(
+        u, (ks * step - cuts) * (ks * step + cuts), p[:, None]) \
+        + los_tail_sums(scn.env, scn.bs_height, scn.ue_height, p, ks)[0]
+    whole = power_law_integral(u, np.inf, p[:, None])
+    # Each annulus is what lies beyond its lower cut but not the next.
+    sight[:, :-1] -= sight[:, 1:].copy()
+    whole[:, :-1] -= whole[:, 1:].copy()
+    blocked = whole - sight
+    mean = ch.intercept_los * sight[0] + ch.intercept_nlos * blocked[2]
+    var = (ch.intercept_los ** 2 * (ch.m_los + 1.0) / ch.m_los * sight[1]
+           + ch.intercept_nlos ** 2 * (ch.m_nlos + 1.0) / ch.m_nlos
+           * blocked[3])
+    probe = np.append(0.5 * (cuts[:-1] + cuts[1:]), 2.0 * cuts[-1] + step)
+    gain = antenna_gain_curve(probe, lobe, scn.pattern)
     scale = 2.0 * math.pi * scn.bs_density * scn.tx_power
-    return scale * mean, scale * scn.tx_power * var
+    return (scale * float(np.dot(gain, mean)),
+            scale * scn.tx_power * float(np.dot(gain * gain, var)))
 
 
 def far_field_mean(scn, radius: float) -> float:
@@ -474,15 +406,16 @@ def compute_sir(real: NetworkRealization, scn, far_mean: float = 0.0) -> float:
 
 
 def _chunk_counts(scn, spec: SimulationSpec, lo: int, hi: int,
-                  far_mean: float) -> tuple[int, int, int]:
-    covered = resampled = single = 0
+                  far_mean: float) -> np.ndarray:
+    # Covered drops, resampled drops, single-station drops and stations.
+    counts = np.zeros(4, dtype=np.int64)
     thr = scn.sir_threshold
     for blk in _blocks(_sampler(scn, spec), spec.seed, lo, hi):
-        resampled += blk.resampled
-        single += int(np.count_nonzero(blk.counts == 1))
-        covered += int(np.count_nonzero(_block_sir(scn, blk, far_mean) > thr))
+        counts += (np.count_nonzero(_block_sir(scn, blk, far_mean) > thr),
+                   blk.resampled, np.count_nonzero(blk.counts == 1),
+                   blk.counts.sum())
         del blk   # freed before the next block is drawn, not after
-    return covered, resampled, single
+    return counts
 
 
 def estimate_coverage(scn, spec: SimulationSpec,
@@ -499,19 +432,15 @@ def estimate_coverage(scn, spec: SimulationSpec,
     far_mean, far_var = _far_field_moments(scn, radius)
     n = spec.num_drops
     if workers == 1 or n < 4 * workers:
-        covered, resampled, single = _chunk_counts(scn, spec, 0, n, far_mean)
+        counts = _chunk_counts(scn, spec, 0, n, far_mean)
     else:
         bounds = np.linspace(0, n, workers + 1).astype(int)
-        covered = resampled = single = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_chunk_counts, scn, spec, int(a), int(b),
                                 far_mean)
                     for a, b in zip(bounds[:-1], bounds[1:])]
-            for fut in futs:
-                c, r, s = fut.result()
-                covered += c
-                resampled += r
-                single += s
+            counts = sum(fut.result() for fut in futs)
+    covered, resampled, single, stations = (int(c) for c in counts)
     prob = covered / n
     std_err = math.sqrt(prob * (1.0 - prob) / n)
     ref = _far_field_moments(
@@ -523,6 +452,8 @@ def estimate_coverage(scn, spec: SimulationSpec,
         "far_ripple": math.sqrt(far_var) / ref if ref > 0.0 else 0.0,
         "resampled_drops": resampled,
         "single_station_drops": single,
+        "drops": n,
+        "stations": stations,
     }
     return CoverageEstimate(prob, std_err, n, diag)
 

@@ -300,18 +300,18 @@ def test_coverage_work_repeats_from_fresh_caches():
     assert runs[0] == runs[1]
     assert runs[0][1] % 15 == 0  # 15 evaluations per panel evaluated
     assert runs[0][3] == CHEB_NODES * runs[0][4]
-    assert runs[0][3:] == (33144, 1381)
+    assert runs[0][3:] == (21672, 903)
 
 
 def test_coverage_reports_step_table_regime():
-    # At 150 m the cut search reads the line-of-sight table past 5,000
-    # steps, of which the first 512 are exact blocker products; a ground
-    # user's table stays short enough that no switch is searched.
+    # At 150 m the handovers read the line-of-sight table past its switch
+    # at 512 steps, beyond which the levels follow the level law; a
+    # ground user's table stays short enough that no switch is searched.
     for cached in (_field_for, _los_levels_exact):
         cached.cache_clear()
     diag = coverage_probability(make_scenario(ue_height=150.0),
                                 QUAD).diagnostics
-    assert diag["los_table_steps"] >= 5040
+    assert diag["los_table_steps"] > 512
     assert diag["los_exact_steps"] == 512
     diag = coverage_probability(make_scenario(ue_height=1.5),
                                 QUAD).diagnostics
@@ -348,15 +348,21 @@ def test_coverage_independent_of_tx_power():
         assert_allclose(other, base, rtol=1e-9)
 
 
-def test_rayleigh_closed_sum_matches_general_recursion():
-    for ue_height in (30.0, 60.0, 120.0):
-        for thr in (0.1, 0.3, 1.0):
-            scn = make_scenario(ue_height=ue_height, m_los=1, m_nlos=1,
-                                sir_threshold=thr)
-            general = coverage_probability(scn, QUAD)
-            special = rayleigh_coverage(scn, QUAD)
-            assert_allclose(special.probability, general.probability,
-                            rtol=1e-9)
+def test_rayleigh_coverage_matches_closed_form_at_alpha_4():
+    # One exponent 4 and intercept for both states, unit gains and equal
+    # heights: Andrews, Baccelli and Ganti (IEEE Trans. Commun. 59(11),
+    # 2011) give 1 / (1 + sqrt(T) atan(sqrt(T))) without noise.
+    for thr in (0.1, 0.3, 1.0, 3.0):
+        scn = replace(
+            make_scenario(ue_height=30.0, sir_threshold=thr,
+                          pattern=replace(PATTERN, gain_main=1.0,
+                                          gain_side=1.0)),
+            channel=make_channel(1, 1, alpha_los=4.0, alpha_nlos=4.0))
+        scn = replace(scn, channel=replace(
+            scn.channel, intercept_nlos=scn.channel.intercept_los))
+        res = rayleigh_coverage(scn, QUAD)
+        exact = 1.0 / (1.0 + math.sqrt(thr) * math.atan(math.sqrt(thr)))
+        assert abs(res.probability - exact) <= res.error_estimate
 
 
 def test_rayleigh_ignores_configured_fading_orders():
@@ -372,24 +378,24 @@ def test_rayleigh_ignores_configured_fading_orders():
 
 def _tight_rows(fld, r0, s, orders, ml, mn, diag):
     # The rows eta_scaled integrates, by G7/K15 panels on every
-    # line-of-sight step, over the same range and with the same
-    # closed-form tail.  Each step panel is its own integral, refined to
-    # rel_tol 1e-13, and the panel integrals are added by math.fsum, so
-    # neither the tolerance nor the rounding of a long sum reaches the
-    # bound under test.
-    r_cut, r_end = diag["r_cut"], diag["r_linear"]
-    k_cut = int(round(r_cut / fld.step))
-    levels = fld.levels_upto(k_cut)[:k_cut]
+    # line-of-sight step, over the same range up to the same handover and
+    # with the same closed-form tail beyond.  Each step panel is its own
+    # integral, refined to rel_tol 1e-13, and the panel integrals are
+    # added by math.fsum, so neither the tolerance nor the rounding of a
+    # long sum reaches the bound under test.
+    r_sight, r_end = diag["r_handover"], diag["r_linear"]
+    k_sight = int(round(r_sight / fld.step))
+    levels = fld.levels_upto(k_sight)[:k_sight]
 
     def rows(r):
         cl, cn, area = fld.node_data(r)
         gl = _link_rows(cl, area, s, ml, orders)
         gn = _link_rows(cn, area, s, mn, orders)
-        pl = np.where(r < r_cut, los_level_curve(r, levels, fld.step), 0.0)
+        pl = np.where(r < r_sight, los_level_curve(r, levels, fld.step), 0.0)
         return pl * gl + (1.0 - pl) * gn
 
-    far = r_cut * 1.25 ** np.arange(1, 200)
-    pts = [*los_breakpoints(fld.scn.env, r_cut), *fld.switches,
+    far = r_sight * 1.25 ** np.arange(1, 200)
+    pts = [*los_breakpoints(fld.scn.env, r_sight), *fld.switches,
            *far[far < r_end]]
     edges = build_edges(r0, r_end, pts)
     res = integrate_steps(lambda data, owner, weighted: rows(data[0]),
@@ -399,7 +405,7 @@ def _tight_rows(fld, r0, s, orders, ml, mn, diag):
                           abs_tol=1e-6 * min(diag["quad_errors"])
                           / edges.size, max_panels=4096)
     vals = np.array([math.fsum(row) for row in res.values.T])
-    vals += fld.nlos_tail(s, orders, mn, r_end)[0]
+    vals += fld.handover(np.array([r0]), np.array([s]), orders, ml, mn)[2][0]
     vals[0] = -vals[0]
     vals[1::2] = -vals[1::2]
     return vals
@@ -417,8 +423,6 @@ def test_eta_rows_match_tight_step_panels(heights, r0):
         s = (scn.channel.fading_order(los) * scn.sir_threshold
              / _serving_coeff(scn, r0, los))
         t, diag = fld.eta_scaled(r0, s, orders)
-        if diag.get("suppressed"):
-            continue
         tight = _tight_rows(fld, r0, s, orders, scn.channel.m_los,
                             scn.channel.m_nlos, diag)
         # Both sums round at a few units in the last place of the rows.
@@ -487,8 +491,9 @@ TILT15 = replace(PATTERN, downtilt_deg=15.0)
                                      (SUBURBAN, False)],
                          ids=["urban-los", "urban-nlos", "suburban-nlos"])
 def test_batched_eta_scaled_entries_equal_scalar_calls(env, los):
-    # In the suburban field some entries are suppressed and others need a
-    # relaxed tolerance, so every branch of the cut choice runs batched.
+    # In the suburban field the line-of-sight level barely decays, so the
+    # entries there relax their tolerance by the transform-log lower bound
+    # and batch the longer handover searches.
     scn = replace(make_scenario(ue_height=60.0, bs_height=40.0,
                                 pattern=TILT15), env=env)
     fld = _field_for(scn, QUAD)
@@ -507,8 +512,7 @@ def test_batched_eta_scaled_entries_equal_scalar_calls(env, los):
             else:
                 np.testing.assert_array_equal(value, diag[key][i])
     if env is SUBURBAN:
-        relaxed = ~diag["suppressed"] & (diag["tolerance"] > QUAD.abs_tol)
-        assert diag["suppressed"].any() and relaxed.any()
+        assert np.all(diag["los_tail_error"] > QUAD.abs_tol)
 
 
 @pytest.mark.parametrize("ue_height", [1.5, 60.0, 150.0])
@@ -581,16 +585,6 @@ def test_eta_floor_never_exceeds_transform_log(env, ue_height):
             assert 0.0 < floor <= -t[0]
             # The scalar screen never hides a bound that clears its need.
             assert fld.eta_floor(r0, s, need=0.5 * floor) == floor
-
-
-@pytest.mark.parametrize("ue_height", [1.5, 60.0, 150.0])
-def test_eta_lower_never_exceeds_transform_log(ue_height):
-    fld = _field_for(make_scenario(ue_height=ue_height), QUAD)
-    for r0 in (0.2, 5.0, 60.0, 340.0):
-        for s in (1e6, 1e9, 1e12):
-            t, _ = fld.eta_scaled(r0, s, 0, ml=1, mn=1)
-            lower = fld.eta_lower(r0, s)
-            assert t[0] <= lower <= 0.0
 
 
 def test_coverage_skips_certified_terms_at_altitude(monkeypatch):

@@ -84,6 +84,90 @@ def test_path_loss_curves_match_scalar():
         assert_allclose(zn[i], path_loss(geom, CHANNEL, False), rtol=1e-14)
 
 
+# ------------------------------------------------------ line-of-sight tails
+
+SUBURBAN = dict(builtin_environments())["suburban"]
+TAIL_STARTS = np.array([1, 10, 100, 300, 600, 1000, 3000])
+
+
+def _step_integrals(step, gap2, p, k):
+    # int r (r^2 + gap^2)^(-p/2) dr over the steps k, written apart from
+    # the kernel: u0^e (1 - (1 + du/u0)^e) / (p - 2), e = 1 - p/2.
+    e = 1.0 - 0.5 * p
+    u0 = (k * step) ** 2 + gap2
+    return u0 ** e * -np.expm1(e * np.log1p((2 * k + 1) * step * step / u0)) \
+        / (p - 2.0)
+
+
+def _fsum_tails(env, bs_height, ue_height, p, levels):
+    # T_p[K] for TAIL_STARTS by math.fsum of the level-weighted steps up to
+    # the end of the given levels, and the level there times the whole
+    # power-law tail beyond, which bounds the rest.
+    step, gap2 = los_step_width(env), (bs_height - ue_height) ** 2
+    k = np.arange(1, levels.size)
+    terms = levels[1:] * _step_integrals(step, gap2, p, k)
+    rest = levels[-1] * ((levels.size * step) ** 2 + gap2) ** (
+        1.0 - 0.5 * p) / (p - 2.0)
+    return np.array([math.fsum(terms[K - 1:]) for K in TAIL_STARTS]), rest
+
+
+@pytest.mark.parametrize("p", [2.09, 4.18, 3.75])
+def test_los_tail_sums_match_exact_blocker_products_to_4000(p):
+    # Oracle: the blocker products computed one by one, summed to 4,000
+    # steps, where the level has fallen below e^-100.  Past the switch at
+    # 512 steps the table follows the level law, good to 1e-12 of each
+    # level, which the comparison allows for.
+    levels = np.array([_blocker_product(URBAN, 30.0, 60.0, k)
+                       for k in range(4000)])
+    assert levels[-1] < math.exp(-100.0)
+    sums, errs = channel.los_tail_sums(URBAN, 30.0, 60.0, [p], TAIL_STARTS)
+    exact, rest = _fsum_tails(URBAN, 30.0, 60.0, p, levels)
+    assert np.all(np.abs(sums[0] - exact) <= errs[0] + rest + 1e-12 * exact)
+
+
+def test_los_tail_sums_for_clear_equal_heights_are_power_law_tails():
+    # Oracle: equal heights keep the geometric decay f^k; at 300 m the
+    # clearance rounds to 1, so every level is 1 and each tail is the
+    # power law's own, (K step)^(2-p) / (p - 2).
+    step = los_step_width(URBAN)
+    for p in (2.09, 4.18, 7.5):
+        sums, errs = channel.los_tail_sums(URBAN, 300.0, 300.0, [p],
+                                           TAIL_STARTS)
+        exact = (TAIL_STARTS * step) ** (2.0 - p) / (p - 2.0)
+        assert_allclose(sums[0], exact, rtol=1e-13)
+        assert np.all(errs[0] <= 1e-12 * exact)
+
+
+@pytest.mark.parametrize("env, bs_height, ue_height", [
+    (URBAN, 60.0, 60.0), (URBAN, 30.0, 150.0), (SUBURBAN, 30.0, 60.0)],
+    ids=["urban-equal-60", "urban-30-150", "suburban-30-60"])
+def test_los_tail_sums_match_fsum_over_a_million_steps(env, bs_height,
+                                                       ue_height):
+    # Oracle: math.fsum over 10^6 steps of the table's own levels, the
+    # geometric decay at equal heights and the level law past the switch
+    # otherwise.  Urban 30 -> 150 m has decayed past e^-700 long before;
+    # urban at equal 60 m and suburban 30 -> 60 m stay near 1 for
+    # thousands of steps and fall below 1e-20 by 10^6.
+    levels = los_step_levels(env, bs_height, ue_height, 10 ** 6)
+    assert levels[-1] < 1e-20
+    for p in (2.09, 4.18):
+        sums, errs = channel.los_tail_sums(env, bs_height, ue_height, [p],
+                                           TAIL_STARTS)
+        exact, rest = _fsum_tails(env, bs_height, ue_height, p, levels)
+        assert np.all(np.abs(sums[0] - exact)
+                      <= errs[0] + rest + 1e-14 * exact)
+
+
+def test_los_tail_sums_do_not_depend_on_the_other_starts():
+    # Each start is summed on its own, so a cached value never changes
+    # with what else was asked for.
+    together, _ = channel.los_tail_sums(URBAN, 30.0, 60.0, [2.09, 3.75],
+                                        TAIL_STARTS)
+    for i, k in enumerate(TAIL_STARTS):
+        alone, _ = channel.los_tail_sums(URBAN, 30.0, 60.0, [2.09, 3.75], [k])
+        assert np.array_equal(alone[:, 0], together[:, i])
+
+
 # ------------------------------------------------------------ line of sight
 
 def test_los_probability_one_below_first_breakpoint():

@@ -239,17 +239,19 @@ def test_far_field_tail_closes_for_slow_blocked_decay():
     assert 0.0 <= est.probability <= 1.0
 
 
-def test_far_field_tail_reports_non_decaying_occupancy():
-    # Both terminals high above every rooftop: the path stays
-    # line-of-sight forever, so with a near-limit exponent no finite
-    # step sum can certify the tail and the failure must be clean.
+def test_far_field_mean_of_never_blocked_links_is_power_law_closed_form():
+    # Both terminals high above every rooftop: each clearance rounds to
+    # exactly 1, so every link beyond the radius is line-of-sight and the
+    # mean is the side-lobe power law's closed form, finite for any
+    # exponent above 2.
     scn = NetworkScenario(bs_density=50e-6, bs_height=300.0,
                           ue_height=300.0, tx_power=10 ** -0.6,
                           sir_threshold=0.3, channel=CHANNEL,
                           env=URBAN, pattern=PATTERN)
-    from dronecov.errors import QuadratureError
-    with pytest.raises(QuadratureError, match="far-field"):
-        far_field_mean(scn, 500.0)
+    alpha = CHANNEL.alpha_los
+    exact = (2.0 * math.pi * 50e-6 * 10 ** -0.6 * PATTERN.gain_side
+             * CHANNEL.intercept_los * 500.0 ** (2.0 - alpha) / (alpha - 2.0))
+    assert_allclose(far_field_mean(scn, 500.0), exact, rtol=1e-13)
 
 
 # ---------------------------------------------------------------- estimation
@@ -271,6 +273,20 @@ def test_estimate_deterministic_and_worker_invariant():
     assert a.probability == b.probability == c.probability
     assert a.std_error == b.std_error == c.std_error
     assert a.diagnostics == b.diagnostics
+
+
+def test_estimate_reports_its_drops_and_stations():
+    # The counts are integer sums over the drops, so every worker split
+    # reports the same; the stations are those sample_network draws.
+    spec = SimulationSpec(num_drops=2 * _BLOCK + 3, seed=7)
+    radius = default_disk_radius(SCN)
+    stations = sum(sample_network(SCN, SimulationSpec(1, radius),
+                                  _drop_rng(7, i)).positions.shape[0]
+                   for i in range(spec.num_drops))
+    for workers in (1, 2):
+        diag = estimate_coverage(SCN, spec, workers=workers).diagnostics
+        assert (diag["drops"], diag["stations"]) == (spec.num_drops,
+                                                     stations)
 
 
 def test_estimate_worker_invariant_across_unaligned_blocks():
