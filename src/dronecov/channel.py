@@ -7,9 +7,10 @@ station and the user plus the two antenna heights; whether the link is
 line-of-sight is a Bernoulli variable whose probability depends on the
 built-up environment.
 
-Both routes call one vectorized kernel per model: :func:`path_loss_curves`
-for path gain, :func:`los_step_levels` read by :func:`los_level_curve` for
-the line-of-sight level and :func:`los_tail_sums` for its power-law tails,
+Both routes call one vectorized kernel per model: :func:`path_gain_curve`
+for path gain at each link's own state (:func:`path_loss_curves` reads it
+at both), :func:`los_step_levels` read by :func:`los_level_curve` for the
+line-of-sight level and :func:`los_tail_sums` for its power-law tails,
 and :func:`antenna_gain_curve` for antenna gain.  The scalar helpers
 :func:`path_loss`, :func:`los_probability` and :func:`antenna_gain` are
 wrappers over them.
@@ -157,27 +158,38 @@ class LinkGeometry:
 
 def path_loss(geom: LinkGeometry, channel: ChannelParams, los: bool) -> float:
     """Linear path gain ``A * d**-alpha`` over the 3-D link distance; the
-    scalar form of :func:`path_loss_curves`.
+    scalar form of :func:`path_gain_curve`.
 
     Raises :class:`DomainError` when the 3-D distance is zero, since the
     power-law model diverges there.
     """
     if geom.distance_3d == 0.0:
         raise DomainError("path loss undefined at zero link distance")
-    zl, zn = path_loss_curves(geom.ground_distance, geom.bs_height,
-                              geom.ue_height, channel)
-    return float(zl if los else zn)
+    return float(path_gain_curve(geom.ground_distance, los, geom.bs_height,
+                                 geom.ue_height, channel))
+
+
+def path_gain_curve(r, los, bs_height: float, ue_height: float,
+                    channel: ChannelParams):
+    """Vectorized path gain ``A * d**-alpha`` over ground distances ``r``,
+    ``d`` being the 3-D link distance, each link at its own propagation
+    state ``los`` (a bool or a bool array shaped like ``r``)."""
+    r = np.asarray(r, dtype=float)
+    state = np.asarray(los, dtype=np.intp)   # indexes (blocked, sight)
+    gain = r * r
+    gain += (bs_height - ue_height) ** 2
+    gain **= np.take((-0.5 * channel.alpha_nlos, -0.5 * channel.alpha_los),
+                     state)
+    gain *= np.take((channel.intercept_nlos, channel.intercept_los), state)
+    return gain
 
 
 def path_loss_curves(r, bs_height: float, ue_height: float,
                      channel: ChannelParams):
-    """Vectorized ``(los, nlos)`` path-gain pair ``A * d**-alpha`` over
-    ground distances ``r``, ``d`` being the 3-D link distance."""
-    r = np.asarray(r, dtype=float)
-    d2 = r * r + (bs_height - ue_height) ** 2
-    zl = channel.intercept_los * d2 ** (-0.5 * channel.alpha_los)
-    zn = channel.intercept_nlos * d2 ** (-0.5 * channel.alpha_nlos)
-    return zl, zn
+    """Vectorized ``(los, nlos)`` path-gain pair over ground distances
+    ``r``: :func:`path_gain_curve` at both states."""
+    return (path_gain_curve(r, True, bs_height, ue_height, channel),
+            path_gain_curve(r, False, bs_height, ue_height, channel))
 
 
 def _clearance(h, env: EnvironmentParams):

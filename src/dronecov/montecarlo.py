@@ -45,7 +45,7 @@ from .channel import (
     los_step_width,
     los_tail_sums,
     main_lobe_interval,
-    path_loss_curves,
+    path_gain_curve,
     power_law_integral,
 )
 from .errors import DomainError
@@ -332,8 +332,8 @@ def _sampler(scn, spec: SimulationSpec):
         fade_los *= 1.0 / ch.m_los
         fade_nlos *= 1.0 / ch.m_nlos
         fading = bufs.take("fading", radii.size)
-        fading[los] = fade_los
-        fading[~los] = fade_nlos
+        fading[np.flatnonzero(los)] = fade_los
+        fading[np.flatnonzero(~los)] = fade_nlos
         return _Block(radii, los, fading, starts, counts, serving, angles,
                       resampled)
 
@@ -366,14 +366,12 @@ def _link_sums(scn, radii: np.ndarray, los: np.ndarray, fading: np.ndarray,
     of a block.  The serving entry is zeroed before the sum rather than
     subtracted after it, so a strong signal costs the interference no
     digits."""
-    zl, zn = path_loss_curves(radii, scn.bs_height, scn.ue_height,
-                              scn.channel)
-    np.copyto(zl, zn, where=~los)   # each station's own path gain
     power = antenna_gain_curve(
         radii, main_lobe_interval(scn.bs_height, scn.ue_height, scn.pattern),
         scn.pattern)
     power *= scn.tx_power
-    power *= zl
+    power *= path_gain_curve(radii, los, scn.bs_height, scn.ue_height,
+                             scn.channel)
     power *= fading
     signal = power[serving]
     power[serving] = 0.0
