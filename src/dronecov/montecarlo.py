@@ -17,15 +17,17 @@ of individually tiny far-field terms; its standard deviation divided by
 the typical total interference is reported as ``far_ripple`` in the
 diagnostics, and the induced coverage error is of that ratio squared.
 
-Every drop draws from its own random substream keyed by (seed, drop
-index), and the estimate is reduced by integer counts, so results are
-bit-identical for any worker count.  Drops are evaluated in small blocks
-of consecutive indices, cut at fixed multiples so that no block edge
-depends on the worker split.  Within a block each drop still consumes
-its own substream in the order ``sample_network`` uses; only the array
-work between the draws (line-of-sight states, path and antenna gains,
-serving station, interference) runs once over the block's concatenated
-stations, through segment reductions that never mix drops.
+Drops are evaluated in blocks of ``_BLOCK`` consecutive indices, cut at
+multiples of ``_BLOCK``, and each block draws from its own random
+substream keyed by (seed, block index), with one draw call per kind of
+variate for the whole block, which keeps the fixed cost of building
+generators and calling them off each drop.  The stream is therefore
+defined per block: changing ``_BLOCK`` changes seeded results.  Worker
+chunks are whole blocks and the estimate is reduced by integer counts,
+so results are bit-identical for any worker count.  The array work
+(line-of-sight states, path and antenna gains, serving station,
+interference) runs once over the block's concatenated stations, through
+segment reductions that never mix drops.
 """
 
 from __future__ import annotations
@@ -203,11 +205,13 @@ def _with_radius(scn, spec: SimulationSpec) -> SimulationSpec:
 
 # ------------------------------------------------------------------ sampling
 
-_BLOCK = 8   # drops per evaluation block; larger ones add memory, not speed
+# Drops per block, and so per generator: part of the stream contract, so
+# changing it changes seeded results.  Larger blocks add memory, not speed.
+_BLOCK = 8
 
 
-def _drop_rng(seed: int, drop_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(seed, spawn_key=(drop_index,))
+def _block_rng(seed: int, block_index: int) -> np.random.Generator:
+    seq = np.random.SeedSequence(seed, spawn_key=(block_index,))
     return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -236,7 +240,6 @@ class _Block:
     starts: np.ndarray    # index of each drop's first station
     counts: np.ndarray    # stations per drop
     serving: np.ndarray   # index of each drop's serving station
-    angles: np.ndarray    # angle uniforms, for positions only
     resampled: int        # empty fields discarded over the block
 
 
@@ -249,15 +252,16 @@ def _segment_argmin(values: np.ndarray, starts: np.ndarray,
 
 
 def _sampler(scn, spec: SimulationSpec):
-    """``draw(rngs) -> _Block``, one generator per drop, for one estimate.
+    """``draw(rng, drops) -> _Block`` for one estimate.
 
-    Each drop consumes its own generator in a fixed order: Poisson count,
-    radius uniforms, angle uniforms, line-of-sight uniforms, then gamma
-    fading for its line-of-sight and its blocked stations.  The array
-    work between those draws runs once over the whole block.  The disk
-    radius and the line-of-sight table are the same for every drop, so
-    they are resolved once here rather than per drop, and so are the
-    arrays every block writes into.
+    A block's generator makes one call per kind of draw, in a fixed
+    order: Poisson counts for all its drops (empty fields redrawn
+    together until none is left), radius uniforms, line-of-sight
+    uniforms, then gamma fading for the line-of-sight and then for the
+    blocked stations, each over the block's concatenated stations in
+    drop order.  The disk radius and the line-of-sight table are the
+    same for every drop, so they are resolved once here rather than per
+    block, and so are the arrays every block writes into.
     """
     radius = _with_radius(scn, spec).disk_radius
     lam = scn.bs_density
@@ -276,40 +280,24 @@ def _sampler(scn, spec: SimulationSpec):
         mean = lam * math.pi * radius * radius
     bufs = _Buffers()
 
-    def draw(rngs: list[np.random.Generator]) -> _Block:
-        # Drops have independent generators, so each pass below may visit
-        # all drops before the next starts; every generator still sees
-        # its own draws in the order above.
-        n = np.empty(len(rngs), dtype=np.intp)   # radius uniforms per drop
+    def draw(rng: np.random.Generator, drops: int) -> _Block:
+        n = rng.poisson(mean, drops)   # radius uniforms per drop
         resampled = 0
-        for j, rng in enumerate(rngs):
-            n[j] = rng.poisson(mean)
-            while r0 is None and n[j] == 0:
-                resampled += 1
-                n[j] = rng.poisson(mean)
+        while r0 is None and not n.all():
+            empty = np.flatnonzero(n == 0)
+            resampled += empty.size
+            n[empty] = rng.poisson(mean, empty.size)
         counts = n + 1 if r0 is not None else n
         ends = np.cumsum(counts)
         starts = ends - counts
-        u = bufs.take("u", int(n.sum()))
-        angles = bufs.take("angles", ends[-1])
-        los_u = bufs.take("los_u", ends[-1])
-        a = 0
-        for rng, nj, lo, hi in zip(rngs, n.tolist(), starts.tolist(),
-                                   ends.tolist()):
-            rng.random(out=u[a:a + nj])
-            rng.random(out=angles[lo:hi])
-            rng.random(out=los_u[lo:hi])
-            a += nj
+        u = rng.random(out=bufs.take("u", int(n.sum())))
+        los_u = rng.random(out=bufs.take("los_u", ends[-1]))
         if r0 is not None:
             u *= radius * radius - r0 * r0
             u += r0 * r0
-            np.sqrt(u, out=u)
-            radii = bufs.take("radii", ends[-1])
-            a = 0
-            for nj, lo in zip(n.tolist(), starts.tolist()):
-                radii[lo] = r0
-                radii[lo + 1:lo + 1 + nj] = u[a:a + nj]
-                a += nj
+            # Each drop's pinned serving station leads its segment.
+            radii = np.insert(np.sqrt(u, out=u), starts - np.arange(drops),
+                              r0)
             serving = starts
         else:
             radii = np.sqrt(u, out=u)
@@ -319,42 +307,44 @@ def _sampler(scn, spec: SimulationSpec):
                       out=bufs.take("los", radii.size, bool))
         if force is not None:
             los[serving] = force
-        n_los = np.add.reduceat(los, starts, dtype=np.intp)
-        fade_los = bufs.take("fade_los", int(n_los.sum()))
-        fade_nlos = bufs.take("fade_nlos", radii.size - fade_los.size)
-        a = b = 0
-        for rng, kj, lj in zip(rngs, counts.tolist(), n_los.tolist()):
-            rng.standard_gamma(ch.m_los, out=fade_los[a:a + lj])
-            rng.standard_gamma(ch.m_nlos, out=fade_nlos[b:b + kj - lj])
-            a += lj
-            b += kj - lj
         # gamma(m, 1/m) is 1/m times standard_gamma(m), bit for bit.
-        fade_los *= 1.0 / ch.m_los
-        fade_nlos *= 1.0 / ch.m_nlos
         fading = bufs.take("fading", radii.size)
-        fading[np.flatnonzero(los)] = fade_los
-        fading[np.flatnonzero(~los)] = fade_nlos
-        return _Block(radii, los, fading, starts, counts, serving, angles,
-                      resampled)
+        for key, idx, m in (("fade_los", np.flatnonzero(los), ch.m_los),
+                            ("fade_nlos", np.flatnonzero(~los), ch.m_nlos)):
+            fade = rng.standard_gamma(m, out=bufs.take(key, idx.size))
+            fade *= 1.0 / m
+            fading[idx] = fade
+        return _Block(radii, los, fading, starts, counts, serving, resampled)
 
     return draw
 
 
 def _blocks(draw, seed: int, lo: int, hi: int):
-    """Blocks over drops ``lo..hi-1``, cut at multiples of ``_BLOCK`` so
-    that no block boundary depends on how drops are split over workers."""
-    a = lo
-    while a < hi:
-        b = min(hi, (a // _BLOCK + 1) * _BLOCK)
-        yield draw([_drop_rng(seed, i) for i in range(a, b)])
-        a = b
+    """Blocks over drops ``lo..hi-1``, each drawn from the generator of
+    its block index.  ``lo`` must be a multiple of ``_BLOCK`` and ``hi``
+    one too or the estimate's last drop, so that every block is whole
+    whatever the worker split."""
+    for a in range(lo, hi, _BLOCK):
+        yield draw(_block_rng(seed, a // _BLOCK), min(_BLOCK, hi - a))
+
+
+def _chunk_bounds(n: int, workers: int) -> list[int]:
+    # Worker chunk edges over n drops, at multiples of _BLOCK (bar the
+    # last, n) so that no block is split between workers.
+    blocks = -(-n // _BLOCK)
+    edges = np.linspace(0, blocks, workers + 1).astype(int) * _BLOCK
+    return np.unique(np.minimum(edges, n)).tolist()
 
 
 def sample_network(scn, spec: SimulationSpec,
                    rng: np.random.Generator) -> NetworkRealization:
-    """Draw one field of stations with propagation states and fading."""
-    blk = _sampler(scn, spec)([rng])
-    angles = 2.0 * math.pi * blk.angles
+    """Draw one field of stations with propagation states and fading.
+
+    The radii, states and fades are those of a one-drop block drawn from
+    ``rng``; angle uniforms for the positions are drawn after them.
+    """
+    blk = _sampler(scn, spec)(rng, 1)
+    angles = 2.0 * math.pi * rng.random(blk.radii.size)
     positions = np.column_stack((blk.radii * np.cos(angles),
                                  blk.radii * np.sin(angles)))
     return NetworkRealization(positions, blk.los, blk.fading, blk.resampled)
@@ -420,8 +410,9 @@ def estimate_coverage(scn, spec: SimulationSpec,
                       workers: int = 1) -> CoverageEstimate:
     """Fraction of independent drops whose SIR exceeds the threshold.
 
-    Deterministic for a fixed seed regardless of ``workers``: drops use
-    per-index substreams and the reduction sums integer counts.
+    Deterministic for a fixed seed regardless of ``workers``: blocks of
+    drops use per-index substreams, no block is split between workers,
+    and the reduction sums integer counts.
     """
     if workers < 1:
         raise DomainError("workers must be at least 1")
@@ -432,10 +423,9 @@ def estimate_coverage(scn, spec: SimulationSpec,
     if workers == 1 or n < 4 * workers:
         counts = _chunk_counts(scn, spec, 0, n, far_mean)
     else:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
+        bounds = _chunk_bounds(n, workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_chunk_counts, scn, spec, int(a), int(b),
-                                far_mean)
+            futs = [pool.submit(_chunk_counts, scn, spec, a, b, far_mean)
                     for a, b in zip(bounds[:-1], bounds[1:])]
             counts = sum(fut.result() for fut in futs)
     covered, resampled, single, stations = (int(c) for c in counts)

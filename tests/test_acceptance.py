@@ -23,7 +23,7 @@ from dronecov.config import builtin_environments, default_scenario
 from dronecov.experiments import (SweepAxis, SweepSpec, figure2_check,
                                   figure3_preset, figure4_check,
                                   figure4_preset, sweep)
-from dronecov.montecarlo import (SimulationSpec, _drop_rng, compute_sir,
+from dronecov.montecarlo import (SimulationSpec, _block_rng, compute_sir,
                                  default_disk_radius, estimate_coverage,
                                  far_field_mean, sample_network)
 
@@ -273,7 +273,7 @@ def test_transmit_power_cancels_in_coverage():
     for scn in scns:
         far = far_field_mean(scn, spec.disk_radius)
         covered = [compute_sir(sample_network(scn, spec,
-                                              _drop_rng(spec.seed, i)),
+                                              _block_rng(spec.seed, i)),
                                scn, far) > scn.sir_threshold
                    for i in range(drops)]
         outcomes.append(covered)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from dronecov.montecarlo import (
     CoverageEstimate,
     NetworkRealization,
     SimulationSpec,
-    _drop_rng,
+    _block_rng,
     compute_sir,
     default_disk_radius,
     estimate_coverage,
@@ -66,7 +67,7 @@ SCN = make_scenario()
 
 def test_sampled_count_matches_poisson_mean():
     spec = SimulationSpec(num_drops=1, disk_radius=5000.0)
-    counts = [sample_network(SCN, spec, _drop_rng(100, i)).positions.shape[0]
+    counts = [sample_network(SCN, spec, _block_rng(100, i)).positions.shape[0]
               for i in range(400)]
     expect = 50e-6 * math.pi * 5000.0 ** 2
     # 400 realizations give a 2 percent standard error on the mean
@@ -76,7 +77,7 @@ def test_sampled_count_matches_poisson_mean():
 
 def test_sampled_positions_inside_disk():
     spec = SimulationSpec(num_drops=1, disk_radius=2000.0)
-    real = sample_network(SCN, spec, _drop_rng(0, 0))
+    real = sample_network(SCN, spec, _block_rng(0, 0))
     radii = np.hypot(real.positions[:, 0], real.positions[:, 1])
     assert radii.max() <= 2000.0
     assert real.los.dtype == bool
@@ -87,7 +88,7 @@ def test_los_fraction_matches_probability_in_annulus():
     spec = SimulationSpec(num_drops=1, disk_radius=3000.0)
     hits = total = 0
     for i in range(60):
-        real = sample_network(SCN, spec, _drop_rng(200, i))
+        real = sample_network(SCN, spec, _block_rng(200, i))
         radii = np.hypot(real.positions[:, 0], real.positions[:, 1])
         band = (radii > 90.0) & (radii < 110.0)
         hits += int(real.los[band].sum())
@@ -100,10 +101,15 @@ def test_los_fraction_matches_probability_in_annulus():
 def test_fixed_serving_distance_is_exact_minimum():
     spec = SimulationSpec(num_drops=1, disk_radius=3000.0,
                           fixed_serving_distance=150.0)
+    draw = montecarlo._sampler(SCN, spec)
     for i in range(5):
-        real = sample_network(SCN, spec, _drop_rng(7, i))
+        blk = draw(_block_rng(7, i), 1)
+        assert blk.radii[0] == 150.0 < blk.radii[1:].min()
+        real = sample_network(SCN, spec, _block_rng(7, i))
         radii = np.hypot(real.positions[:, 0], real.positions[:, 1])
-        assert radii.min() == 150.0
+        # Positions carry each distance through a cosine and a sine, so
+        # it comes back only to rounding.
+        assert radii[0] == pytest.approx(150.0, rel=1e-15)
         assert int(np.argmin(radii)) == 0
 
 
@@ -112,7 +118,7 @@ def test_forced_serving_state_is_applied():
                           fixed_serving_distance=400.0,
                           force_serving_los=False)
     for i in range(5):
-        real = sample_network(SCN, spec, _drop_rng(8, i))
+        real = sample_network(SCN, spec, _block_rng(8, i))
         assert not real.los[0]
 
 
@@ -120,12 +126,12 @@ def test_fixed_distance_must_fit_in_disk():
     spec = SimulationSpec(num_drops=1, disk_radius=300.0,
                           fixed_serving_distance=500.0)
     with pytest.raises(DomainError):
-        sample_network(SCN, spec, _drop_rng(0, 0))
+        sample_network(SCN, spec, _block_rng(0, 0))
 
 
 def test_fading_is_unit_mean():
     spec = SimulationSpec(num_drops=1, disk_radius=4000.0)
-    real = sample_network(SCN, spec, _drop_rng(42, 0))
+    real = sample_network(SCN, spec, _block_rng(42, 0))
     n = real.fading.size
     assert abs(real.fading.mean() - 1.0) < 4.0 / math.sqrt(n)
 
@@ -181,7 +187,7 @@ def test_sir_single_station_is_infinite():
 
 def test_sir_transmit_power_cancels():
     spec = SimulationSpec(num_drops=1, disk_radius=2000.0)
-    real = sample_network(SCN, spec, _drop_rng(5, 0))
+    real = sample_network(SCN, spec, _block_rng(5, 0))
     base = compute_sir(real, SCN)
     scaled = compute_sir(real, make_scenario(tx_power=10 ** 0.4))
     assert_allclose(scaled, base, rtol=1e-12)
@@ -259,8 +265,8 @@ def test_far_field_mean_of_never_blocked_links_is_power_law_closed_form():
 def test_estimate_reference_value():
     est = estimate_coverage(SCN, SimulationSpec(num_drops=500, seed=11))
     assert isinstance(est, CoverageEstimate)
-    assert est.probability == 0.34
-    assert_allclose(est.std_error, 0.021184900282984576, rtol=1e-12)
+    assert est.probability == 0.312
+    assert_allclose(est.std_error, 0.02071984555926998, rtol=1e-12)
     assert est.num_drops == 500
     assert est.diagnostics["disk_radius"] == pytest.approx(3424.47, abs=0.01)
 
@@ -277,20 +283,31 @@ def test_estimate_deterministic_and_worker_invariant():
 
 def test_estimate_reports_its_drops_and_stations():
     # The counts are integer sums over the drops, so every worker split
-    # reports the same; the stations are those sample_network draws.
+    # reports the same; the stations are those of blocks drawn one by one
+    # from their own generators.
     spec = SimulationSpec(num_drops=2 * _BLOCK + 3, seed=7)
-    radius = default_disk_radius(SCN)
-    stations = sum(sample_network(SCN, SimulationSpec(1, radius),
-                                  _drop_rng(7, i)).positions.shape[0]
-                   for i in range(spec.num_drops))
+    draw = montecarlo._sampler(SCN, spec)
+    stations = sum(draw(_block_rng(7, k), size).radii.size
+                   for k, size in enumerate((_BLOCK, _BLOCK, 3)))
     for workers in (1, 2):
         diag = estimate_coverage(SCN, spec, workers=workers).diagnostics
         assert (diag["drops"], diag["stations"]) == (spec.num_drops,
                                                      stations)
 
 
+def test_worker_chunks_are_whole_blocks():
+    for n in (1, 7, 8, 3 * _BLOCK + 5, 20000, 20001):
+        for workers in (1, 2, 3, 4):
+            bounds = montecarlo._chunk_bounds(n, workers)
+            assert bounds[0] == 0 and bounds[-1] == n
+            assert all(b % _BLOCK == 0 for b in bounds[:-1])
+            assert all(a < b for a, b in zip(bounds, bounds[1:]))
+            assert len(bounds) - 1 <= workers
+
+
 def test_estimate_worker_invariant_across_unaligned_blocks():
-    # 3 blocks and 5 drops: no worker split of 2 or 3 falls on a block edge.
+    # 3 blocks and 5 drops: the last block is partial, and it must be
+    # drawn whole by whichever worker holds it.
     spec = SimulationSpec(num_drops=3 * _BLOCK + 5, seed=6)
     a = estimate_coverage(SCN, spec, workers=1)
     for workers in (2, 3):
@@ -302,23 +319,34 @@ def test_estimate_worker_invariant_across_unaligned_blocks():
 @pytest.mark.parametrize("ue_height, conditional", [
     (1.5, False), (60.0, False), (60.0, True)])
 def test_estimate_follows_drop_by_drop_stream(ue_height, conditional):
-    # Every drop of an estimate is the field sample_network draws from
-    # that drop's substream, judged by compute_sir: a threshold just below
-    # each drop's SIR must count exactly the drops at or above it.
+    # Each drop of a block is judged as compute_sir judges the field on
+    # its own slice of the block's stations, and a one-drop estimate's
+    # field is the one sample_network draws from the block-0 generator.
     spec = SimulationSpec(num_drops=3 * _BLOCK + 5, seed=4,
                           fixed_serving_distance=250.0 if conditional
                           else None,
                           force_serving_los=True if conditional else None)
     base = make_scenario(ue_height=ue_height)
     far = far_field_mean(base, default_disk_radius(base))
-    sirs = [compute_sir(sample_network(base, spec, _drop_rng(spec.seed, i)),
-                        base, far) for i in range(spec.num_drops)]
-    for sir in sirs:
-        thr = sir * (1.0 - 1e-9)
+    seen = 0
+    for blk in montecarlo._blocks(montecarlo._sampler(base, spec),
+                                  spec.seed, 0, spec.num_drops):
+        sirs = montecarlo._block_sir(base, blk, far)
+        for sir, lo, k in zip(sirs, blk.starts, blk.counts):
+            part = slice(lo, lo + k)
+            real = NetworkRealization(
+                np.column_stack((blk.radii[part], np.zeros(k))),
+                blk.los[part], blk.fading[part])
+            assert compute_sir(real, base, far) == sir
+        seen += sirs.size
+    assert seen == spec.num_drops
+    one = replace(spec, num_drops=1)
+    sir = compute_sir(sample_network(base, one, _block_rng(spec.seed, 0)),
+                      base, far)
+    for thr, covered in ((sir * (1.0 - 1e-9), 1.0), (sir * (1.0 + 1e-9), 0.0)):
         est = estimate_coverage(make_scenario(ue_height=ue_height,
-                                              sir_threshold=thr), spec)
-        assert round(est.probability * spec.num_drops) == sum(
-            other > thr for other in sirs)
+                                              sir_threshold=thr), one)
+        assert est.probability == covered
 
 
 def test_estimate_near_zero_threshold_is_covered():
@@ -346,7 +374,7 @@ def test_disk_radius_sufficiency_with_coupled_fields():
     spec = SimulationSpec(num_drops=3000, disk_radius=full_r, seed=21)
     cov_full = cov_half = 0
     for i in range(spec.num_drops):
-        real = sample_network(SCN, spec, _drop_rng(spec.seed, i))
+        real = sample_network(SCN, spec, _block_rng(spec.seed, i))
         radii = np.hypot(real.positions[:, 0], real.positions[:, 1])
         keep = radii <= half_r
         inner = NetworkRealization(real.positions[keep], real.los[keep],
@@ -378,7 +406,7 @@ def test_laplace_empirical_reference_and_bounds():
     means, std_errs = laplace_empirical(
         SCN, SimulationSpec(num_drops=300, seed=12,
                             fixed_serving_distance=100.0), [5e7, 2e8])
-    assert_allclose(means, [0.7836654035411682, 0.38074366573301965],
+    assert_allclose(means, [0.783622705590316, 0.3807376567300543],
                     rtol=1e-12)
     assert np.all((means > 0.0) & (means < 1.0))
     assert np.all(std_errs > 0.0)
