@@ -356,12 +356,12 @@ def _link_sums(scn, radii: np.ndarray, los: np.ndarray, fading: np.ndarray,
     of a block.  The serving entry is zeroed before the sum rather than
     subtracted after it, so a strong signal costs the interference no
     digits."""
-    power = antenna_gain_curve(
+    power = path_gain_curve(radii, los, scn.bs_height, scn.ue_height,
+                            scn.channel)
+    power *= antenna_gain_curve(
         radii, main_lobe_interval(scn.bs_height, scn.ue_height, scn.pattern),
         scn.pattern)
     power *= scn.tx_power
-    power *= path_gain_curve(radii, los, scn.bs_height, scn.ue_height,
-                             scn.channel)
     power *= fading
     signal = power[serving]
     power[serving] = 0.0
