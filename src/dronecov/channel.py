@@ -7,10 +7,10 @@ station and the user plus the two antenna heights; whether the link is
 line-of-sight is a Bernoulli variable whose probability depends on the
 built-up environment.
 
-Both routes call one vectorized kernel per model: :func:`path_gain_curve`
-for path gain at each link's own state (:func:`path_loss_curves` reads it
-at both), :func:`los_step_levels` read by :func:`los_level_curve` for the
-line-of-sight level and :func:`los_tail_sums` for its power-law tails,
+Both routes call one vectorized kernel per model: :func:`path_loss_curves`
+for path gain at both states, or :func:`path_gain_curve` at each link's
+own state, :func:`los_step_levels` read by :func:`los_level_curve` for
+the line-of-sight level and :func:`los_tail_sums` for its power-law tails,
 and :func:`antenna_gain_curve` for antenna gain.  The scalar helpers
 :func:`path_loss`, :func:`los_probability` and :func:`antenna_gain` are
 wrappers over them.
@@ -186,10 +186,13 @@ def path_gain_curve(r, los, bs_height: float, ue_height: float,
 
 def path_loss_curves(r, bs_height: float, ue_height: float,
                      channel: ChannelParams):
-    """Vectorized ``(los, nlos)`` path-gain pair over ground distances
-    ``r``: :func:`path_gain_curve` at both states."""
-    return (path_gain_curve(r, True, bs_height, ue_height, channel),
-            path_gain_curve(r, False, bs_height, ue_height, channel))
+    """Vectorized ``(los, nlos)`` path-gain pair ``A * d**-alpha`` over
+    ground distances ``r``, ``d`` being the 3-D link distance."""
+    r = np.asarray(r, dtype=float)
+    d2 = r * r + (bs_height - ue_height) ** 2
+    zl = channel.intercept_los * d2 ** (-0.5 * channel.alpha_los)
+    zn = channel.intercept_nlos * d2 ** (-0.5 * channel.alpha_nlos)
+    return zl, zn
 
 
 def _clearance(h, env: EnvironmentParams):

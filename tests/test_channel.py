@@ -26,6 +26,7 @@ from dronecov.channel import (
     los_step_levels,
     los_step_width,
     main_lobe_interval,
+    path_gain_curve,
     path_loss,
     path_loss_curves,
     sample_fading,
@@ -82,6 +83,9 @@ def test_path_loss_curves_match_scalar():
         geom = LinkGeometry(float(ri), 30.0, 60.0)
         assert_allclose(zl[i], path_loss(geom, CHANNEL, True), rtol=1e-14)
         assert_allclose(zn[i], path_loss(geom, CHANNEL, False), rtol=1e-14)
+    los = np.array([True, False, True])
+    assert_allclose(path_gain_curve(r, los, 30.0, 60.0, CHANNEL),
+                    np.where(los, zl, zn), rtol=1e-14)
 
 
 # ------------------------------------------------------ line-of-sight tails
