@@ -295,9 +295,14 @@ def _sampler(scn, spec: SimulationSpec):
         if r0 is not None:
             u *= radius * radius - r0 * r0
             u += r0 * r0
+            np.sqrt(u, out=u)
             # Each drop's pinned serving station leads its segment.
-            radii = np.insert(np.sqrt(u, out=u), starts - np.arange(drops),
-                              r0)
+            radii = bufs.take("radii", ends[-1])
+            radii[starts] = r0
+            a = 0
+            for nj, lo in zip(n.tolist(), starts.tolist()):
+                radii[lo + 1:lo + 1 + nj] = u[a:a + nj]
+                a += nj
             serving = starts
         else:
             radii = np.sqrt(u, out=u)
