@@ -328,18 +328,21 @@ def test_estimate_follows_drop_by_drop_stream(ue_height, conditional):
                           force_serving_los=True if conditional else None)
     base = make_scenario(ue_height=ue_height)
     far = far_field_mean(base, default_disk_radius(base))
-    seen = 0
+    sirs = []
     for blk in montecarlo._blocks(montecarlo._sampler(base, spec),
                                   spec.seed, 0, spec.num_drops):
-        sirs = montecarlo._block_sir(base, blk, far)
-        for sir, lo, k in zip(sirs, blk.starts, blk.counts):
+        block_sirs = montecarlo._block_sir(base, blk, far)
+        for sir, lo, k in zip(block_sirs, blk.starts, blk.counts):
             part = slice(lo, lo + k)
             real = NetworkRealization(
                 np.column_stack((blk.radii[part], np.zeros(k))),
                 blk.los[part], blk.fading[part])
             assert compute_sir(real, base, far) == sir
-        seen += sirs.size
-    assert seen == spec.num_drops
+        sirs.extend(block_sirs)
+    assert len(sirs) == spec.num_drops
+    est = estimate_coverage(base, spec, workers=2)
+    assert round(est.probability * spec.num_drops) == sum(
+        sir > base.sir_threshold for sir in sirs)
     one = replace(spec, num_drops=1)
     sir = compute_sir(sample_network(base, one, _block_rng(spec.seed, 0)),
                       base, far)
