@@ -15,9 +15,10 @@ into per-node weights, so a panel of about one 3-d distance costs two
 dozen nodes however many steps it spans.  Conditional terms that a
 closed-form Chernoff bound already certifies below tolerance are
 skipped.  Every serving distance one call of the outer integrand
-receives goes, per serving-link state, through one skip screen, one
-handover choice and batched panel quadrature, and gets the handover,
-panels and error test it would get alone.
+receives goes, per serving-link state, through one skip screen, whose
+floor pass also sets the handover tolerance, one handover choice and
+panel quadrature in batches of about ``_NODE_BUDGET`` nodes, and gets
+the handover, panels and error test it would get alone.
 
 Internally all derivative bookkeeping uses the scaled quantities
 ``t_j = s^j eta^(j) / j!`` and ``M_k = s^k L^(k) / k!``; every term of the
@@ -78,7 +79,7 @@ MAX_FADING_ORDER = 32
 
 _MAX_TABLE = 400_000      # hard cap on step-table length
 _STRICT_STEPS = 20_000    # reach of a handover at the strict tolerance
-_NODE_BUDGET = 4096       # Chebyshev nodes per batch of inner transforms
+_NODE_BUDGET = 16384      # Chebyshev nodes per batch of inner transforms
 _FLOOR_BLOCK = 1 << 16    # step terms per block of the closed-form floor
 
 
@@ -186,12 +187,13 @@ def _scaled_upsilon_rows(x: np.ndarray, m: int, orders: int,
     # Row j (1-based) holds s^j |upsilon^(j)| / j! elementwise, which equals
     # the negative-binomial term C(m+j-1, j) x^j / (1+x)^(m+j) and is <= 1.
     # Each row is the previous one times x/(1+x) times (m+j-1)/j, from the
-    # j = 0 term (1+x)^-m; the rows go to out[j - 1] when out is given.
+    # j = 0 term (1+x)^-m, which waits in out[-1] until the last row; the
+    # rows (orders >= 1) go to out[j - 1] when out is given.
     if out is None:
         out = np.empty((orders,) + np.shape(x))
     ratio = 1.0 + x
     np.divide(x, ratio, out=ratio)
-    row = np.log1p(x)
+    row = np.log1p(x, out=out[-1])
     row *= -m
     np.exp(row, out=row)
     for j in range(1, orders + 1):
@@ -206,16 +208,15 @@ def _link_rows(c: np.ndarray, area: np.ndarray, s, m: int,
     # fading order m and mean received power c per unit fading, at
     # argument s: row 0 is one minus the attenuation, row j the scaled
     # attenuation derivative s^j |upsilon^(j)| / j!, each times area
-    # (2 pi lam r), written in place.
-    x = (s / m) * c
-    out = np.empty((orders + 1,) + x.shape)
-    row = out[0]
-    np.log1p(x, out=row)
-    row *= -m
-    np.expm1(row, out=row)
-    np.negative(row, out=row)
+    # (2 pi lam r), written in place: row 0 starts as x = s c / m.
+    out = np.empty((orders + 1,) + np.broadcast_shapes(np.shape(s), c.shape))
+    x = np.multiply(s / m, c, out=out[0])
     if orders:
         _scaled_upsilon_rows(x, m, orders, out=out[1:])
+    np.log1p(x, out=x)
+    x *= -m
+    np.expm1(x, out=x)
+    np.negative(x, out=x)
     out *= area
     return out
 
@@ -286,7 +287,7 @@ class _Field:
         # Panel grid, extended on demand, with line-of-sight weights below
         # _n_sight, and tail sums per power set at its handover candidates.
         self._edges = np.zeros(1)
-        self._grid: StepPanels | None = None
+        self._grid = self._panels(np.zeros(0), np.zeros(0), 0)
         self._n_sight = 0
         self._cuts, self._cut_edges = np.empty(0, dtype=np.int64), 0
         self._tails: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -377,7 +378,7 @@ class _Field:
         return self._cuts[:n], vals[:, :n], errs[:, :n]
 
     def handover(self, r0: np.ndarray, s: np.ndarray, orders: int, ml: int,
-                 mn: int) -> tuple:
+                 mn: int, floor: np.ndarray | None = None) -> tuple:
         """Per entry, the line-of-sight handover step ``K``, the radius
         past which the blocked field is closed-form too, the rows beyond
         both, their errors, and the largest line-of-sight and blocked
@@ -387,7 +388,8 @@ class _Field:
         :func:`los_tail_sums`, off by ``(m + orders) / m c y^(q+1)
         T_(alpha (q+1))[K]`` per state plus the sums' errors.  ``K`` is the
         first candidate past ``r0`` where that slack fits a quarter of the
-        tolerance, read off all candidates at once."""
+        tolerance, read off all candidates at once.  ``floor`` is
+        :meth:`eta_floor` at ``r0`` and ``s`` when at hand."""
         quad, scn, ch = self.quad, self.scn, self.scn.channel
         g_far, r_gain = self.far_gain
         ln_y = np.log(np.multiply.outer(
@@ -419,7 +421,7 @@ class _Field:
         # it within rel_tol min(L, 1), L the floor of -eta, or where the
         # floor's last level does not certify a fit by _STRICT_STEPS, grow
         # it to rel_tol L or abs_tol e^min(L, 60), within abs_tol outputs.
-        low = self.eta_floor(r0, s)
+        low = self.eta_floor(r0, s) if floor is None else floor
         tol = np.maximum(quad.abs_tol, quad.rel_tol * np.minimum(low, 1.0))
         far = self._floor_steps[1][0, -1] * power_law_integral(
             (_STRICT_STEPS * self.step) ** 2 + self.gap2, np.inf,
@@ -498,12 +500,12 @@ class _Field:
         step, they end on the first breakpoint past that width, and
         narrower, on the next breakpoint when they would come within a
         quarter panel of it, so each carries one level.  Every gain switch
-        and the table cap's last step are edges."""
+        and the table cap's last step are edges.  The panels themselves
+        are built when :meth:`integrate_rows` first reaches them."""
         step = self.step
         if self._edges[-1] > r:
             return self._edges
         edges = self._edges.tolist()
-        start = len(edges) - 1
         x, k, cap = edges[-1], 0, _MAX_TABLE - 1
         while x <= r or k < 0:
             d = max(math.hypot(x, math.sqrt(self.gap2)), 1e-3 * step)
@@ -518,11 +520,8 @@ class _Field:
                      *((w, -1) for w in self.switches)]
             x, k = min(stop for stop in stops if stop[0] > x)
             edges.append(x)
-        self._edges = e = np.asarray(edges)
-        new = self._panels(e[start:-1], e[start + 1:], 0)
-        self._grid = new if start == 0 else StepPanels.concat([self._grid,
-                                                               new])
-        return e
+        self._edges = np.asarray(edges)
+        return self._edges
 
     def integrate_rows(self, rows, r0: np.ndarray, k_sight: np.ndarray,
                        r_end: np.ndarray, *, rel_tol: float, abs_tol: float,
@@ -541,11 +540,22 @@ class _Field:
         i0 = np.searchsorted(e, r0, side="right") - 1
         ic = np.searchsorted(e, k_sight * self.step)
         i_end = np.searchsorted(e, r_end)
-        n, top = self._n_sight, int(ic.max())
-        if top > n:
-            g = self._grid
-            self._grid = StepPanels.concat([g[:n], self._panels(
-                g.lo[n:top], g.hi[n:top], k_sight.max()), g[top:]])
+        # One build for the entries' pieces above r0, the grid panels on
+        # edges added since and the weights of those below the furthest
+        # handover, line-of-sight levels to it.
+        n, top = self._n_sight, max(int(ic.max()), self._n_sight)
+        g, built = self._grid, self._grid.lo.size
+        first = n if top > n else built
+        last = max(e.size - 1 if built < e.size - 1 else top, first)
+        new = self._panels(
+            np.concatenate([r0, e[first:last]]),
+            np.concatenate([e[i0 + 1], e[first + 1:last + 1]]),
+            np.concatenate([k_sight, np.where(np.arange(first, last) < top,
+                                              k_sight.max(), 0)]))
+        pieces = new[:r0.size]
+        if first < last:
+            self._grid = StepPanels.concat([g[:first], new[r0.size:],
+                                            g[last:]])
             self._n_sight = top
         nodes = CHEB_NODES * (i_end - i0)
         batch = (np.cumsum(nodes) - nodes) // _NODE_BUDGET
@@ -554,14 +564,17 @@ class _Field:
         for a, b in zip(bounds[:-1], bounds[1:]):
             sight, sight_owner = _ranges(i0[a:b] + 1, ic[a:b])
             beyond, beyond_owner = _ranges(ic[a:b], i_end[a:b])
-            panels = StepPanels.concat([
-                self._grid[np.concatenate([sight, beyond])],
-                self._panels(r0[a:b], e[i0[a:b] + 1], k_sight[a:b])])
-            panels.owner = np.concatenate([sight_owner, beyond_owner,
-                                           np.arange(b - a)])
+            # One gather, weighted panels first as integrate_steps takes
+            # them: each entry's grid panel holding r0 sits between those
+            # with weights and those past the handover, and then takes
+            # the part above r0.
+            panels = self._grid[np.concatenate([sight, i0[a:b], beyond])]
+            panels[sight.size:sight.size + b - a] = pieces[a:b]
+            panels.owner = np.concatenate([sight_owner, np.arange(b - a),
+                                           beyond_owner])
             if beyond.size:
                 # The grid panels past the handover lose their weights.
-                unweighted = slice(sight.size, sight.size + beyond.size)
+                unweighted = slice(panels.lo.size - beyond.size, None)
                 panels.w0[unweighted] += panels.w1[unweighted]
                 panels.w1[unweighted] = 0.0
                 panels.top[unweighted] = panels.bottom[unweighted] = 0.0
@@ -605,49 +618,64 @@ class _Field:
         gain minorize ``y`` and the level is constant, so a right-endpoint
         sum over the intervals beyond ``r0`` under-counts the integral.
         Entries where even ``y / (1 + y) <= y`` cannot lift the sum above
-        ``need`` get the trivial bound 0 without that sum.
+        ``need`` get the trivial bound 0 without that sum.  Axes of ``s``
+        or ``need`` before those of ``r0`` hold arguments that share its
+        interval weights in one pass, each floor as its own call gives it.
         """
         z, shares, area, tail = self._floor_steps
-        shape, r0, s, need = _flat(r0, s, need)
-        out = np.zeros(r0.size)
+        shape = np.broadcast_shapes(np.shape(r0), np.shape(s), np.shape(need))
+        r0 = np.broadcast_to(r0, shape[len(shape) - np.ndim(r0):]).ravel()
+        s, need = (np.broadcast_to(x, shape).reshape(-1, r0.size)
+                   for x in (s, need))
+        out = np.zeros(s.shape)
         k = (r0 / self.step).astype(np.int64)
         pattern = self.scn.pattern
         c = s * self.scn.tx_power * min(pattern.gain_main, pattern.gain_side)
-        live = np.flatnonzero(k < area.size)
-        live = live[c[live] * tail[k[live]] > need[live]]
-        # Blocks of at most _FLOOR_BLOCK terms, zero-weighted before each
-        # entry's own first interval.
+        idle = c * tail[np.minimum(k, area.size - 1)] <= need
+        live = np.flatnonzero((k < area.size) & ~idle.all(axis=0))
+        # Blocks of at most _FLOOR_BLOCK terms per argument, zero-weighted
+        # before each entry's own first interval.
         per_block = max(1, _FLOOR_BLOCK // area.size)
         for a in range(0, live.size, per_block):
             i = live[a:a + per_block]
             k0 = int(k[i].min())
-            y = np.multiply.outer(c[i], z[:, k0:])
-            y /= 1.0 + y
-            terms = (y * shares[:, k0:]).sum(axis=1)
             weights = np.where(np.arange(k0, area.size) >= k[i, None],
                                area[k0:], 0.0)
             weights[np.arange(i.size), k[i] - k0] = (
                 math.pi * self.scn.bs_density
                 * np.maximum(((k[i] + 1) * self.step) ** 2 - r0[i] * r0[i],
                              0.0))
-            out[i] = np.einsum("ij,ij->i", weights, terms)
+            y = np.empty((i.size,) + z[:, k0:].shape)
+            for row, ci, skip in zip(out, c[:, i], idle[:, i]):
+                go = np.flatnonzero(~skip)
+                y_go = np.multiply.outer(ci[go], z[:, k0:], out=y[:go.size])
+                y_go /= 1.0 + y_go
+                y_go *= shares[:, k0:]
+                row[i[go]] = np.einsum("ij,ij->i", weights[go],
+                                       y_go.sum(axis=1))
         return out.reshape(shape)
 
-    def coverage_negligible(self, r0, s, m: int, weight) -> np.ndarray:
+    def coverage_negligible(self, r0, s, m: int,
+                            weight) -> tuple[np.ndarray, np.ndarray]:
         """Whether ``weight`` times the coverage of a serving link with
         fading order ``m`` and transform argument ``s = m T / c0`` is
-        certified to be at most half of ``abs_tol``, per entry.
+        certified to be at most half of ``abs_tol``, per entry; and, from
+        the same :meth:`eta_floor` pass, the floor at ``s``, which sets the
+        handover tolerance of the entries kept.
 
         For integer ``m`` that coverage is ``E[Q(m, s I)]``, and the
         Chernoff bound at one half gives ``Q(m, x) <= 2^m exp(-x/2)``,
         so it is at most ``2^m L(s/2)``.
         """
-        need = np.log(np.asarray(weight) * 2.0 ** m
-                      / (0.5 * self.quad.abs_tol))
-        return self.eta_floor(r0, 0.5 * np.asarray(s), need) >= need
+        r0, s, need = np.broadcast_arrays(r0, s, np.log(
+            np.asarray(weight) * 2.0 ** m / (0.5 * self.quad.abs_tol)))
+        half, full = self.eta_floor(r0, [0.5 * s, s],
+                                    [need, np.zeros_like(need)])
+        return half >= need, full
 
     def eta_scaled(self, r0, s, orders: int, ml: int | None = None,
-                   mn: int | None = None) -> tuple[np.ndarray, dict]:
+                   mn: int | None = None,
+                   floor: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
         """Scaled transform-log derivatives ``t_j = s^j eta^(j) / j!`` for
         ``j = 0..orders`` at serving distances ``r0`` and arguments ``s``,
         broadcast together, on a last axis; with a diagnostics dict of
@@ -656,14 +684,15 @@ class _Field:
         The field is integrated up to :meth:`handover` and closed beyond.
         Optional fading-order overrides evaluate the field as if both link
         states had those orders; ``ml = mn = 1`` is the single-exponential
-        special case.
+        special case.  ``floor``, :meth:`eta_floor` at ``r0`` and ``s``,
+        spares the handover its own pass.
         """
         quad = self.quad
         ml = self.scn.channel.m_los if ml is None else ml
         mn = self.scn.channel.m_nlos if mn is None else mn
         shape, r0, s = _flat(r0, s)
         k, r_end, tail, tail_err, los_err, slack = self.handover(
-            r0, s, orders, ml, mn)
+            r0, s, orders, ml, mn, floor)
         res = self.integrate_rows(
             self._link_integrand(s, orders, ml, mn), r0, k, r_end,
             rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
@@ -826,12 +855,12 @@ def _integrate_outer(fld: _Field, ml: int,
             if not go.size:
                 continue
             s = m * thr / _serving_coeff(scn, r0[go], los)
-            low = fld.coverage_negligible(r0[go], s, m, weight[go])
+            low, floor = fld.coverage_negligible(r0[go], s, m, weight[go])
             skipped += int(low.sum())
             go, s = go[~low], s[~low]
             if not go.size:
                 continue
-            t, info = fld.eta_scaled(r0[go], s, m - 1, ml, mn)
+            t, info = fld.eta_scaled(r0[go], s, m - 1, ml, mn, floor[~low])
             inner_evals += int(info["num_evals"].sum())
             inner_panels += int(info["num_panels"].sum())
             total[go] += weight[go] * _coverage_sum(t, m)

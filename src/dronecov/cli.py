@@ -319,3 +319,7 @@ def run(argv, stdout: IO[str] | None = None,
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -191,6 +191,14 @@ class StepPanels:
                           self.bottom[idx], self.owner[idx],
                           self.error_rule)
 
+    def __setitem__(self, idx, panels: "StepPanels") -> None:
+        """Write ``panels`` over the panels at ``idx``, field by field."""
+        self.lo[idx], self.hi[idx] = panels.lo, panels.hi
+        self.data[:, idx] = panels.data
+        self.w1[idx], self.w0[idx] = panels.w1, panels.w0
+        self.top[idx], self.bottom[idx] = panels.top, panels.bottom
+        self.owner[idx] = panels.owner
+
     @property
     def total(self) -> np.ndarray:
         """Weights of the plain integral ``int f``."""

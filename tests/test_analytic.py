@@ -535,9 +535,10 @@ def test_batching_changes_no_result_or_work(monkeypatch, ue_height):
 def test_inner_transforms_run_in_batches(monkeypatch):
     # integrate_rows takes its entries in batches of about _NODE_BUDGET
     # nodes, one integrate_steps call each.  At 60 m the outer integral
-    # converges in one round, so there is one integrate_rows call per
-    # serving-link state.  Only the integrate_steps calls made inside
-    # integrate_rows count; the outer integral's own call does not.
+    # runs two rounds and the skip screen drops every blocked serving
+    # link, so there is one integrate_rows call per round.  Only the
+    # integrate_steps calls made inside integrate_rows count; the outer
+    # integral's own call does not.
     calls = Counter()
     inside = 0
     rows_call, steps_call = _Field.integrate_rows, analytic.integrate_steps
@@ -562,6 +563,33 @@ def test_inner_transforms_run_in_batches(monkeypatch):
     assert calls["integrate_rows"] == 2
     assert 2 <= calls["integrate_steps"] <= calls["integrate_rows"] + (
         res.diagnostics["inner_evals"] // analytic._NODE_BUDGET)
+    # Each round's transforms (75 and 60 of them, 21,672 nodes in all)
+    # make one batch.
+    assert res.diagnostics["inner_evals"] == 21672
+    assert calls["integrate_steps"] == 2
+
+
+def test_one_floor_pass_per_screen_and_one_tail_lookup_per_extension(
+        monkeypatch):
+    # At 60 m the outer integrand runs twice, with four skip screens.
+    # Each screen's eta_floor pass also gives the handover its floor, so
+    # there is no other pass; los_tail_sums is looked up once for each
+    # extension of the handover candidates (four, per fresh field).
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for owner, name in ((_Field, "coverage_negligible"),
+                        (_Field, "eta_floor"), (analytic, "los_tail_sums")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    _field_for.cache_clear()
+    coverage_probability(SCN, QUAD)
+    assert calls == {"coverage_negligible": 4, "eta_floor": 4,
+                     "los_tail_sums": 4}
 
 
 # --------------------------------------------- closed-form skip of terms
@@ -587,13 +615,37 @@ def test_eta_floor_never_exceeds_transform_log(env, ue_height):
             assert fld.eta_floor(r0, s, need=0.5 * floor) == floor
 
 
+@pytest.mark.parametrize("ue_height", [1.5, 60.0, 150.0])
+def test_two_argument_floor_pass_equals_two_calls(ue_height):
+    # One pass at s / 2 and at s gives, bit for bit, what a call at each
+    # gives, with or without the skip screen's need on the s / 2 floor,
+    # which only zeroes the entries it rules out.  The last serving
+    # distance lies past the floor's step intervals.
+    scn = make_scenario(ue_height=ue_height)
+    fld = _field_for(scn, QUAD)
+    r0 = np.array([5.0, 60.0, 170.0, 340.0, 700.0, 1e6])
+    s = 3.0 * scn.sir_threshold / _serving_coeff(scn, r0, True)
+    half, full = fld.eta_floor(r0, [0.5 * s, s])
+    np.testing.assert_array_equal(half, fld.eta_floor(r0, 0.5 * s))
+    np.testing.assert_array_equal(full, fld.eta_floor(r0, s))
+    assert half[-1] == full[-1] == 0.0 and np.all(full[:-1] > half[:-1])
+    need = np.array([0.0, 1e9, 0.0, 1e9, 0.0, 0.0])
+    gated, again = fld.eta_floor(r0, [0.5 * s, s], [need, 0.0 * need])
+    np.testing.assert_array_equal(gated, np.where(need > 0.0, 0.0, half))
+    np.testing.assert_array_equal(again, full)
+    low, floor = fld.coverage_negligible(r0, s, 3, 1.0)
+    np.testing.assert_array_equal(floor, full)
+
+
 def test_coverage_skips_certified_terms_at_altitude(monkeypatch):
     scn = make_scenario(ue_height=150.0)
     res = coverage_probability(scn, QUAD)
     assert res.diagnostics["skipped_terms"] > 0
     assert_allclose(res.probability, 5.258709652239982e-05, rtol=1e-6)
     monkeypatch.setattr(_Field, "coverage_negligible",
-                        lambda self, r0, *args: np.zeros(np.shape(r0), bool))
+                        lambda self, r0, s, *args: (np.zeros(np.shape(r0),
+                                                             bool),
+                                                    self.eta_floor(r0, s)))
     full = coverage_probability(scn, QUAD)
     assert full.diagnostics["skipped_terms"] == 0
     assert abs(res.probability - full.probability) <= QUAD.abs_tol
@@ -609,7 +661,7 @@ def test_skipped_term_has_negligible_conditional_coverage(serving_los):
     s = m * scn.sir_threshold / _serving_coeff(scn, r0, serving_los)
     p_los = fld.level_at(r0)
     weight = p_los if serving_los else 1.0 - p_los
-    assert fld.coverage_negligible(r0, s, m, weight)
+    assert fld.coverage_negligible(r0, s, m, weight)[0]
     assert conditional_coverage(scn, r0, serving_los, QUAD) <= QUAD.abs_tol
 
 

@@ -1,6 +1,10 @@
 """Command-line interface tests: exit codes, output formats, determinism."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +112,18 @@ def test_coverage_rayleigh_reference_output():
     assert values["method"] == "rayleigh"
     assert float(values["probability"]) == 0.3076407243901217
     assert float(values["error_estimate"]) < 1e-6
+
+
+def test_module_run_prints_a_probability_and_exits_0():
+    # python -m dronecov.cli runs the command, as the console script does.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "dronecov.cli", "coverage"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert 0.0 < float(parse_kv(done.stdout)["probability"]) < 1.0
 
 
 def test_coverage_defaults_literal_matches_no_config():
