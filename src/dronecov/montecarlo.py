@@ -11,11 +11,14 @@ the line-of-sight component decays so slowly that a disk small enough to
 simulate quickly would bias coverage upward by far more than the Monte
 Carlo noise.  Instead of growing the disk, every drop adds the exact
 mean of the out-of-disk interference, from :func:`channel.los_tail_sums`
-for every geometry, as a deterministic offset.  What
-that replacement ignores is only the fluctuation of a sum of thousands
-of individually tiny far-field terms; its standard deviation divided by
-the typical total interference is reported as ``far_ripple`` in the
-diagnostics, and the induced coverage error is of that ratio squared.
+for every geometry, as a deterministic offset.  What that replacement
+ignores is the fluctuation of the far field, so the automatic disk is
+the smallest, doubling from the radius that holds the nearest station
+but for a 1e-8 chance, whose far-field standard deviation is a small
+share of the interference of the least interfered drops: the 10th
+percentile over a fixed-seed pilot, which makes the radius a function of
+the scenario alone.  That ratio is reported as ``far_ripple`` in the
+diagnostics, the pilot's percentile as ``ripple_scale``.
 
 Drops are evaluated in blocks of ``_BLOCK`` consecutive indices, cut at
 multiples of ``_BLOCK``, and each block draws from its own random
@@ -65,7 +68,15 @@ __all__ = [
 ]
 
 _SERVING_TRUNC = 1e-8     # nearest-station mass ignored by the radius floor
-_RIPPLE_TARGET = 1e-2     # allowed far-field spread over the reference mean
+# Allowed far-field standard deviation over the pilot's 10th-percentile
+# interference.  A low percentile, not the mean, because interference is
+# skewed (at 1.5 m the mean is hundreds of times the 10th percentile) and a
+# fluctuation flips the drops that see little interference.  At 60 m, 1e-2
+# picks a 1,370 m disk on which 0.1-0.2 % of drops flip against a 3,424 m
+# one; 5e-3 picks 2,740 m, where at most 0.06 % do.
+_RIPPLE_TARGET = 5e-3
+_PILOT_DROPS = 256        # drops of the pilot that sets the ripple scale
+_PILOT_SEED = 0           # the pilot's seed, fixed so the radius is not random
 _MAX_MEAN_COUNT = 6e4     # cost ceiling on the expected stations per drop
 
 
@@ -173,41 +184,60 @@ def far_field_mean(scn, radius: float) -> float:
 
 @lru_cache(maxsize=64)
 def _disk_profile(scn) -> tuple[float, float]:
+    """Automatic sampling radius and the interference scale it is judged
+    by, both of the scenario alone.
+
+    The scale is the 10th percentile of the interference over a
+    fixed-seed pilot on the serving-truncation floor's disk, far-field
+    mean included.  The radius doubles from that floor, up to the
+    station-count cap, until the replaced far field's standard deviation
+    is at most ``_RIPPLE_TARGET`` of the scale.
+    """
     lam = scn.bs_density
-    floor_r = 10.0 * math.sqrt(math.log(1.0 / _SERVING_TRUNC)
-                               / (math.pi * lam))
+    radius = math.sqrt(math.log(1.0 / _SERVING_TRUNC) / (math.pi * lam))
     cap_r = math.sqrt(_MAX_MEAN_COUNT / (lam * math.pi))
-    r_med = math.sqrt(math.log(2.0) / (math.pi * lam))
-    mean_ref = _far_field_moments(scn, r_med)[0]
-    radius = min(floor_r, cap_r)
-    while radius < cap_r:
-        if math.sqrt(_far_field_moments(scn, radius)[1]) \
-                <= _RIPPLE_TARGET * mean_ref:
-            break
+    # The pilot's drops are drawn as an estimate draws its blocks.
+    pilot = SimulationSpec(_PILOT_DROPS, disk_radius=radius, seed=_PILOT_SEED)
+    far = _far_field_moments(scn, radius)[0]
+    interference = np.concatenate([
+        _link_sums(scn, blk.radii, blk.los, blk.fading, blk.starts,
+                   blk.serving)[1] + far
+        for blk in _blocks(_sampler(scn, pilot), pilot.seed, 0, _PILOT_DROPS)])
+    k = _PILOT_DROPS // 10
+    scale = float(np.partition(interference, k)[k])
+    while (radius < cap_r and math.sqrt(_far_field_moments(scn, radius)[1])
+           > _RIPPLE_TARGET * scale):
         radius = min(2.0 * radius, cap_r)
-    ripple = math.sqrt(_far_field_moments(scn, radius)[1]) / mean_ref \
-        if mean_ref > 0.0 else 0.0
-    return radius, ripple
+    return radius, scale
 
 
 def default_disk_radius(scn) -> float:
     """Sampling radius at which the replaced far field's fluctuation is
-    far below the interference a median-distance user sees."""
+    negligible against the interference of the weaker-interfered drops."""
     return _disk_profile(scn)[0]
 
 
 def _with_radius(scn, spec: SimulationSpec) -> SimulationSpec:
-    # The spec with the automatic sampling radius resolved.
+    # The spec with the automatic sampling radius resolved, doubled past
+    # a pinned serving distance so that the disk still holds the station.
     if spec.disk_radius is not None:
         return spec
-    return replace(spec, disk_radius=default_disk_radius(scn))
+    radius = default_disk_radius(scn)
+    while (spec.fixed_serving_distance is not None
+           and spec.fixed_serving_distance >= radius):
+        radius *= 2.0
+    return replace(spec, disk_radius=radius)
 
 
 # ------------------------------------------------------------------ sampling
 
 # Drops per block, and so per generator: part of the stream contract, so
-# changing it changes seeded results.  Larger blocks add memory, not speed.
-_BLOCK = 8
+# changing it changes seeded results.  On the automatic disks (tens to a
+# few thousand stations per drop) a block of 32 drops spreads the fixed
+# cost of a generator and of each NumPy call over enough stations to
+# matter.  Its arrays grow with the disk: about 2 MiB of peak memory per
+# 1,000 stations per drop.
+_BLOCK = 32
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -436,13 +466,13 @@ def estimate_coverage(scn, spec: SimulationSpec,
     covered, resampled, single, stations = (int(c) for c in counts)
     prob = covered / n
     std_err = math.sqrt(prob * (1.0 - prob) / n)
-    ref = _far_field_moments(
-        scn, math.sqrt(math.log(2.0) / (math.pi * scn.bs_density)))[0]
+    scale = _disk_profile(scn)[1]
     diag = {
         "disk_radius": radius,
         "mean_station_count": scn.bs_density * math.pi * radius * radius,
         "far_mean": far_mean,
-        "far_ripple": math.sqrt(far_var) / ref if ref > 0.0 else 0.0,
+        "far_ripple": math.sqrt(far_var) / scale if scale > 0.0 else 0.0,
+        "ripple_scale": scale,
         "resampled_drops": resampled,
         "single_station_drops": single,
         "drops": n,
