@@ -38,7 +38,6 @@ from .channel import (
     AntennaPattern,
     ChannelParams,
     EnvironmentParams,
-    LinkGeometry,
     antenna_gain_curve,
     gain_switch_radii,
     los_breakpoints,
@@ -112,13 +111,10 @@ class NetworkScenario:
             raise DomainError(
                 f"sir_threshold must be positive, got {self.sir_threshold}")
 
-    def link(self, ground_distance: float) -> LinkGeometry:
-        return LinkGeometry(ground_distance, self.bs_height, self.ue_height)
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy and budget knobs for the analytic evaluation.
+    """Accuracy of the analytic evaluation.
 
     ``outer_trunc_prob`` is the serving-distance probability mass allowed
     beyond the outer integration limit.
@@ -127,16 +123,12 @@ class QuadratureSpec:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     outer_trunc_prob: float = 1e-8
-    max_panels: int = 20000
-    max_rounds: int = 12
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise DomainError("tolerances must be positive")
         if not 0.0 < self.outer_trunc_prob < 0.1:
             raise DomainError("outer_trunc_prob must lie in (0, 0.1)")
-        if self.max_panels < 16 or self.max_rounds < 1:
-            raise DomainError("quadrature budget too small")
 
 
 @dataclass
@@ -524,8 +516,8 @@ class _Field:
         return self._edges
 
     def integrate_rows(self, rows, r0: np.ndarray, k_sight: np.ndarray,
-                       r_end: np.ndarray, *, rel_tol: float, abs_tol: float,
-                       max_rounds: int) -> StepIntegrals:
+                       r_end: np.ndarray, *, rel_tol: float,
+                       abs_tol: float) -> StepIntegrals:
         """Integrals over ``[r0, r_end]`` of ``level * rows_L + (1 - level)
         * rows_N``, the level from the steps below ``k_sight`` and 0
         beyond, per entry: each ``k_sight`` a handover candidate past
@@ -583,8 +575,7 @@ class _Field:
                                                         weighted), panels,
                 lambda lo, hi, owner, a=a: self._panels(
                     lo, hi, k_sight[a + owner], owner),
-                rel_tol=rel_tol, abs_tol=abs_tol,
-                max_panels=self.quad.max_panels, max_rounds=max_rounds))
+                rel_tol=rel_tol, abs_tol=abs_tol))
         return StepIntegrals(*(np.concatenate([getattr(r, f.name)
                                                for r in results])
                                for f in fields(StepIntegrals)))
@@ -695,8 +686,7 @@ class _Field:
             r0, s, orders, ml, mn, floor)
         res = self.integrate_rows(
             self._link_integrand(s, orders, ml, mn), r0, k, r_end,
-            rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
-            max_rounds=quad.max_rounds)
+            rel_tol=quad.rel_tol, abs_tol=quad.abs_tol)
         t = res.values + tail
         t[:, 0] = -t[:, 0]
         t[:, 1::2] = -t[:, 1::2]
@@ -808,8 +798,7 @@ def mean_interference(scn: NetworkScenario, r0: float,
         lambda data, owner, weighted: (data[0 if weighted else 1]
                                        * data[2])[None],
         np.array([float(r0)]), np.array([k]), np.array([k * fld.step]),
-        rel_tol=fld.quad.rel_tol, abs_tol=fld.quad.rel_tol * tail,
-        max_rounds=fld.quad.max_rounds)
+        rel_tol=fld.quad.rel_tol, abs_tol=fld.quad.rel_tol * tail)
     return float(res.values[0, 0] + tail)
 
 
@@ -871,8 +860,7 @@ def _integrate_outer(fld: _Field, ml: int,
         *los_breakpoints(scn.env, fld.r_outer), *fld.switches])
     res = integrate_steps(integrand, kronrod_panels(edges[:-1], edges[1:]),
                           kronrod_panels, rel_tol=quad.rel_tol,
-                          abs_tol=quad.abs_tol, max_panels=4096,
-                          max_rounds=8)[0]
+                          abs_tol=quad.abs_tol)[0]
     prob = float(min(max(res.value, 0.0), 1.0))
     err = res.error + quad.outer_trunc_prob + 8.0 * quad.abs_tol \
         + 4.0 * quad.rel_tol * max(prob, 1e-3)

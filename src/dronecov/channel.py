@@ -33,12 +33,18 @@ __all__ = [
     "AntennaPattern",
     "LinkGeometry",
     "path_loss",
+    "path_loss_curves",
+    "path_gain_curve",
     "los_probability",
     "los_breakpoints",
     "los_step_width",
     "los_step_levels",
+    "los_level_curve",
+    "los_tail_sums",
     "los_exact_steps",
+    "power_law_integral",
     "antenna_gain",
+    "antenna_gain_curve",
     "main_lobe_interval",
     "gain_switch_radii",
     "fading_pdf",
@@ -98,12 +104,6 @@ class ChannelParams:
             m = getattr(self, name)
             if not isinstance(m, int) or isinstance(m, bool) or m < 1:
                 raise DomainError(f"{name} must be a positive integer, got {m!r}")
-
-    def alpha(self, los: bool) -> float:
-        return self.alpha_los if los else self.alpha_nlos
-
-    def intercept(self, los: bool) -> float:
-        return self.intercept_los if los else self.intercept_nlos
 
     def fading_order(self, los: bool) -> int:
         return self.m_los if los else self.m_nlos

@@ -190,7 +190,7 @@ def _emit(text: str, output: str | None, stdout: IO[str]) -> None:
 
 def _run_coverage(args, cfg: ConfigFile, stdout: IO[str]) -> int:
     scn = cfg.to_scenario()
-    quad = cfg.to_quadrature()
+    quad = cfg.quadrature
     evaluate = (coverage_probability if args.method == "analytic"
                 else rayleigh_coverage)
     res = evaluate(scn, quad)
@@ -234,7 +234,7 @@ def _sweep_spec(args, cfg: ConfigFile) -> SweepSpec:
                                             args.sweep_grid))
         spec = SweepSpec(base=cfg.to_scenario(), axes=axes,
                          num_drops=drops, seed=seed)
-    spec = replace(spec, quadrature=cfg.to_quadrature())
+    spec = replace(spec, quadrature=cfg.quadrature)
     if args.methods is not None:
         spec = replace(spec, methods=args.methods)
     return spec
@@ -260,7 +260,7 @@ def _run_validate(args, cfg: ConfigFile, stdout: IO[str]) -> int:
     spec = ValidationSpec(
         num_drops=cfg.simulation.num_drops,
         seed=cfg.simulation.seed if args.seed is None else args.seed)
-    report = validate(cfg.to_scenario(), spec, cfg.to_quadrature(),
+    report = validate(cfg.to_scenario(), spec, cfg.quadrature,
                       workers=args.workers)
     lines = []
     for check in report.checks:

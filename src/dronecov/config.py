@@ -136,9 +136,6 @@ class ConfigFile:
                 gain_main=s.gain_main,
                 gain_side=s.gain_side))
 
-    def to_quadrature(self) -> QuadratureSpec:
-        return self.quadrature
-
     def to_simulation(self, num_drops: int | None = None,
                       seed: int | None = None) -> SimulationSpec:
         sim = self.simulation
@@ -234,8 +231,6 @@ _QUADRATURE_KEYS = {
     "rel_tol": (_parse_float, _identity),
     "abs_tol": (_parse_float, _identity),
     "outer_trunc_prob": (_parse_float, _identity),
-    "max_panels": (_parse_int, _identity),
-    "max_rounds": (_parse_int, _identity),
 }
 _SIMULATION_KEYS = {
     "num_drops": (_parse_int, _count),

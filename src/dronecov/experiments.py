@@ -172,7 +172,6 @@ class SweepRow:
 class SweepResult:
     spec: SweepSpec
     rows: tuple[SweepRow, ...]
-    metadata: dict = field(default_factory=dict)
 
     def curve(self, method: str, param_2: float | str | None = None
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,25 +297,6 @@ def _grid_indices(spec: SweepSpec) -> list[tuple[int, ...]]:
             for j in range(len(spec.axes[1].values))]
 
 
-def _collect_metadata(spec: SweepSpec, rows: tuple[SweepRow, ...]) -> dict:
-    meta: dict = {"num_failures": sum(not row.ok for row in rows)}
-    if spec.axes[0].labels is not None:
-        return meta
-    argmax: dict = {}
-    for row in rows:
-        if not row.ok:
-            continue
-        slot = argmax.setdefault(row.method, {})
-        key = "" if row.param_2 is None else row.param_2
-        best = slot.get(key)
-        if best is None or row.probability > best[1]:
-            slot[key] = (float(row.param_1), row.probability)
-    meta["argmax"] = {method: {key: pair[0]
-                               for key, pair in slices.items()}
-                      for method, slices in argmax.items()}
-    return meta
-
-
 def sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the grid with every requested method.
 
@@ -339,8 +319,7 @@ def sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         mc_workers = workers if len(points) == 1 else 1
         rows = tuple(row for indices in points
                      for row in _evaluate_point(spec, indices, mc_workers))
-    return SweepResult(spec=spec, rows=rows,
-                       metadata=_collect_metadata(spec, rows))
+    return SweepResult(spec=spec, rows=rows)
 
 
 # --------------------------------------------------------------- presets
@@ -464,19 +443,23 @@ def _shape_status(x, p, err) -> tuple[str, dict]:
     return "pass", details
 
 
-def figure2_check(result: SweepResult, window: tuple[float, float] = (30.0, 150.0),
-                  expected: tuple[float, float] = (80.0, 30.0)
-                  ) -> CheckReport:
+# figure2: the window of user heights (m) searched for the crossing, and
+# the height it is expected at with its allowed distance.
+_FIGURE2_WINDOW = (30.0, 150.0)
+_FIGURE2_CROSSING = (80.0, 30.0)
+
+
+def figure2_check(result: SweepResult) -> CheckReport:
     """Check the altitude-sweep signature: the single-exponential curve
-    crosses the mixed-fading curve exactly once inside ``window``, near
-    ``expected[0]`` within ``expected[1]``, and both curves rise to a
-    modest-altitude peak before decaying."""
+    crosses the mixed-fading curve exactly once between 30 and 150 m,
+    within 30 m of 80 m, and both curves rise to a modest-altitude peak
+    before decaying."""
     x1, p1, e1 = result.curve("analytic", "m1-1")
     x3, p3, e3 = result.curve("analytic", "m3-1")
     if x1.size != x3.size or np.any(x1 != x3):
         return CheckReport("figure2", "inconclusive",
                            {"reason": "curves on different grids"})
-    lo, hi = window
+    lo, hi = _FIGURE2_WINDOW
     mask = (x1 >= lo) & (x1 <= hi)
     details: dict = {}
     gap_lo = float(p3[mask][0] - p1[mask][0])
@@ -495,7 +478,7 @@ def figure2_check(result: SweepResult, window: tuple[float, float] = (30.0, 150.
         return CheckReport("figure2", "fail",
                            {**details, "reason": "need exactly one "
                             "crossing in window"})
-    center, band = expected
+    center, band = _FIGURE2_CROSSING
     if abs(crossings[0] - center) > band:
         return CheckReport("figure2", "fail",
                            {**details,
@@ -509,14 +492,18 @@ def figure2_check(result: SweepResult, window: tuple[float, float] = (30.0, 150.
     return CheckReport("figure2", "pass", details)
 
 
-def figure3_check(result: SweepResult, slice_label: str,
-                  method: str = "monte-carlo", tol: float = 5e-3,
-                  min_tail_points: int = 3) -> CheckReport:
-    """Plateau check for one height-sweep curve: after the last
-    statistically significant change, the remaining total variation
+# figure3: the total variation a plateau may always have, whatever its
+# rows' errors, and the fewest grid points a plateau spans.
+_FIGURE3_TOL = 5e-3
+_FIGURE3_MIN_TAIL = 3
+
+
+def figure3_check(result: SweepResult, slice_label: str) -> CheckReport:
+    """Plateau check for one Monte Carlo height-sweep curve: after the
+    last statistically significant change, the remaining total variation
     must stay below tolerance.  A curve still changing at the end of
     the grid is inconclusive."""
-    x, p, err = result.curve(method, slice_label)
+    x, p, err = result.curve("monte-carlo", slice_label)
     steps = np.abs(np.diff(p))
     sig = 3.0 * (err[:-1] + err[1:]) + 1e-12
     significant = np.nonzero(steps > sig)[0]
@@ -524,25 +511,24 @@ def figure3_check(result: SweepResult, slice_label: str,
     tail = p[start:]
     details = {"plateau_start_m": float(x[start]),
                "tail_points": int(tail.size)}
-    if tail.size < min_tail_points:
+    if tail.size < _FIGURE3_MIN_TAIL:
         return CheckReport("figure3", "inconclusive",
                            {**details,
                             "reason": "still changing at grid end"})
     variation = float(np.sum(np.abs(np.diff(tail))))
-    allowed = max(tol, 3.0 * float(np.sum(np.hypot(err[start:-1],
-                                                   err[start + 1:]))))
+    allowed = max(_FIGURE3_TOL, 3.0 * float(np.sum(
+        np.hypot(err[start:-1], err[start + 1:]))))
     details.update(total_variation=variation, allowed=allowed)
     status = "pass" if variation <= allowed else "fail"
     return CheckReport("figure3", status, details)
 
 
-def figure4_check(result: SweepResult, max_ratio: float = 3.0
-                  ) -> CheckReport:
+def figure4_check(result: SweepResult) -> CheckReport:
     """Check that every tilt's coverage-maximizing altitude stays below
-    ``max_ratio`` times the base-station height.  Peaks that sit at the
-    grid boundary or are ambiguous within error come back inconclusive
-    with diagnostics, never silently passed."""
-    bound = max_ratio * result.spec.base.bs_height
+    three times the base-station height.  Peaks that sit at the grid
+    boundary or are ambiguous within error come back inconclusive with
+    diagnostics, never silently passed."""
+    bound = 3.0 * result.spec.base.bs_height
     axis2 = result.spec.axes[1] if len(result.spec.axes) == 2 else None
     slices = ([axis2.label(i) for i in range(len(axis2.values))]
               if axis2 is not None else [None])
@@ -569,12 +555,17 @@ def figure4_check(result: SweepResult, max_ratio: float = 3.0
 
 @dataclass(frozen=True)
 class ValidationSpec:
-    """Sampling effort and tolerances for the cross-check matrix."""
+    """Sampling effort of the cross-check matrix."""
 
     num_drops: int = 20000
     seed: int = 0
-    derivative_rel_tol: float = 1e-4
-    sigma: float = 3.0
+
+
+# Largest relative gap between the transform derivatives and their finite
+# differences, and largest deviation of a simulated value, in standard
+# errors, that the cross-checks pass.
+_DERIVATIVE_REL_TOL = 1e-4
+_SIGMA = 3.0
 
 
 @dataclass(frozen=True)
@@ -599,7 +590,7 @@ def _median_serving_distance(scn: NetworkScenario) -> float:
     return math.sqrt(math.log(2.0) / (math.pi * scn.bs_density))
 
 
-def _check_closed_form(scn, quad, spec) -> ValidationCheck:
+def _check_closed_form(scn, quad) -> ValidationCheck:
     # Exponent 4, Rayleigh, unit gains, equal heights: 1 / (1 + sqrt(T)
     # atan(sqrt(T))) (Andrews, Baccelli, Ganti, IEEE TCOM 59(11), 2011).
     res = coverage_probability(replace(
@@ -615,7 +606,7 @@ def _check_closed_form(scn, quad, spec) -> ValidationCheck:
         res.error_estimate, f"analytic={res.probability!r} exact={exact!r}")
 
 
-def _check_derivatives(scn, quad, spec) -> ValidationCheck:
+def _check_derivatives(scn, quad) -> ValidationCheck:
     r0 = _median_serving_distance(scn)
     s0 = 1.0 / mean_interference(scn, r0, quad)
     vals = laplace_derivatives(scn, r0, s0, 2, quad)
@@ -630,7 +621,7 @@ def _check_derivatives(scn, quad, spec) -> ValidationCheck:
               abs(fd2 - vals[2]) / abs(vals[2]))
     return ValidationCheck(
         "transform derivatives vs finite differences",
-        rel <= spec.derivative_rel_tol, rel, spec.derivative_rel_tol,
+        rel <= _DERIVATIVE_REL_TOL, rel, _DERIVATIVE_REL_TOL,
         f"orders 1-2 at r0={r0:.1f} s={s0:.4g}")
 
 
@@ -642,7 +633,7 @@ def _check_coverage_mc(scn, quad, spec, workers) -> ValidationCheck:
                        res.error_estimate)
     dev = abs(res.probability - est.probability) / scale
     return ValidationCheck(
-        "coverage vs simulation", dev <= spec.sigma, dev, spec.sigma,
+        "coverage vs simulation", dev <= _SIGMA, dev, _SIGMA,
         f"analytic={res.probability:.6f} "
         f"simulated={est.probability:.6f}+-{est.std_error:.6f}")
 
@@ -657,8 +648,7 @@ def _check_conditional_mc(scn, quad, spec, workers) -> ValidationCheck:
     dev = (abs(prob - est.probability)
            / max(est.std_error, 3.0 / spec.num_drops))
     return ValidationCheck(
-        "conditional coverage vs simulation", dev <= spec.sigma, dev,
-        spec.sigma,
+        "conditional coverage vs simulation", dev <= _SIGMA, dev, _SIGMA,
         f"r0={r0:.1f} analytic={prob:.6f} "
         f"simulated={est.probability:.6f}+-{est.std_error:.6f}")
 
@@ -676,8 +666,8 @@ def _check_laplace_mc(scn, quad, spec) -> ValidationCheck:
         dev = max(dev, abs(exact - mean)
                   / max(err, 1.0 / spec.num_drops))
     return ValidationCheck(
-        "interference transform vs empirical mean", dev <= spec.sigma,
-        dev, spec.sigma, f"r0={r0:.1f}, 3 transform arguments")
+        "interference transform vs empirical mean", dev <= _SIGMA,
+        dev, _SIGMA, f"r0={r0:.1f}, 3 transform arguments")
 
 
 def validate(scn: NetworkScenario | None = None,
@@ -695,8 +685,8 @@ def validate(scn: NetworkScenario | None = None,
     spec = spec if spec is not None else ValidationSpec()
     quad = quad if quad is not None else QuadratureSpec()
     checks = (
-        _check_closed_form(scn, quad, spec),
-        _check_derivatives(scn, quad, spec),
+        _check_closed_form(scn, quad),
+        _check_derivatives(scn, quad),
         _check_coverage_mc(scn, quad, spec, workers),
         _check_conditional_mc(scn, quad, spec, workers),
         _check_laplace_mc(scn, quad, spec),

@@ -353,9 +353,15 @@ def _owner_sums(x: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(bins.ravel(), x.ravel(), n * rows).reshape(rows, n)
 
 
+# Refinement budget of every integral, per owner.  The integrals of this
+# package converge within about 140 panels and 5 rounds, so the budget
+# only decides when an integral that fails its tolerance is given up.
+_MAX_PANELS = 20_000
+_MAX_ROUNDS = 12
+
+
 def integrate_steps(f, panels: StepPanels, split, *, rel_tol: float,
-                    abs_tol: float, max_panels: int = 4096,
-                    max_rounds: int = 12) -> StepIntegrals:
+                    abs_tol: float) -> StepIntegrals:
     """Integrate the family ``v f1 + (1 - v) f0`` of every owner over its
     panels, built by :func:`kronrod_panels` or :func:`step_panels`.
 
@@ -369,7 +375,10 @@ def integrate_steps(f, panels: StepPanels, split, *, rel_tol: float,
     one owner.  Each member of each owner must meet ``sum of its panel
     errors <= max(abs_tol, rel_tol * |integral|)``; while one fails, every
     panel of that owner whose error exceeds its share of that tolerance,
-    in proportion to its width, is bisected.
+    in proportion to its width, is bisected, for at most ``_MAX_ROUNDS``
+    rounds and while no failing owner would pass ``_MAX_PANELS`` panels;
+    past either budget a :class:`QuadratureError` names the first failing
+    owner.
 
     The reported errors add ``gamma_n sum |w f|`` over the owner's nodes
     (Higham, Accuracy and Stability of Numerical Algorithms, 2002, §4.2),
@@ -388,7 +397,7 @@ def integrate_steps(f, panels: StepPanels, split, *, rel_tol: float,
                         np.zeros(n_own, dtype=np.int64),
                         nodes * np.bincount(owner, minlength=n_own),
                         np.zeros(n_own, dtype=np.int64))
-    for rounds in range(max_rounds + 1):
+    for rounds in range(_MAX_ROUNDS + 1):
         count = np.bincount(owner, minlength=n_own)
         totals = _owner_sums(vals, owner, n_own)
         total_err = _owner_sums(errs, owner, n_own)
@@ -406,7 +415,7 @@ def integrate_steps(f, panels: StepPanels, split, *, rel_tol: float,
             out.rounds[done] = rounds
         if not fails.any():
             return out
-        if rounds == max_rounds or (2 * count[fails] > max_panels).any():
+        if rounds == _MAX_ROUNDS or (2 * count[fails] > _MAX_PANELS).any():
             break
         keep = fails[owner]
         lo, hi, owner = lo[keep], hi[keep], owner[keep]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +27,10 @@ from dronecov.analytic import (
     upsilon,
     upsilon_derivative,
 )
+import dronecov
 import dronecov.analytic as analytic
+from dronecov import (channel, cli, config, errors, experiments, montecarlo,
+                      quadrature)
 from dronecov.analytic import (_Field, _field_for, _link_rows, _power_terms,
                                _scaled_upsilon_rows, _serving_coeff)
 from dronecov.channel import (AntennaPattern, ChannelParams,
@@ -403,7 +406,7 @@ def _tight_rows(fld, r0, s, orders, ml, mn, diag):
                                          np.arange(edges.size - 1)),
                           kronrod_panels, rel_tol=1e-13,
                           abs_tol=1e-6 * min(diag["quad_errors"])
-                          / edges.size, max_panels=4096)
+                          / edges.size)
     vals = np.array([math.fsum(row) for row in res.values.T])
     vals += fld.handover(np.array([r0]), np.array([s]), orders, ml, mn)[2][0]
     vals[0] = -vals[0]
@@ -701,5 +704,18 @@ def test_quadrature_spec_validation():
         QuadratureSpec(rel_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureSpec(outer_trunc_prob=0.5)
-    with pytest.raises(DomainError):
-        QuadratureSpec(max_panels=4)
+
+
+def test_public_names_resolve_and_quadrature_spec_holds_accuracy_only():
+    # Every name a module exports exists; the integration budget is a
+    # constant of quadrature.py, not a field of the spec.
+    for module in (dronecov, analytic, channel, cli, config, errors,
+                   experiments, montecarlo, quadrature):
+        names = getattr(module, "__all__", ())
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+    assert {"path_loss_curves", "path_gain_curve", "los_level_curve",
+            "los_tail_sums", "antenna_gain_curve",
+            "power_law_integral"} <= set(channel.__all__)
+    assert [f.name for f in fields(QuadratureSpec)] == [
+        "rel_tol", "abs_tol", "outer_trunc_prob"]

@@ -83,16 +83,16 @@ def test_computation_failure_exits_1(tmp_path):
     assert "computation failed" in err
 
 
-def test_quadrature_budget_out_of_spec_range_exits_2(tmp_path):
+def test_quadrature_value_out_of_spec_range_exits_2(tmp_path):
     # Accepted by the key's own reader but refused by QuadratureSpec: a
     # configuration error, not a failed computation.
-    path = tmp_path / "panels.cfg"
-    path.write_text("[quadrature]\nmax_panels = 4\n")
+    path = tmp_path / "trunc.cfg"
+    path.write_text("[quadrature]\nouter_trunc_prob = 0.5\n")
     code, out, err = invoke(["coverage", "--config", str(path)])
     assert code == 2
     assert out == ""
     assert "config error" in err
-    assert "max_panels" in err and "line 2" in err
+    assert "outer_trunc_prob" in err and "line 2" in err
 
 
 def test_unwritable_output_exits_1(tmp_path):
@@ -287,15 +287,15 @@ def test_sweep_preset_honours_methods():
 
 
 def test_sweep_preset_honours_config_quadrature():
-    cfg = parse_config("[quadrature]\nrel_tol = 1e-6\nmax_rounds = 5\n")
+    cfg = parse_config("[quadrature]\nrel_tol = 1e-6\nabs_tol = 1e-9\n")
     parser = build_parser()
     for argv in (["sweep", "--preset", "figure3-ground"],
                  ["sweep", "--sweep-param", "ue_height",
                   "--sweep-grid", "60"]):
         spec = _sweep_spec(parser.parse_args(argv), cfg)
-        assert spec.quadrature == cfg.to_quadrature()
+        assert spec.quadrature == cfg.quadrature
         assert spec.quadrature.rel_tol == 1e-6
-        assert spec.quadrature.max_rounds == 5
+        assert spec.quadrature.abs_tol == 1e-9
 
 
 def test_sweep_preset_names_offered():

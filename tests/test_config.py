@@ -54,7 +54,7 @@ def test_round_trip_default_and_modified():
                  "[scenario]\nue_height_m = 1.5\nenvironment = suburban\n",
                  "[simulation]\nnum_drops = 123\nseed = 42\n"
                  "disk_radius_m = 2000.0\n",
-                 "[quadrature]\nrel_tol = 1e-07\nmax_rounds = 9\n"):
+                 "[quadrature]\nrel_tol = 1e-07\nabs_tol = 1e-10\n"):
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
 
@@ -116,8 +116,9 @@ def test_comments_and_blank_lines_ignored():
     ("[quadrature]\nouter_trunc_prob = 1.5\n", "(0, 0.1)"),
     ("[quadrature]\nrel_tol = -1e-9\n", "tolerances must be positive"),
     ("[quadrature]\nrel_tol = tight\n", "bad value"),
-    ("[quadrature]\nmax_rounds = 2.5\n", "must be an integer"),
-    ("[quadrature]\nmax_panels = 4\n", "max_panels"),
+    ("[simulation]\nnum_drops = 2.5\n", "must be an integer"),
+    ("[quadrature]\nmax_rounds = 5\n", "unknown key"),
+    ("[quadrature]\nmax_panels = 4\n", "unknown key"),
     ("[quadrature]\nouter_trunc_prob = 0.5\n", "outer_trunc_prob"),
 ])
 def test_parse_errors(text, fragment):
@@ -158,8 +159,8 @@ def test_simulation_overrides():
 
 def test_quadrature_mapping():
     cfg = parse_config("[quadrature]\nrel_tol = 1e-06\nabs_tol = 1e-09\n"
-                       "max_panels = 500\n")
-    quad = cfg.to_quadrature()
+                       "outer_trunc_prob = 1e-06\n")
+    quad = cfg.quadrature
     assert quad.rel_tol == 1e-6
     assert quad.abs_tol == 1e-9
-    assert quad.max_panels == 500
+    assert quad.outer_trunc_prob == 1e-6

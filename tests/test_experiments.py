@@ -150,7 +150,7 @@ def test_failures_recorded_per_row_without_aborting():
     mc = [row for row in result.rows
           if row.param_2 == "m100-100" and row.method == "monte-carlo"]
     assert mc[0].ok
-    assert result.metadata["num_failures"] == 1
+    assert len(result.failures) == 1
 
 
 def test_invalid_grid_value_recorded_not_raised():

@@ -75,7 +75,7 @@ def test_budget_exhaustion_raises():
     f = lambda x: 1.0 / np.sqrt(np.maximum(x, 1e-300))
     with pytest.raises(QuadratureError) as exc:
         integrate_kronrod(f, build_edges(0.0, 1.0), rel_tol=1e-12,
-                          abs_tol=1e-14, max_rounds=3)
+                          abs_tol=1e-14)
     diag = exc.value.diagnostics
     assert diag["num_panels"] >= 1
     assert "worst_panel" in diag
@@ -235,7 +235,7 @@ def test_integrate_steps_refines_then_raises_when_budget_spent():
     assert abs(res.value - 0.5 * (0.3 ** 2 + 0.7 ** 2)) <= res.error
     with pytest.raises(QuadratureError) as exc:
         integrate_steps(kink, split(np.array([0.0]), np.array([1.0])),
-                        split, rel_tol=1e-15, abs_tol=1e-18, max_rounds=3)
+                        split, rel_tol=1e-15, abs_tol=1e-18)
     assert exc.value.diagnostics["num_panels"] > 1
 
 
