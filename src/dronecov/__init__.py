@@ -6,7 +6,7 @@ from .analytic import (MAX_FADING_ORDER, CoverageResult, NetworkScenario,
                        QuadratureSpec, conditional_coverage,
                        coverage_probability, laplace_derivatives,
                        laplace_interference, mean_interference,
-                       rayleigh_coverage, serving_distance_pdf)
+                       serving_distance_pdf)
 from .channel import (AntennaPattern, ChannelParams, EnvironmentParams,
                       LinkGeometry, antenna_gain, los_probability,
                       los_step_levels, path_loss)
@@ -61,7 +61,6 @@ __all__ = [
     "mean_interference",
     "parse_config",
     "path_loss",
-    "rayleigh_coverage",
     "sample_network",
     "serialize_config",
     "serving_distance_pdf",

@@ -61,14 +61,11 @@ __all__ = [
     "QuadratureSpec",
     "CoverageResult",
     "serving_distance_pdf",
-    "upsilon",
-    "upsilon_derivative",
     "laplace_interference",
     "laplace_derivatives",
     "mean_interference",
     "conditional_coverage",
     "coverage_probability",
-    "rayleigh_coverage",
 ]
 
 # Largest fading order the derivative recursion is evaluated for.  The sum
@@ -135,7 +132,6 @@ class QuadratureSpec:
 class CoverageResult:
     probability: float
     error_estimate: float
-    method: str
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -152,32 +148,12 @@ def serving_distance_pdf(r0, bs_density: float):
 # fading attenuation factor and its derivatives
 
 
-def upsilon(scn: NetworkScenario, r: float, s: float, los: bool) -> float:
-    """Laplace-domain attenuation factor of one interferer at distance ``r``:
-    the fading-averaged value of ``exp(-s * received_power)``."""
-    return upsilon_derivative(scn, r, s, los, 0)
-
-
-def upsilon_derivative(scn: NetworkScenario, r: float, s: float, los: bool,
-                       order: int) -> float:
-    """Derivative of :func:`upsilon` with respect to ``s``, of given order
-    (order 0 is :func:`upsilon` itself)."""
-    if s < 0.0:
-        raise DomainError("transform argument must be non-negative")
-    if order < 0:
-        raise DomainError("order must be non-negative")
-    m = scn.channel.fading_order(los)
-    c = float(_serving_coeff(scn, r, los))
-    x = s * c / m
-    mag = math.perm(m + order - 1, order) * math.exp(
-        order * math.log(c / m) - (m + order) * math.log1p(x))
-    return mag if order % 2 == 0 else -mag
-
-
-def _scaled_upsilon_rows(x: np.ndarray, m: int, orders: int,
-                         out: np.ndarray | None = None) -> np.ndarray:
-    # Row j (1-based) holds s^j |upsilon^(j)| / j! elementwise, which equals
-    # the negative-binomial term C(m+j-1, j) x^j / (1+x)^(m+j) and is <= 1.
+def _scaled_attenuation_rows(x: np.ndarray, m: int, orders: int,
+                             out: np.ndarray | None = None) -> np.ndarray:
+    # Row j (1-based) holds s^j |A^(j)(s)| / j! elementwise, A(s) = (1 +
+    # x)^-m with x = s c / m the attenuation of one link averaged over its
+    # unit-mean gamma fading; that is the negative-binomial term
+    # C(m+j-1, j) x^j / (1+x)^(m+j), which is <= 1.
     # Each row is the previous one times x/(1+x) times (m+j-1)/j, from the
     # j = 0 term (1+x)^-m, which waits in out[-1] until the last row; the
     # rows (orders >= 1) go to out[j - 1] when out is given.
@@ -199,12 +175,12 @@ def _link_rows(c: np.ndarray, area: np.ndarray, s, m: int,
     # Integrand rows j = 0..orders of the transform log over links with
     # fading order m and mean received power c per unit fading, at
     # argument s: row 0 is one minus the attenuation, row j the scaled
-    # attenuation derivative s^j |upsilon^(j)| / j!, each times area
+    # attenuation derivative of _scaled_attenuation_rows, each times area
     # (2 pi lam r), written in place: row 0 starts as x = s c / m.
     out = np.empty((orders + 1,) + np.broadcast_shapes(np.shape(s), c.shape))
     x = np.multiply(s / m, c, out=out[0])
     if orders:
-        _scaled_upsilon_rows(x, m, orders, out=out[1:])
+        _scaled_attenuation_rows(x, m, orders, out=out[1:])
     np.log1p(x, out=x)
     x *= -m
     np.expm1(x, out=x)
@@ -309,15 +285,14 @@ class _Field:
         return float(antenna_gain_curve(2.0 * r_gain + 1.0, self.lobe,
                                         self.scn.pattern)), r_gain
 
-    def nlos_tail(self, s, orders: int, mn: int,
-                  r) -> tuple[np.ndarray, np.ndarray]:
+    def nlos_tail(self, s, orders: int, r) -> tuple[np.ndarray, np.ndarray]:
         """Non-line-of-sight rows beyond ``r`` (past every gain switch) in
         closed form, and the slack of that form per row, on a last axis
         after the broadcast shape of ``s`` and ``r``: each row becomes its
         leading power law ``m x`` or ``C(m+j-1, j) x^j``, whose tail
         integral is exact, off by a factor of at most ``(m + orders) x``
         with ``x`` taken at ``r``, where it is largest."""
-        scn = self.scn
+        scn, mn = self.scn, self.scn.channel.m_nlos
         g_far, _ = self.far_gain
         r = np.asarray(r, dtype=float)
         _, zn = path_loss_curves(r, scn.bs_height, scn.ue_height, scn.channel)
@@ -327,13 +302,13 @@ class _Field:
         tail *= (self.area * (r * r + self.gap2))[..., None]
         return tail, (mn + orders) * (y / mn)[..., None] * tail
 
-    def tail_start(self, s: np.ndarray, orders: int, mn: int, r0: np.ndarray,
+    def tail_start(self, s: np.ndarray, orders: int, r0: np.ndarray,
                    slack: np.ndarray) -> np.ndarray:
         """Smallest radius beyond ``r0`` and the last gain switch from
         which every row of :meth:`nlos_tail` has at most ``slack``.  Each
         row's slack is ``B y^(q+1) d^2`` with ``y = a d^-alpha`` at the
         3-d distance ``d``, so it falls with ``d`` and is solved directly."""
-        scn = self.scn
+        scn, mn = self.scn, self.scn.channel.m_nlos
         g_far, r_gain = self.far_gain
         alpha = scn.channel.alpha_nlos
         ln_a = np.log(s * scn.tx_power * g_far * scn.channel.intercept_nlos)
@@ -369,8 +344,8 @@ class _Field:
                                                 np.hstack([errs, more[1]]))
         return self._cuts[:n], vals[:, :n], errs[:, :n]
 
-    def handover(self, r0: np.ndarray, s: np.ndarray, orders: int, ml: int,
-                 mn: int, floor: np.ndarray | None = None) -> tuple:
+    def handover(self, r0: np.ndarray, s: np.ndarray, orders: int,
+                 floor: np.ndarray | None = None) -> tuple:
         """Per entry, the line-of-sight handover step ``K``, the radius
         past which the blocked field is closed-form too, the rows beyond
         both, their errors, and the largest line-of-sight and blocked
@@ -383,6 +358,7 @@ class _Field:
         tolerance, read off all candidates at once.  ``floor`` is
         :meth:`eta_floor` at ``r0`` and ``s`` when at hand."""
         quad, scn, ch = self.quad, self.scn, self.scn.channel
+        ml, mn = ch.m_los, ch.m_nlos
         g_far, r_gain = self.far_gain
         ln_y = np.log(np.multiply.outer(
             [ch.intercept_los, ch.intercept_nlos], s * scn.tx_power * g_far))
@@ -422,7 +398,7 @@ class _Field:
             > np.log(0.25 * tol)
         tol[loose] = np.maximum(quad.abs_tol * np.exp(np.minimum(low, 60.0)),
                                 quad.rel_tol * low)[loose]
-        r_end = self.tail_start(s, orders, mn, r0, 0.25 * tol)
+        r_end = self.tail_start(s, orders, r0, 0.25 * tol)
         self._grid_to(r_end.max())
         pick, seen, end = np.full(r0.size, -1), 0, max(r0.max(), r_gain)
         while (pick < 0).any():
@@ -443,7 +419,7 @@ class _Field:
             seen, end = ks.size, min(4 * ks[-1], _MAX_TABLE - 1) * self.step
         e = self._edges
         r_end = e[np.searchsorted(e, np.maximum(ks[pick] * self.step, r_end))]
-        tail, nlos_slack = self.nlos_tail(s, orders, mn, r_end)
+        tail, nlos_slack = self.nlos_tail(s, orders, r_end)
         # At the handovers: the slack, and the correction read off the
         # error terms' coefficients.
         ln_c = ln_c + pw * ln_y[st]
@@ -466,14 +442,16 @@ class _Field:
         power = scn.tx_power * antenna_gain_curve(r, self.lobe, scn.pattern)
         return np.array([power * zl, power * zn, self.area * r])
 
-    def _link_integrand(self, s: np.ndarray, orders: int, ml: int, mn: int):
+    def _link_integrand(self, s: np.ndarray, orders: int):
         # integrate_steps callback: the transform-log rows of
         # _link_rows over a line-of-sight link (weighted) or a
         # non-line-of-sight one, each panel at the argument of the
         # transform that owns it.
+        ch = self.scn.channel
+
         def rows(data, owner, weighted):
             return _link_rows(data[0 if weighted else 1], data[2],
-                              s[owner][:, None], ml if weighted else mn,
+                              s[owner][:, None], ch.fading_order(weighted),
                               orders)
         return rows
 
@@ -664,8 +642,7 @@ class _Field:
                                     [need, np.zeros_like(need)])
         return half >= need, full
 
-    def eta_scaled(self, r0, s, orders: int, ml: int | None = None,
-                   mn: int | None = None,
+    def eta_scaled(self, r0, s, orders: int,
                    floor: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
         """Scaled transform-log derivatives ``t_j = s^j eta^(j) / j!`` for
         ``j = 0..orders`` at serving distances ``r0`` and arguments ``s``,
@@ -673,19 +650,15 @@ class _Field:
         arrays of the same shape (``quad_errors`` per ``j`` as well).
 
         The field is integrated up to :meth:`handover` and closed beyond.
-        Optional fading-order overrides evaluate the field as if both link
-        states had those orders; ``ml = mn = 1`` is the single-exponential
-        special case.  ``floor``, :meth:`eta_floor` at ``r0`` and ``s``,
-        spares the handover its own pass.
+        ``floor``, :meth:`eta_floor` at ``r0`` and ``s``, spares the
+        handover its own pass.
         """
         quad = self.quad
-        ml = self.scn.channel.m_los if ml is None else ml
-        mn = self.scn.channel.m_nlos if mn is None else mn
         shape, r0, s = _flat(r0, s)
         k, r_end, tail, tail_err, los_err, slack = self.handover(
-            r0, s, orders, ml, mn, floor)
+            r0, s, orders, floor)
         res = self.integrate_rows(
-            self._link_integrand(s, orders, ml, mn), r0, k, r_end,
+            self._link_integrand(s, orders), r0, k, r_end,
             rel_tol=quad.rel_tol, abs_tol=quad.abs_tol)
         t = res.values + tail
         t[:, 0] = -t[:, 0]
@@ -790,7 +763,8 @@ def mean_interference(scn: NetworkScenario, r0: float,
     ks, (t_los, t_nlos), _ = fld.los_tails((ch.alpha_los, ch.alpha_nlos),
                                            max(r0, r_gain))
     k = ks[np.searchsorted(ks * fld.step, r0, side="right")]
-    tail = float(fld.nlos_tail(1.0, 0, 1, k * fld.step)[0][0]
+    # Row 0's power law at s = 1 is the mean power whatever the fading order.
+    tail = float(fld.nlos_tail(1.0, 0, k * fld.step)[0][0]
                  + fld.area * scn.tx_power * g_far * (
                      ch.intercept_los * t_los[ks == k][0]
                      - ch.intercept_nlos * t_nlos[ks == k][0]))
@@ -815,11 +789,10 @@ def conditional_coverage(scn: NetworkScenario, r0: float, serving_los: bool,
     return float(_coverage_sum(t, m))
 
 
-def _integrate_outer(fld: _Field, ml: int,
-                     mn: int) -> tuple[float, float, dict]:
-    """Coverage averaged over serving distance and serving-link state,
-    with fading order ``ml`` (``mn``) on every line-of-sight
-    (non-line-of-sight) link, serving or interfering.
+def coverage_probability(scn: NetworkScenario,
+                         quad: QuadratureSpec | None = None) -> CoverageResult:
+    """Coverage probability averaged over serving distance, serving link
+    state and fading, with integer Nakagami orders per link state.
 
     Each call of the outer integrand evaluates the inner transforms of all
     its serving distances as one batch per serving-link state.  Terms that
@@ -828,8 +801,10 @@ def _integrate_outer(fld: _Field, ml: int,
     states together lose at most ``abs_tol`` over the integral, which is
     added to the error estimate once.
     """
-    quad = fld.quad
-    scn = fld.scn
+    quad = quad or QuadratureSpec()
+    ch = scn.channel
+    _require_order(max(ch.m_los, ch.m_nlos))
+    fld = _field_for(scn, quad)
     thr = scn.sir_threshold
     skipped = inner_evals = inner_panels = 0
 
@@ -839,7 +814,8 @@ def _integrate_outer(fld: _Field, ml: int,
         r0 = data[0].ravel()
         p_los = fld.level_at(r0)
         total = np.zeros(r0.size)
-        for los, m, weight in ((True, ml, p_los), (False, mn, 1.0 - p_los)):
+        for los, m, weight in ((True, ch.m_los, p_los),
+                               (False, ch.m_nlos, 1.0 - p_los)):
             go = np.flatnonzero(weight != 0.0)
             if not go.size:
                 continue
@@ -849,7 +825,7 @@ def _integrate_outer(fld: _Field, ml: int,
             go, s = go[~low], s[~low]
             if not go.size:
                 continue
-            t, info = fld.eta_scaled(r0[go], s, m - 1, ml, mn, floor[~low])
+            t, info = fld.eta_scaled(r0[go], s, m - 1, floor[~low])
             inner_evals += int(info["num_evals"].sum())
             inner_panels += int(info["num_panels"].sum())
             total[go] += weight[go] * _coverage_sum(t, m)
@@ -866,7 +842,7 @@ def _integrate_outer(fld: _Field, ml: int,
         + 4.0 * quad.rel_tol * max(prob, 1e-3)
     if skipped:
         err += quad.abs_tol
-    diag = {
+    return CoverageResult(prob, err, {
         "outer_radius": fld.r_outer,
         "outer_panels": res.num_panels,
         "outer_evals": res.num_evals,
@@ -878,31 +854,5 @@ def _integrate_outer(fld: _Field, ml: int,
         "los_table_steps": max(fld._levels.size - 1, 0),
         "los_exact_steps": los_exact_steps(scn.env, scn.bs_height,
                                            scn.ue_height),
-    }
-    return prob, err, diag
-
-
-def coverage_probability(scn: NetworkScenario,
-                         quad: QuadratureSpec | None = None) -> CoverageResult:
-    """Coverage probability averaged over serving distance, serving link
-    state and fading, with integer Nakagami orders per link state."""
-    quad = quad or QuadratureSpec()
-    ml, mn = scn.channel.m_los, scn.channel.m_nlos
-    _require_order(max(ml, mn))
-    prob, err, diag = _integrate_outer(_field_for(scn, quad), ml, mn)
-    diag["fading_orders"] = (ml, mn)
-    return CoverageResult(prob, err, "analytic", diag)
-
-
-def rayleigh_coverage(scn: NetworkScenario,
-                      quad: QuadratureSpec | None = None) -> CoverageResult:
-    """Coverage probability under Rayleigh fading on every link.
-
-    Independent of the fading orders configured in the scenario: this is
-    the outer integral of :func:`coverage_probability` at unit fading
-    orders on every link, the same code path, so at unit orders the two
-    agree by construction.
-    """
-    quad = quad or QuadratureSpec()
-    prob, err, diag = _integrate_outer(_field_for(scn, quad), 1, 1)
-    return CoverageResult(prob, err, "rayleigh", diag)
+        "fading_orders": (ch.m_los, ch.m_nlos),
+    })

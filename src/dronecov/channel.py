@@ -1,5 +1,5 @@
 """Link-level building blocks: path loss, line-of-sight statistics, antenna
-gain and small-scale fading.
+gain and the fading order of each link state.
 
 All distances and heights are in meters, powers and gains are linear scale.
 A link is described by the horizontal (ground) distance between the base
@@ -47,8 +47,6 @@ __all__ = [
     "antenna_gain_curve",
     "main_lobe_interval",
     "gain_switch_radii",
-    "fading_pdf",
-    "sample_fading",
 ]
 
 
@@ -544,15 +542,6 @@ def los_tail_sums(env: EnvironmentParams, bs_height: float, ue_height: float,
     return sums, errs
 
 
-def depression_angle_deg(ground_distance: float, bs_height: float,
-                         ue_height: float) -> float:
-    """Angle of the base-station-to-user ray below the horizon, degrees.
-
-    Positive when the user is below the base station, negative above.
-    """
-    return math.degrees(math.atan2(bs_height - ue_height, ground_distance))
-
-
 def antenna_gain(geom: LinkGeometry, pattern: AntennaPattern) -> float:
     """Gain seen by the user: main-lobe gain when the ray to the user falls
     inside the (inclusive) vertical beam, side-lobe gain otherwise; the
@@ -612,28 +601,3 @@ def gain_switch_radii(bs_height: float, ue_height: float,
     if interval is None:
         return []
     return [r for r in interval if 0.0 < r < math.inf]
-
-
-def fading_pdf(omega, m: int):
-    """Density of the unit-mean Nakagami power fading (gamma with shape and
-    rate both ``m``), evaluated at ``omega``."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise DomainError(f"fading order must be a positive integer, got {m!r}")
-    x = np.asarray(omega, dtype=float)
-    scalar = x.ndim == 0
-    x1 = np.atleast_1d(x).astype(float)
-    out = np.zeros_like(x1)
-    pos = x1 > 0.0
-    xp = x1[pos]
-    out[pos] = np.exp(m * math.log(m) + (m - 1) * np.log(xp) - m * xp
-                      - math.lgamma(m))
-    if m == 1:
-        out[x1 == 0.0] = 1.0
-    return float(out[0]) if scalar else out
-
-
-def sample_fading(m: int, rng: np.random.Generator) -> float:
-    """One draw of the unit-mean power fading coefficient."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise DomainError(f"fading order must be a positive integer, got {m!r}")
-    return float(rng.gamma(m, 1.0 / m))

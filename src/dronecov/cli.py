@@ -17,9 +17,10 @@ import argparse
 import io
 import sys
 from dataclasses import replace
+from functools import partial
 from typing import IO
 
-from .analytic import coverage_probability, rayleigh_coverage
+from .analytic import coverage_probability
 from .config import ConfigFile, default_config, parse_config
 from .errors import (CapabilityError, ConfigError, DomainError,
                      QuadratureError)
@@ -35,12 +36,10 @@ CSV_HEADER = "param_1,param_2,method,probability,error_estimate,wall_time_s"
 _COMPUTE_ERRORS = (CapabilityError, DomainError, QuadratureError)
 
 _PRESETS = {
-    "figure2": lambda drops, seed: figure2_preset(drops, seed),
-    "figure3-ground": lambda drops, seed: figure3_preset("ground", drops,
-                                                         seed),
-    "figure3-aerial": lambda drops, seed: figure3_preset("aerial", drops,
-                                                         seed),
-    "figure4": lambda drops, seed: figure4_preset(drops, seed),
+    "figure2": figure2_preset,
+    "figure3-ground": partial(figure3_preset, "ground"),
+    "figure3-aerial": partial(figure3_preset, "aerial"),
+    "figure4": figure4_preset,
 }
 
 
@@ -139,9 +138,6 @@ def build_parser() -> _Parser:
     cov = commands.add_parser("coverage",
                               help="evaluate the coverage integrals")
     common(cov)
-    cov.add_argument("--method", choices=("analytic", "rayleigh"),
-                     default="analytic",
-                     help="general recursion or single-exponential form")
 
     sim = commands.add_parser("simulate",
                               help="Monte Carlo coverage estimate")
@@ -160,7 +156,7 @@ def build_parser() -> _Parser:
                      help="grid as start:stop:step or v1,v2,... "
                           "(one per --sweep-param)")
     swp.add_argument("--methods", type=_methods, default=None,
-                     help="comma-separated subset of analytic, rayleigh, "
+                     help="comma-separated subset of analytic, "
                           "monte-carlo (default: the preset's methods, "
                           "else analytic)")
     swp.add_argument("--no-timing", action="store_true",
@@ -189,13 +185,8 @@ def _emit(text: str, output: str | None, stdout: IO[str]) -> None:
 
 
 def _run_coverage(args, cfg: ConfigFile, stdout: IO[str]) -> int:
-    scn = cfg.to_scenario()
-    quad = cfg.quadrature
-    evaluate = (coverage_probability if args.method == "analytic"
-                else rayleigh_coverage)
-    res = evaluate(scn, quad)
-    _emit(f"method={res.method}\n"
-          f"probability={res.probability!r}\n"
+    res = coverage_probability(cfg.to_scenario(), cfg.quadrature)
+    _emit(f"probability={res.probability!r}\n"
           f"error_estimate={res.error_estimate!r}\n",
           args.output, stdout)
     return 0

@@ -23,8 +23,7 @@ import numpy as np
 
 from .analytic import (NetworkScenario, QuadratureSpec, conditional_coverage,
                        coverage_probability, laplace_derivatives,
-                       laplace_interference, mean_interference,
-                       rayleigh_coverage)
+                       laplace_interference, mean_interference)
 from .config import builtin_environments, default_scenario
 from .errors import (CapabilityError, ConfigError, DomainError,
                      QuadratureError)
@@ -51,7 +50,7 @@ __all__ = [
     "validate",
 ]
 
-METHODS = ("analytic", "rayleigh", "monte-carlo")
+METHODS = ("analytic", "monte-carlo")
 
 _ROW_ERRORS = (CapabilityError, DomainError, QuadratureError, ValueError)
 
@@ -247,9 +246,6 @@ def _evaluate_cell(scn: NetworkScenario, method: str,
                    ) -> tuple[float, float]:
     if method == "analytic":
         res = coverage_probability(scn, spec.quadrature)
-        return res.probability, res.error_estimate
-    if method == "rayleigh":
-        res = rayleigh_coverage(scn, spec.quadrature)
         return res.probability, res.error_estimate
     sim = SimulationSpec(num_drops=spec.num_drops, seed=spec.seed)
     est = estimate_coverage(scn, sim, workers=mc_workers)

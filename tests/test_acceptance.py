@@ -289,11 +289,14 @@ def test_transmit_power_cancels_in_coverage():
 def test_simulate_and_sweep_outputs_reproducible_across_workers(tmp_path):
     cfg = tmp_path / "det.cfg"
     cfg.write_text("[simulation]\nnum_drops = 400\nseed = 13\n")
+    unit = tmp_path / "unit.cfg"
+    unit.write_text("[scenario]\nm_los = 1\nm_nlos = 1\n"
+                    "[simulation]\nnum_drops = 400\nseed = 13\n")
     sim = [_cli(["simulate", "--config", str(cfg), "--workers", w])
            for w in ("1", "4")]
-    swp = [_cli(["sweep", "--config", str(cfg), "--sweep-param",
+    swp = [_cli(["sweep", "--config", str(unit), "--sweep-param",
                  "ue_height", "--sweep-grid", "40:60:10", "--methods",
-                 "rayleigh,monte-carlo", "--no-timing", "--workers", w])
+                 "analytic,monte-carlo", "--no-timing", "--workers", w])
            for w in ("1", "4")]
     ok = sim[0] == sim[1] and swp[0] == swp[1]
     _report("simulation and sweep outputs are byte-identical across "

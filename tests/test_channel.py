@@ -8,7 +8,6 @@ import sys
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate, stats
 
 from dronecov.channel import (
     AntennaPattern,
@@ -17,8 +16,6 @@ from dronecov.channel import (
     LinkGeometry,
     antenna_gain,
     antenna_gain_curve,
-    depression_angle_deg,
-    fading_pdf,
     gain_switch_radii,
     los_breakpoints,
     los_exact_steps,
@@ -29,7 +26,6 @@ from dronecov.channel import (
     path_gain_curve,
     path_loss,
     path_loss_curves,
-    sample_fading,
 )
 import dronecov.channel as channel
 from dronecov.channel import _los_levels_exact
@@ -417,7 +413,6 @@ def test_antenna_gain_inclusive_edges():
     gap = 30.0
     r_edge = gap / math.tan(math.radians(50.0))
     geom = LinkGeometry(r_edge, 30.0, 0.0)
-    assert_allclose(depression_angle_deg(r_edge, 30.0, 0.0), 50.0, atol=1e-10)
     assert antenna_gain(geom, upper) == 10.0
 
 
@@ -481,48 +476,6 @@ def test_pattern_validation():
         AntennaPattern(40.0, 100.0, 10.0, 0.5)
     with pytest.raises(DomainError):
         AntennaPattern(40.0, 30.0, 10.0, 0.0)
-
-
-# ------------------------------------------------------------------- fading
-
-def test_fading_pdf_matches_gamma_density():
-    x = np.linspace(0.01, 6.0, 60)
-    for m in (1, 2, 3, 8):
-        expect = stats.gamma.pdf(x, a=m, scale=1.0 / m)
-        assert_allclose(fading_pdf(x, m), expect, rtol=1e-12)
-    assert_allclose(fading_pdf(1.0, 3), 13.5 * math.exp(-3.0), rtol=1e-14)
-
-
-def test_fading_pdf_normalization_and_unit_mean():
-    for m in (1, 3, 5):
-        total, _ = integrate.quad(lambda x: fading_pdf(x, m), 0.0, np.inf)
-        mean, _ = integrate.quad(lambda x: x * fading_pdf(x, m), 0.0, np.inf)
-        assert_allclose(total, 1.0, rtol=1e-9)
-        assert_allclose(mean, 1.0, rtol=1e-9)
-
-
-def test_fading_pdf_edge_cases():
-    assert fading_pdf(0.0, 1) == 1.0
-    assert fading_pdf(0.0, 2) == 0.0
-    assert fading_pdf(-1.0, 3) == 0.0
-    with pytest.raises(DomainError):
-        fading_pdf(1.0, 0)
-    with pytest.raises(DomainError):
-        fading_pdf(1.0, 2.5)
-
-
-def test_sample_fading_moments():
-    rng = np.random.default_rng(7)
-    for m in (1, 3):
-        draws = np.array([sample_fading(m, rng) for _ in range(20000)])
-        assert_allclose(draws.mean(), 1.0, atol=0.02)
-        assert_allclose(draws.var(), 1.0 / m, atol=0.03)
-
-
-def test_sample_fading_deterministic():
-    a = sample_fading(3, np.random.default_rng(123))
-    b = sample_fading(3, np.random.default_rng(123))
-    assert a == b
 
 
 # ------------------------------------------------------------------- params

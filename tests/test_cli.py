@@ -10,6 +10,11 @@ import pytest
 
 from dronecov.cli import CSV_HEADER, _sweep_spec, build_parser, run
 from dronecov.config import default_config, parse_config
+from dronecov.errors import ConfigError
+from dronecov.experiments import SweepAxis, SweepSpec
+
+# Rayleigh fading on both link states.
+UNIT_FADING = "[scenario]\nm_los = 1\nm_nlos = 1\n"
 
 
 def invoke(argv):
@@ -21,6 +26,13 @@ def invoke(argv):
 def parse_kv(text):
     return dict(line.split("=", 1) for line in text.splitlines()
                 if "=" in line)
+
+
+@pytest.fixture()
+def unit_fading_config(tmp_path):
+    path = tmp_path / "unit.cfg"
+    path.write_text(UNIT_FADING)
+    return str(path)
 
 
 @pytest.fixture()
@@ -57,7 +69,7 @@ def test_bad_option_values_exit_2():
 
 
 def test_missing_config_file_exits_2(tmp_path):
-    code, _, err = invoke(["coverage", "--method", "rayleigh",
+    code, _, err = invoke(["coverage",
                            "--config", str(tmp_path / "absent.cfg")])
     assert code == 2
     assert "cannot read config" in err
@@ -66,8 +78,7 @@ def test_missing_config_file_exits_2(tmp_path):
 def test_malformed_config_exits_2(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[scenario]\nue_height_m = very high\n")
-    code, _, err = invoke(["coverage", "--method", "rayleigh",
-                           "--config", str(path)])
+    code, _, err = invoke(["coverage", "--config", str(path)])
     assert code == 2
     assert "config error" in err and "line 2" in err
 
@@ -95,21 +106,39 @@ def test_quadrature_value_out_of_spec_range_exits_2(tmp_path):
     assert "outer_trunc_prob" in err and "line 2" in err
 
 
-def test_unwritable_output_exits_1(tmp_path):
+def test_unwritable_output_exits_1(tmp_path, unit_fading_config):
     target = str(tmp_path / "no" / "such" / "dir" / "out.txt")
-    code, _, err = invoke(["coverage", "--method", "rayleigh",
+    code, _, err = invoke(["coverage", "--config", unit_fading_config,
                            "--output", target])
     assert code == 1
     assert "output failed" in err
 
 
+def test_removed_rayleigh_knobs_are_refused(unit_fading_config):
+    # Rayleigh fading is m_los = m_nlos = 1 on the one analytic route; the
+    # separate coverage flag and sweep method are usage errors.
+    code, out, err = invoke(["coverage", "--method", "rayleigh",
+                             "--config", unit_fading_config])
+    assert code == 2 and out == ""
+    assert "--method" in err
+    code, out, err = invoke(["sweep", "--config", unit_fading_config,
+                             "--sweep-param", "ue_height", "--sweep-grid",
+                             "60", "--methods", "rayleigh"])
+    assert code == 2 and out == ""
+    assert "unknown method" in err
+    with pytest.raises(ConfigError, match="unknown method"):
+        SweepSpec(base=default_config().to_scenario(),
+                  axes=(SweepAxis("ue_height", (60.0,)),),
+                  methods=("rayleigh",))
+
+
 # ---------------------------------------------------------------- coverage
 
-def test_coverage_rayleigh_reference_output():
-    code, out, err = invoke(["coverage", "--method", "rayleigh"])
+def test_coverage_unit_fading_reference_output(unit_fading_config):
+    code, out, err = invoke(["coverage", "--config", unit_fading_config])
     assert code == 0 and err == ""
     values = parse_kv(out)
-    assert values["method"] == "rayleigh"
+    assert sorted(values) == ["error_estimate", "probability"]
     assert float(values["probability"]) == 0.3076407243901217
     assert float(values["error_estimate"]) < 1e-6
 
@@ -127,16 +156,15 @@ def test_module_run_prints_a_probability_and_exits_0():
 
 
 def test_coverage_defaults_literal_matches_no_config():
-    plain = invoke(["coverage", "--method", "rayleigh"])
-    literal = invoke(["coverage", "--method", "rayleigh",
-                      "--config", "defaults"])
+    plain = invoke(["coverage"])
+    literal = invoke(["coverage", "--config", "defaults"])
     assert plain == literal
 
 
-def test_coverage_output_file_equals_stdout(tmp_path):
+def test_coverage_output_file_equals_stdout(tmp_path, unit_fading_config):
     target = tmp_path / "cov.txt"
-    code, out, _ = invoke(["coverage", "--method", "rayleigh"])
-    code2, out2, _ = invoke(["coverage", "--method", "rayleigh",
+    code, out, _ = invoke(["coverage", "--config", unit_fading_config])
+    code2, out2, _ = invoke(["coverage", "--config", unit_fading_config,
                              "--output", str(target)])
     assert code == code2 == 0
     assert out2 == ""
@@ -181,13 +209,13 @@ def test_simulate_worker_count_does_not_change_output(small_sim_config):
 def sweep_args(config, extra=()):
     return (["sweep", "--config", config, "--sweep-param", "ue_height",
              "--sweep-grid", "40:60:10", "--methods",
-             "rayleigh,monte-carlo", "--no-timing"] + list(extra))
+             "analytic,monte-carlo", "--no-timing"] + list(extra))
 
 
 @pytest.fixture()
 def sweep_config(tmp_path):
     path = tmp_path / "sweep.cfg"
-    path.write_text("[simulation]\nnum_drops = 300\nseed = 7\n")
+    path.write_text(UNIT_FADING + "[simulation]\nnum_drops = 300\nseed = 7\n")
     return str(path)
 
 
@@ -203,7 +231,7 @@ def test_sweep_csv_structure(sweep_config):
         param_1, param_2, method, prob, errest, wall = line.split(",")
         assert float(param_1) in (40.0, 50.0, 60.0)
         assert param_2 == ""
-        assert method in ("rayleigh", "monte-carlo")
+        assert method in ("analytic", "monte-carlo")
         assert 0.0 <= float(prob) <= 1.0
         assert float(errest) >= 0.0
         assert float(wall) == 0.0
@@ -230,7 +258,7 @@ def test_sweep_two_axes_fills_second_column(sweep_config):
         ["sweep", "--config", sweep_config,
          "--sweep-param", "ue_height", "--sweep-grid", "50,60",
          "--sweep-param", "bs_height", "--sweep-grid", "25,30",
-         "--methods", "rayleigh", "--no-timing"])
+         "--methods", "analytic", "--no-timing"])
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [(r[0], r[1]) for r in rows] == [
@@ -242,7 +270,7 @@ def test_sweep_descending_colon_grid(sweep_config):
     code, out, _ = invoke(
         ["sweep", "--config", sweep_config, "--sweep-param",
          "ue_height", "--sweep-grid", "60:40:-10", "--methods",
-         "rayleigh", "--no-timing"])
+         "analytic", "--no-timing"])
     assert code == 0
     assert [line.split(",")[0] for line in out.splitlines()[1:]] == [
         "60.0", "50.0", "40.0"]
@@ -268,7 +296,7 @@ def test_sweep_unknown_method_exits_2():
 def test_sweep_unknown_parameter_exits_2():
     code, _, err = invoke(["sweep", "--sweep-param", "warp_factor",
                            "--sweep-grid", "1,2", "--methods",
-                           "rayleigh"])
+                           "analytic"])
     assert code == 2
     assert "unknown sweep parameter" in err
 
@@ -312,7 +340,7 @@ def test_sweep_preset_names_offered():
 def test_sweep_all_rows_failed_exits_1(sweep_config):
     code, out, err = invoke(
         ["sweep", "--config", sweep_config, "--sweep-param",
-         "ue_height", "--sweep-grid=-5,-4", "--methods", "rayleigh",
+         "ue_height", "--sweep-grid=-5,-4", "--methods", "analytic",
          "--no-timing"])
     assert code == 1
     assert "rows failed" in err
@@ -321,10 +349,10 @@ def test_sweep_all_rows_failed_exits_1(sweep_config):
 
 def test_sweep_partial_failure_keeps_exit_0(tmp_path):
     path = tmp_path / "mix.cfg"
-    path.write_text("[simulation]\nnum_drops = 200\nseed = 1\n")
+    path.write_text(UNIT_FADING + "[simulation]\nnum_drops = 200\nseed = 1\n")
     code, out, err = invoke(
         ["sweep", "--config", str(path), "--sweep-param", "ue_height",
-         "--sweep-grid=-5,60", "--methods", "rayleigh",
+         "--sweep-grid=-5,60", "--methods", "analytic",
          "--no-timing"])
     assert code == 0
     assert "1 of 2 rows failed" in err

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dronecov.analytic import coverage_probability, rayleigh_coverage
+from dronecov.analytic import coverage_probability
 from dronecov.cli import write_csv
 from dronecov.config import builtin_environments, default_scenario
 from dronecov.errors import ConfigError
@@ -20,10 +20,12 @@ from dronecov.experiments import (CheckReport, SweepAxis, SweepResult,
                                   validate_spec)
 
 BASE = default_scenario()
+# Rayleigh fading on both link states.
+UNIT = replace(BASE, channel=replace(BASE.channel, m_los=1, m_nlos=1))
 
 
-def mc_spec(axes, methods=("rayleigh", "monte-carlo"), drops=400, seed=3):
-    return SweepSpec(base=BASE, axes=axes, methods=methods,
+def mc_spec(axes, methods=("analytic", "monte-carlo"), drops=400, seed=3):
+    return SweepSpec(base=UNIT, axes=axes, methods=methods,
                      num_drops=drops, seed=seed)
 
 
@@ -96,7 +98,7 @@ def test_single_point_grid_gives_one_row_per_method():
     spec = mc_spec((SweepAxis("ue_height", (60.0,)),))
     result = sweep(spec)
     assert len(result.rows) == 2
-    assert [row.method for row in result.rows] == ["rayleigh",
+    assert [row.method for row in result.rows] == ["analytic",
                                                    "monte-carlo"]
     for row in result.rows:
         assert row.ok
@@ -107,10 +109,10 @@ def test_single_point_grid_gives_one_row_per_method():
 
 def test_rows_come_back_in_grid_order():
     spec = SweepSpec(
-        base=BASE,
+        base=UNIT,
         axes=(SweepAxis("ue_height", (50.0, 60.0)),
               SweepAxis("bs_height", (25.0, 30.0))),
-        methods=("rayleigh",))
+        methods=("analytic",))
     result = sweep(spec)
     assert [(row.param_1, row.param_2) for row in result.rows] == [
         (50.0, 25.0), (50.0, 30.0), (60.0, 25.0), (60.0, 30.0)]
@@ -118,16 +120,16 @@ def test_rows_come_back_in_grid_order():
 
 def test_axis_application_matches_direct_evaluation():
     spec = SweepSpec(
-        base=BASE,
+        base=UNIT,
         axes=(SweepAxis(("ue_height", "bs_height"),
                         ((60.0, 30.0), (1.5, 25.0)),
                         labels=("air", "ground")),),
-        methods=("rayleigh",))
+        methods=("analytic",))
     result = sweep(spec)
     for row, (ue, bs) in zip(result.rows, spec.axes[0].values):
-        direct = rayleigh_coverage(replace(BASE, ue_height=ue,
-                                           bs_height=bs),
-                                   spec.quadrature)
+        direct = coverage_probability(replace(UNIT, ue_height=ue,
+                                              bs_height=bs),
+                                      spec.quadrature)
         assert row.probability == direct.probability
 
 
@@ -154,9 +156,9 @@ def test_failures_recorded_per_row_without_aborting():
 
 
 def test_invalid_grid_value_recorded_not_raised():
-    spec = SweepSpec(base=BASE,
+    spec = SweepSpec(base=UNIT,
                      axes=(SweepAxis("ue_height", (-5.0, 60.0)),),
-                     methods=("rayleigh",))
+                     methods=("analytic",))
     result = sweep(spec)
     assert not result.rows[0].ok
     assert result.rows[1].ok
@@ -200,11 +202,11 @@ def test_analytic_and_monte_carlo_rows_agree_on_shared_grid():
 
 
 def test_curve_extraction_sorts_and_filters():
-    spec = SweepSpec(base=BASE,
+    spec = SweepSpec(base=UNIT,
                      axes=(SweepAxis("ue_height", (60.0, 50.0, 40.0)),),
-                     methods=("rayleigh",))
+                     methods=("analytic",))
     result = sweep(spec)
-    x, p, err = result.curve("rayleigh")
+    x, p, err = result.curve("analytic")
     assert list(x) == [40.0, 50.0, 60.0]
     assert np.all(np.diff(p) < 0.0)
     assert np.all(err > 0.0)
