@@ -168,17 +168,27 @@ def path_loss(geom: LinkGeometry, channel: ChannelParams, los: bool) -> float:
 
 
 def path_gain_curve(r, los, bs_height: float, ue_height: float,
-                    channel: ChannelParams):
+                    channel: ChannelParams, out=None):
     """Vectorized path gain ``A * d**-alpha`` over ground distances ``r``,
     ``d`` being the 3-D link distance, each link at its own propagation
-    state ``los`` (a bool or a bool array shaped like ``r``)."""
+    state ``los`` (a bool or a bool array shaped like ``r``).
+
+    ``out``, if given, is a ``(gain, work, state)`` triple of arrays
+    shaped like ``r``, float, float and intp: the gain is written into
+    the first and returned, the other two are overwritten.
+    """
     r = np.asarray(r, dtype=float)
-    state = np.asarray(los, dtype=np.intp)   # indexes (blocked, sight)
-    gain = r * r
+    if out is None:
+        out = (np.empty(r.shape), np.empty(r.shape),
+               np.empty(r.shape, dtype=np.intp))
+    gain, work, state = out
+    np.copyto(state, los)   # indexes (blocked, sight)
+    np.multiply(r, r, out=gain)
     gain += (bs_height - ue_height) ** 2
     gain **= np.take((-0.5 * channel.alpha_nlos, -0.5 * channel.alpha_los),
-                     state)
-    gain *= np.take((channel.intercept_nlos, channel.intercept_los), state)
+                     state, out=work, mode="clip")
+    gain *= np.take((channel.intercept_nlos, channel.intercept_los), state,
+                    out=work, mode="clip")
     return gain
 
 
@@ -416,12 +426,25 @@ def los_step_levels(env: EnvironmentParams, bs_height: float,
     return _los_levels_exact(env, bs_height, ue_height).upto(k_max)
 
 
-def los_level_curve(r, levels: np.ndarray, step: float) -> np.ndarray:
+def los_level_curve(r, levels: np.ndarray, step: float,
+                    out=None) -> np.ndarray:
     """Vectorized line-of-sight level over ground distances ``r``, read
     from a :func:`los_step_levels` table of step width ``step``:
-    ``levels[min(int(r / step), levels.size - 1)]``."""
-    k = (np.asarray(r, dtype=float) / step).astype(np.int64)
-    return levels[np.minimum(k, levels.size - 1)]
+    ``levels[min(int(r / step), levels.size - 1)]``.
+
+    ``out``, if given, is a ``(level, index)`` pair of arrays shaped like
+    ``r``, float and intp: the level is written into the first, which
+    holds the step quotient before it, and returned; the second is
+    overwritten with the step index.
+    """
+    r = np.asarray(r, dtype=float)
+    if out is None:
+        out = (np.empty(r.shape), np.empty(r.shape, dtype=np.intp))
+    level, k = out
+    np.divide(r, step, out=level)
+    np.copyto(k, level, casting="unsafe")   # truncates, as int() does
+    np.minimum(k, levels.size - 1, out=k)
+    return np.take(levels, k, out=level, mode="clip")
 
 
 def power_law_integral(u, du, p):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -193,6 +194,20 @@ def test_sir_transmit_power_cancels():
     assert_allclose(scaled, base, rtol=1e-12)
 
 
+@pytest.mark.parametrize("ue_height", [1.5, 60.0])
+def test_sampled_field_sir_equals_its_block_sir(ue_height):
+    # compute_sir judges a sampled field on its drawn radii, not on hypot
+    # of its positions, which is an ulp off for some angles.
+    scn = make_scenario(ue_height=ue_height)
+    spec = SimulationSpec(num_drops=1)
+    far = far_field_mean(scn, default_disk_radius(scn))
+    for seed in range(20):
+        real = sample_network(scn, spec, _block_rng(seed, 0))
+        blk = montecarlo._sampler(scn, spec)(_block_rng(seed, 0), 1)
+        assert compute_sir(real, scn, far) == montecarlo._block_sir(
+            scn, blk, far)[0]
+
+
 def test_sir_empty_realization_rejected():
     real = NetworkRealization(positions=np.empty((0, 2)),
                               los=np.empty(0, dtype=bool),
@@ -269,6 +284,74 @@ def test_estimate_reference_value():
     assert_allclose(est.std_error, 0.020963015050321363, rtol=1e-12)
     assert est.num_drops == 500
     assert est.diagnostics["disk_radius"] == pytest.approx(2739.57, abs=0.01)
+
+
+def _median_serving_spec(scn, num_drops: int, seed: int) -> SimulationSpec:
+    # Serving station at the median nearest distance, forced line-of-sight.
+    r0 = math.sqrt(math.log(2.0) / (math.pi * scn.bs_density))
+    return SimulationSpec(num_drops=num_drops, seed=seed,
+                          fixed_serving_distance=r0, force_serving_los=True)
+
+
+def _abg_scenario(alpha: float, threshold: float):
+    # Andrews-Baccelli-Ganti degenerate case: one exponent and intercept
+    # for both states, equal 30 m heights, Rayleigh fading, flat antenna.
+    base = default_scenario()
+    channel = replace(base.channel, alpha_los=alpha, alpha_nlos=alpha,
+                      intercept_nlos=base.channel.intercept_los,
+                      m_los=1, m_nlos=1)
+    return replace(base, bs_height=30.0, ue_height=30.0,
+                   sir_threshold=threshold, channel=channel,
+                   pattern=replace(base.pattern, gain_main=1.0,
+                                   gain_side=1.0))
+
+
+@pytest.mark.parametrize("case, probability, stations, radius", [
+    ("ground", 0.7285, 147521, 684.89),
+    ("aerial", 0.322, 2356912, 2739.57),
+    ("conditional", 0.2685, 2356760, 2739.57),
+    ("abg", 0.556, 147049, 684.89),
+])
+def test_estimate_seeded_outputs_are_pinned(case, probability, stations,
+                                            radius):
+    # One estimate per kind of spec the simulator serves, 2,000 drops each:
+    # any change to the block kernel that moves a drop shows here.
+    aerial = replace(default_scenario(), ue_height=60.0)
+    scn, spec = {
+        "ground": (replace(default_scenario(), ue_height=1.5),
+                   SimulationSpec(num_drops=2000, seed=11)),
+        "aerial": (aerial, SimulationSpec(num_drops=2000, seed=12)),
+        "conditional": (aerial, _median_serving_spec(aerial, 2000, 13)),
+        "abg": (_abg_scenario(4.0, 1.0),
+                SimulationSpec(num_drops=2000, seed=14)),
+    }[case]
+    est = estimate_coverage(scn, spec, workers=1)
+    assert est.probability == probability
+    assert est.diagnostics["stations"] == stations
+    assert est.diagnostics["disk_radius"] == pytest.approx(radius, abs=0.01)
+
+
+def test_block_kernel_allocates_no_block_sized_temporaries():
+    # A 60 m block holds about 37,700 stations, so each float temporary
+    # of its size is 295 KiB.  Past warm-up, the draw and the SIR pass
+    # write into the estimate's buffers; the bound admits the serving
+    # search's comparison (about 330 KiB) and not one block-sized
+    # temporary beside it.
+    scn = replace(default_scenario(), ue_height=60.0)
+    spec = SimulationSpec(num_drops=5 * _BLOCK, seed=3)
+    draw = montecarlo._sampler(scn, spec)
+    far = far_field_mean(scn, default_disk_radius(scn))
+    for k in range(4):
+        montecarlo._block_sir(scn, draw(_block_rng(spec.seed, k), _BLOCK),
+                              far)
+    tracemalloc.start()
+    try:
+        montecarlo._block_sir(scn, draw(_block_rng(spec.seed, 4), _BLOCK),
+                              far)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 400 * 1024
 
 
 def test_estimate_deterministic_and_worker_invariant():
