@@ -15,8 +15,8 @@ from .config import (ConfigFile, builtin_environments, default_config,
 from .errors import (CapabilityError, ConfigError, DomainError,
                      QuadratureError)
 from .experiments import (SweepAxis, SweepResult, SweepSpec,
-                          ValidationReport, ValidationSpec, figure2_preset,
-                          figure3_preset, figure4_preset, sweep, validate)
+                          ValidationReport, figure2_preset, figure3_preset,
+                          figure4_preset, sweep, validate)
 from .montecarlo import (CoverageEstimate, SimulationSpec, estimate_coverage,
                          laplace_empirical, sample_network)
 
@@ -42,7 +42,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "ValidationReport",
-    "ValidationSpec",
     "antenna_gain",
     "builtin_environments",
     "conditional_coverage",

@@ -24,9 +24,8 @@ from .analytic import coverage_probability
 from .config import ConfigFile, default_config, parse_config
 from .errors import (CapabilityError, ConfigError, DomainError,
                      QuadratureError)
-from .experiments import (SweepAxis, SweepResult, SweepSpec, ValidationSpec,
-                          figure2_preset, figure3_preset, figure4_preset,
-                          sweep, validate)
+from .experiments import (SweepAxis, SweepResult, SweepSpec, figure2_preset,
+                          figure3_preset, figure4_preset, sweep, validate)
 from .montecarlo import estimate_coverage
 
 __all__ = ["main", "run", "write_csv"]
@@ -93,10 +92,19 @@ def _seed_int(text: str) -> int:
     return value
 
 
-def _grid(text: str) -> tuple[float, ...]:
+def _number(text: str) -> int | float:
+    # Integer literals stay int, so integer fields such as fading orders
+    # can be swept; float fields accept either.
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _grid(text: str) -> tuple[int | float, ...]:
     try:
         if ":" in text:
-            start, stop, step = (float(part) for part in text.split(":"))
+            start, stop, step = (_number(part) for part in text.split(":"))
             if step == 0.0:
                 raise ValueError("step must be nonzero")
             values = []
@@ -106,7 +114,7 @@ def _grid(text: str) -> tuple[float, ...]:
                 values.append(value)
                 value = start + len(values) * step
             return tuple(values)
-        return tuple(float(part) for part in text.split(","))
+        return tuple(_number(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"bad grid {text!r}: use start:stop:step or v1,v2,... "
@@ -193,9 +201,9 @@ def _run_coverage(args, cfg: ConfigFile, stdout: IO[str]) -> int:
 
 
 def _run_simulate(args, cfg: ConfigFile, stdout: IO[str]) -> int:
-    scn = cfg.to_scenario()
-    sim = cfg.to_simulation(seed=args.seed)
-    est = estimate_coverage(scn, sim, workers=args.workers)
+    est = estimate_coverage(cfg.to_scenario(),
+                            cfg.to_simulation(seed=args.seed),
+                            workers=args.workers)
     lines = [f"probability={est.probability!r}",
              f"std_error={est.std_error!r}",
              f"num_drops={est.num_drops}"]
@@ -206,13 +214,11 @@ def _run_simulate(args, cfg: ConfigFile, stdout: IO[str]) -> int:
 
 
 def _sweep_spec(args, cfg: ConfigFile) -> SweepSpec:
-    drops = cfg.simulation.num_drops
-    seed = cfg.simulation.seed if args.seed is None else args.seed
     if args.preset is not None:
         if args.sweep_param or args.sweep_grid:
             raise ConfigError("give either --preset or explicit "
                               "--sweep-param/--sweep-grid, not both")
-        spec = _PRESETS[args.preset](drops, seed)
+        spec = _PRESETS[args.preset]()
     else:
         if not args.sweep_param:
             raise ConfigError("sweep needs --preset or at least one "
@@ -223,9 +229,9 @@ def _sweep_spec(args, cfg: ConfigFile) -> SweepSpec:
         axes = tuple(SweepAxis(parameter=param, values=grid)
                      for param, grid in zip(args.sweep_param,
                                             args.sweep_grid))
-        spec = SweepSpec(base=cfg.to_scenario(), axes=axes,
-                         num_drops=drops, seed=seed)
-    spec = replace(spec, quadrature=cfg.quadrature)
+        spec = SweepSpec(base=cfg.to_scenario(), axes=axes)
+    spec = replace(spec, simulation=cfg.to_simulation(seed=args.seed),
+                   quadrature=cfg.quadrature)
     if args.methods is not None:
         spec = replace(spec, methods=args.methods)
     return spec
@@ -248,11 +254,8 @@ def _run_sweep(args, cfg: ConfigFile, stdout: IO[str],
 
 
 def _run_validate(args, cfg: ConfigFile, stdout: IO[str]) -> int:
-    spec = ValidationSpec(
-        num_drops=cfg.simulation.num_drops,
-        seed=cfg.simulation.seed if args.seed is None else args.seed)
-    report = validate(cfg.to_scenario(), spec, cfg.quadrature,
-                      workers=args.workers)
+    report = validate(cfg.to_scenario(), cfg.to_simulation(seed=args.seed),
+                      cfg.quadrature, workers=args.workers)
     lines = []
     for check in report.checks:
         verdict = "PASS" if check.passed else "FAIL"

@@ -136,12 +136,12 @@ class ConfigFile:
                 gain_main=s.gain_main,
                 gain_side=s.gain_side))
 
-    def to_simulation(self, num_drops: int | None = None,
-                      seed: int | None = None) -> SimulationSpec:
+    def to_simulation(self, seed: int | None = None) -> SimulationSpec:
+        """The simulation route's own spec; ``seed``, if given, overrides
+        the configured one."""
         sim = self.simulation
         return SimulationSpec(
-            num_drops=sim.num_drops if num_drops is None else num_drops,
-            disk_radius=sim.disk_radius_m,
+            num_drops=sim.num_drops, disk_radius=sim.disk_radius_m,
             seed=sim.seed if seed is None else seed)
 
 

@@ -6,10 +6,11 @@ per method.  Failures of a single method at a single point (for example
 a fading order beyond the analytic recursion limit) are recorded in
 that row and the sweep continues.
 
-Monte Carlo rows reuse the same seed at every grid point.  That makes
-runs deterministic and keeps the same sampled base-station fields across
-neighbouring points (common random numbers), so curve shapes and
-crossings are far less noisy than with independent seeds.
+Monte Carlo rows run the same :class:`SimulationSpec` at every grid
+point, seed included.  That makes runs deterministic and keeps the same
+sampled base-station fields across neighbouring points (common random
+numbers), so curve shapes and crossings are far less noisy than with
+independent seeds.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "SweepSpec",
     "ValidationCheck",
     "ValidationReport",
-    "ValidationSpec",
     "crossing_points",
     "figure2_check",
     "figure3_check",
@@ -57,6 +57,16 @@ _ROW_ERRORS = (CapabilityError, DomainError, QuadratureError, ValueError)
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _require_unconditioned(sim: SimulationSpec) -> None:
+    # Analytic rows and the coverage check are unconditional, so a spec
+    # that pins the serving station or its state would compare unlike
+    # quantities.
+    if (sim.fixed_serving_distance is not None
+            or sim.force_serving_los is not None):
+        raise ConfigError("the simulation spec must not pin the serving "
+                          "station or its state")
 
 
 @dataclass(frozen=True)
@@ -115,13 +125,13 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Complete description of one sweep run."""
+    """Complete description of one sweep run: the grid, the methods, and
+    the settings of each route."""
 
     base: NetworkScenario
     axes: tuple[SweepAxis, ...]
     methods: tuple[str, ...] = ("analytic",)
-    num_drops: int = 20000
-    seed: int = 0
+    simulation: SimulationSpec = SimulationSpec(20000)
     quadrature: QuadratureSpec = QuadratureSpec()
 
     def __post_init__(self) -> None:
@@ -137,11 +147,7 @@ class SweepSpec:
                     f"{', '.join(METHODS)})")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("duplicate method in sweep spec")
-        if self.num_drops < 1:
-            raise ConfigError("num_drops must be at least 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed must fit in an unsigned 64-bit "
-                              "integer")
+        _require_unconditioned(self.simulation)
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -247,8 +253,7 @@ def _evaluate_cell(scn: NetworkScenario, method: str,
     if method == "analytic":
         res = coverage_probability(scn, spec.quadrature)
         return res.probability, res.error_estimate
-    sim = SimulationSpec(num_drops=spec.num_drops, seed=spec.seed)
-    est = estimate_coverage(scn, sim, workers=mc_workers)
+    est = estimate_coverage(scn, spec.simulation, workers=mc_workers)
     return est.probability, est.std_error
 
 
@@ -330,7 +335,7 @@ def _altitude_grid(stop: float) -> tuple[float, ...]:
     return (1.5, 5.0) + tuple(np.arange(10.0, stop + 0.5, 10.0))
 
 
-def figure2_preset(num_drops: int = 20000, seed: int = 0) -> SweepSpec:
+def figure2_preset() -> SweepSpec:
     """Altitude sweep of coverage under three fading configurations.
 
     The m1-1 rows give the single-exponential baseline, m3-1 the
@@ -342,8 +347,7 @@ def figure2_preset(num_drops: int = 20000, seed: int = 0) -> SweepSpec:
         base=default_scenario(),
         axes=(SweepAxis("ue_height", _altitude_grid(300.0)),
               _FADING_AXIS),
-        methods=("analytic", "monte-carlo"),
-        num_drops=num_drops, seed=seed)
+        methods=("analytic", "monte-carlo"))
 
 
 def _environment_tilt_axis() -> SweepAxis:
@@ -357,8 +361,7 @@ def _environment_tilt_axis() -> SweepAxis:
                      values=tuple(values), labels=tuple(labels))
 
 
-def figure3_preset(user: str, num_drops: int = 20000,
-                   seed: int = 0) -> SweepSpec:
+def figure3_preset(user: str) -> SweepSpec:
     """Base-station-height sweep for a ground (1.5 m) or aerial (60 m)
     user, crossed with two down-tilts and the four built-in
     environments.
@@ -376,19 +379,17 @@ def figure3_preset(user: str, num_drops: int = 20000,
         axes=(SweepAxis("bs_height",
                         tuple(np.arange(10.0, 151.0, 10.0))),
               _environment_tilt_axis()),
-        methods=("analytic", "monte-carlo"),
-        num_drops=num_drops, seed=seed)
+        methods=("analytic", "monte-carlo"))
 
 
-def figure4_preset(num_drops: int = 20000, seed: int = 0) -> SweepSpec:
+def figure4_preset() -> SweepSpec:
     """Altitude sweep for three down-tilt values (10, 20, 30 degrees,
     an artifact default) at the reference scenario."""
     return SweepSpec(
         base=default_scenario(),
         axes=(SweepAxis("ue_height", _altitude_grid(150.0)),
               SweepAxis("pattern.downtilt_deg", (10.0, 20.0, 30.0))),
-        methods=("analytic",),
-        num_drops=num_drops, seed=seed)
+        methods=("analytic",))
 
 
 # ------------------------------------------------------ qualitative checks
@@ -549,14 +550,6 @@ def figure4_check(result: SweepResult) -> CheckReport:
 
 # ----------------------------------------------------------- validation
 
-@dataclass(frozen=True)
-class ValidationSpec:
-    """Sampling effort of the cross-check matrix."""
-
-    num_drops: int = 20000
-    seed: int = 0
-
-
 # Largest relative gap between the transform derivatives and their finite
 # differences, and largest deviation of a simulated value, in standard
 # errors, that the cross-checks pass.
@@ -621,11 +614,10 @@ def _check_derivatives(scn, quad) -> ValidationCheck:
         f"orders 1-2 at r0={r0:.1f} s={s0:.4g}")
 
 
-def _check_coverage_mc(scn, quad, spec, workers) -> ValidationCheck:
+def _check_coverage_mc(scn, quad, sim, workers) -> ValidationCheck:
     res = coverage_probability(scn, quad)
-    sim = SimulationSpec(num_drops=spec.num_drops, seed=spec.seed)
     est = estimate_coverage(scn, sim, workers=workers)
-    scale = math.hypot(max(est.std_error, 3.0 / spec.num_drops),
+    scale = math.hypot(max(est.std_error, 3.0 / sim.num_drops),
                        res.error_estimate)
     dev = abs(res.probability - est.probability) / scale
     return ValidationCheck(
@@ -634,57 +626,57 @@ def _check_coverage_mc(scn, quad, spec, workers) -> ValidationCheck:
         f"simulated={est.probability:.6f}+-{est.std_error:.6f}")
 
 
-def _check_conditional_mc(scn, quad, spec, workers) -> ValidationCheck:
+def _check_conditional_mc(scn, quad, sim, workers) -> ValidationCheck:
     r0 = _median_serving_distance(scn)
     prob = conditional_coverage(scn, r0, True, quad)
-    sim = SimulationSpec(num_drops=spec.num_drops, seed=spec.seed,
-                         fixed_serving_distance=r0,
-                         force_serving_los=True)
-    est = estimate_coverage(scn, sim, workers=workers)
+    est = estimate_coverage(scn, replace(sim, fixed_serving_distance=r0,
+                                         force_serving_los=True),
+                            workers=workers)
     dev = (abs(prob - est.probability)
-           / max(est.std_error, 3.0 / spec.num_drops))
+           / max(est.std_error, 3.0 / sim.num_drops))
     return ValidationCheck(
         "conditional coverage vs simulation", dev <= _SIGMA, dev, _SIGMA,
         f"r0={r0:.1f} analytic={prob:.6f} "
         f"simulated={est.probability:.6f}+-{est.std_error:.6f}")
 
 
-def _check_laplace_mc(scn, quad, spec) -> ValidationCheck:
+def _check_laplace_mc(scn, quad, sim) -> ValidationCheck:
     r0 = _median_serving_distance(scn)
     s0 = 1.0 / mean_interference(scn, r0, quad)
     s_values = np.array([0.5, 1.0, 2.0]) * s0
-    sim = SimulationSpec(num_drops=spec.num_drops, seed=spec.seed,
-                         fixed_serving_distance=r0)
-    means, errs = laplace_empirical(scn, sim, s_values)
+    means, errs = laplace_empirical(
+        scn, replace(sim, fixed_serving_distance=r0), s_values)
     dev = 0.0
     for s, mean, err in zip(s_values, means, errs):
         exact = laplace_interference(scn, r0, float(s), quad)
         dev = max(dev, abs(exact - mean)
-                  / max(err, 1.0 / spec.num_drops))
+                  / max(err, 1.0 / sim.num_drops))
     return ValidationCheck(
         "interference transform vs empirical mean", dev <= _SIGMA,
         dev, _SIGMA, f"r0={r0:.1f}, 3 transform arguments")
 
 
 def validate(scn: NetworkScenario | None = None,
-             spec: ValidationSpec | None = None,
-             quad: QuadratureSpec | None = None,
+             sim: SimulationSpec = SimulationSpec(20000),
+             quad: QuadratureSpec = QuadratureSpec(),
              workers: int = 1) -> ValidationReport:
     """Run the internal cross-check matrix on one scenario.
 
     Four checks compare two routes inside this package and one a closed
     form on the scenario reduced to exponent 4, so the report gauges
-    self-consistency, not the scenario's physics.  Check failures land in
-    the report; only unusable inputs raise.
+    self-consistency, not the scenario's physics.  Every simulating
+    check runs ``sim``, the coverage check as given and the conditional
+    and transform checks pinned to the median serving distance, so
+    ``sim`` itself must be unconditioned.  Check failures land in the
+    report; only unusable inputs raise.
     """
+    _require_unconditioned(sim)
     scn = scn if scn is not None else default_scenario()
-    spec = spec if spec is not None else ValidationSpec()
-    quad = quad if quad is not None else QuadratureSpec()
     checks = (
         _check_closed_form(scn, quad),
         _check_derivatives(scn, quad),
-        _check_coverage_mc(scn, quad, spec, workers),
-        _check_conditional_mc(scn, quad, spec, workers),
-        _check_laplace_mc(scn, quad, spec),
+        _check_coverage_mc(scn, quad, sim, workers),
+        _check_conditional_mc(scn, quad, sim, workers),
+        _check_laplace_mc(scn, quad, sim),
     )
     return ValidationReport(checks=checks)

@@ -104,8 +104,8 @@ class SimulationSpec:
             raise DomainError(f"num_drops must be at least 1, got {self.num_drops}")
         if self.disk_radius is not None and self.disk_radius <= 0.0:
             raise DomainError("disk_radius must be positive")
-        if self.seed < 0:
-            raise DomainError("seed must be non-negative")
+        if not 0 <= self.seed < 2 ** 64:
+            raise DomainError("seed must fit in an unsigned 64-bit integer")
         if (self.fixed_serving_distance is not None
                 and self.fixed_serving_distance <= 0.0):
             raise DomainError("fixed_serving_distance must be positive")

@@ -4,10 +4,12 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from dronecov.analytic import coverage_probability
 from dronecov.cli import CSV_HEADER, _sweep_spec, build_parser, run
 from dronecov.config import default_config, parse_config
 from dronecov.errors import ConfigError
@@ -315,7 +317,9 @@ def test_sweep_preset_honours_methods():
 
 
 def test_sweep_preset_honours_config_quadrature():
-    cfg = parse_config("[quadrature]\nrel_tol = 1e-6\nabs_tol = 1e-9\n")
+    cfg = parse_config("[quadrature]\nrel_tol = 1e-6\nabs_tol = 1e-9\n"
+                       "[simulation]\nnum_drops = 300\nseed = 4\n"
+                       "disk_radius_m = 900\n")
     parser = build_parser()
     for argv in (["sweep", "--preset", "figure3-ground"],
                  ["sweep", "--sweep-param", "ue_height",
@@ -324,6 +328,43 @@ def test_sweep_preset_honours_config_quadrature():
         assert spec.quadrature == cfg.quadrature
         assert spec.quadrature.rel_tol == 1e-6
         assert spec.quadrature.abs_tol == 1e-9
+        assert spec.simulation == cfg.to_simulation()
+        assert spec.simulation.disk_radius == 900.0
+
+
+def test_sweep_integer_grid_keeps_integer_fields():
+    code, out, err = invoke(["sweep", "--sweep-param", "channel.m_los",
+                             "--sweep-grid", "1,2,3", "--no-timing"])
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    scn = default_config().to_scenario()
+    assert [row[0] for row in rows] == ["1.0", "2.0", "3.0"]
+    for m, row in zip((1, 2, 3), rows):
+        direct = coverage_probability(
+            replace(scn, channel=replace(scn.channel, m_los=m)))
+        assert float(row[3]) == direct.probability
+
+
+def test_every_command_applies_the_simulation_section(tmp_path):
+    # simulate, a one-point Monte Carlo sweep and validate's coverage
+    # check all run the configured drops, seed and disk radius.
+    path = tmp_path / "disk.cfg"
+    path.write_text("[scenario]\nue_height_m = 1.5\n[simulation]\n"
+                    "num_drops = 200\nseed = 0\ndisk_radius_m = 300\n")
+    code, out, _ = invoke(["simulate", "--config", str(path)])
+    assert code == 0
+    sim = parse_kv(out)
+    assert sim["disk_radius"] == "300.0"
+    code, out, _ = invoke(["sweep", "--config", str(path),
+                           "--sweep-param", "ue_height", "--sweep-grid",
+                           "1.5", "--methods", "monte-carlo",
+                           "--no-timing"])
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert (row[3], row[4]) == (sim["probability"], sim["std_error"])
+    _, out, _ = invoke(["validate", "--config", str(path)])
+    p, se = float(sim["probability"]), float(sim["std_error"])
+    assert f"simulated={p:.6f}+-{se:.6f}" in out
 
 
 def test_sweep_preset_names_offered():

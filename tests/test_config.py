@@ -151,8 +151,8 @@ def test_simulation_overrides():
     sim = cfg.to_simulation()
     assert (sim.num_drops, sim.seed) == (77, 5)
     assert sim.disk_radius is None
-    sim2 = cfg.to_simulation(num_drops=11, seed=9)
-    assert (sim2.num_drops, sim2.seed) == (11, 9)
+    sim2 = cfg.to_simulation(seed=9)
+    assert (sim2.num_drops, sim2.seed) == (77, 9)
     cfg3 = parse_config("[simulation]\ndisk_radius_m = 1500\n")
     assert cfg3.to_simulation().disk_radius == 1500.0
 

@@ -12,12 +12,13 @@ from dronecov.cli import write_csv
 from dronecov.config import builtin_environments, default_scenario
 from dronecov.errors import ConfigError
 from dronecov.experiments import (CheckReport, SweepAxis, SweepResult,
-                                  SweepRow, SweepSpec, ValidationSpec,
-                                  crossing_points, figure2_check,
+                                  SweepRow, SweepSpec, crossing_points,
+                                  figure2_check,
                                   figure2_preset, figure3_check,
                                   figure3_preset, figure4_check,
                                   figure4_preset, sweep, validate,
                                   validate_spec)
+from dronecov.montecarlo import SimulationSpec
 
 BASE = default_scenario()
 # Rayleigh fading on both link states.
@@ -26,7 +27,7 @@ UNIT = replace(BASE, channel=replace(BASE.channel, m_los=1, m_nlos=1))
 
 def mc_spec(axes, methods=("analytic", "monte-carlo"), drops=400, seed=3):
     return SweepSpec(base=UNIT, axes=axes, methods=methods,
-                     num_drops=drops, seed=seed)
+                     simulation=SimulationSpec(drops, seed=seed))
 
 
 # ------------------------------------------------------------- validation
@@ -78,8 +79,9 @@ def test_spec_rejects_bad_axes_and_methods():
     with pytest.raises(ConfigError, match="duplicate"):
         SweepSpec(base=BASE, axes=(axis,),
                   methods=("analytic", "analytic"))
-    with pytest.raises(ConfigError, match="num_drops"):
-        SweepSpec(base=BASE, axes=(axis,), num_drops=0)
+    with pytest.raises(ConfigError, match="serving station"):
+        SweepSpec(base=BASE, axes=(axis,), simulation=SimulationSpec(
+            10, fixed_serving_distance=50.0))
 
 
 def test_unknown_parameter_path_fails_before_evaluation():
@@ -138,8 +140,8 @@ def test_failures_recorded_per_row_without_aborting():
                      ((3, 1), (100, 100)), labels=("m3-1", "m100-100"))
     spec = SweepSpec(base=BASE,
                      axes=(SweepAxis("ue_height", (60.0,)), axis),
-                     methods=("analytic", "monte-carlo"), num_drops=300,
-                     seed=5)
+                     methods=("analytic", "monte-carlo"),
+                     simulation=SimulationSpec(300, seed=5))
     result = sweep(spec)
     assert len(result.rows) == 4
     failed = result.failures
@@ -188,7 +190,7 @@ def test_analytic_and_monte_carlo_rows_agree_on_shared_grid():
     spec = SweepSpec(base=BASE,
                      axes=(SweepAxis("ue_height", (40.0, 60.0, 80.0)),),
                      methods=("analytic", "monte-carlo"),
-                     num_drops=1000, seed=11)
+                     simulation=SimulationSpec(1000, seed=11))
     result = sweep(spec)
     by_point = {}
     for row in result.rows:
@@ -237,10 +239,10 @@ def test_figure2_preset_structure():
 
 def test_figure3_preset_structure():
     ground = figure3_preset("ground")
-    aerial = figure3_preset("aerial", num_drops=500, seed=9)
+    aerial = figure3_preset("aerial")
     assert ground.base.ue_height == 1.5
     assert aerial.base.ue_height == 60.0
-    assert aerial.num_drops == 500 and aerial.seed == 9
+    assert aerial.simulation == SimulationSpec(20000, seed=0)
     assert ground.grid_shape == (15, 8)
     labels = ground.axes[1].labels
     assert len(labels) == 8
@@ -413,7 +415,7 @@ def test_tall_base_station_slice_reaches_plateau():
         axes=(SweepAxis("bs_height", (60.0, 80.0, 100.0, 120.0, 140.0)),
               SweepAxis(("pattern.downtilt_deg", "env"),
                         ((15.0, env),), labels=("urban-t15",))),
-        methods=("monte-carlo",), num_drops=4000, seed=17)
+        methods=("monte-carlo",), simulation=SimulationSpec(4000, seed=17))
     report = figure3_check(sweep(spec), "urban-t15")
     assert report.status == "pass"
     assert report.details["plateau_start_m"] >= 100.0
@@ -422,7 +424,9 @@ def test_tall_base_station_slice_reaches_plateau():
 # ------------------------------------------------------------- validation
 
 def test_validation_matrix_passes_at_defaults():
-    report = validate(spec=ValidationSpec(num_drops=2500, seed=2))
+    with pytest.raises(ConfigError, match="serving station"):
+        validate(sim=SimulationSpec(10, force_serving_los=True))
+    report = validate(sim=SimulationSpec(2500, seed=2))
     assert len(report.checks) == 5
     names = [check.name for check in report.checks]
     assert len(set(names)) == 5
@@ -436,5 +440,5 @@ def test_validation_is_internal_consistency_not_physics():
     # A physically wrong exponent still self-agrees across both engines.
     twisted = replace(BASE, channel=replace(BASE.channel,
                                             alpha_nlos=BASE.channel.alpha_los))
-    report = validate(twisted, ValidationSpec(num_drops=2500, seed=4))
+    report = validate(twisted, SimulationSpec(2500, seed=4))
     assert report.ok

@@ -461,10 +461,10 @@ def test_disk_radius_sufficiency_with_coupled_fields():
     cov_full = cov_half = 0
     for i in range(spec.num_drops):
         real = sample_network(SCN, spec, _block_rng(spec.seed, i))
-        radii = np.hypot(real.positions[:, 0], real.positions[:, 1])
-        keep = radii <= half_r
+        keep = real.radii <= half_r
         inner = NetworkRealization(real.positions[keep], real.los[keep],
-                                   real.fading[keep])
+                                   real.fading[keep],
+                                   radii=real.radii[keep])
         cov_full += compute_sir(real, SCN, far_full) > SCN.sir_threshold
         cov_half += compute_sir(inner, SCN, far_half) > SCN.sir_threshold
     p_full = cov_full / spec.num_drops
@@ -540,6 +540,8 @@ def test_estimate_rejects_bad_spec():
         SimulationSpec(num_drops=10, disk_radius=-1.0)
     with pytest.raises(DomainError):
         SimulationSpec(num_drops=10, seed=-1)
+    with pytest.raises(DomainError, match="64-bit"):
+        SimulationSpec(num_drops=10, seed=2 ** 64)
     with pytest.raises(DomainError):
         SimulationSpec(num_drops=10, fixed_serving_distance=0.0)
     with pytest.raises(DomainError):
