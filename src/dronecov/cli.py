@@ -26,7 +26,7 @@ from .errors import (CapabilityError, ConfigError, DomainError,
                      QuadratureError)
 from .experiments import (SweepAxis, SweepResult, SweepSpec, figure2_preset,
                           figure3_preset, figure4_preset, sweep, validate)
-from .montecarlo import estimate_coverage
+from .montecarlo import SimulationSpec, estimate_coverage
 
 __all__ = ["main", "run", "write_csv"]
 
@@ -86,10 +86,11 @@ def _seed_int(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError(
-            "must fit in an unsigned 64-bit integer")
-    return value
+    try:
+        # SimulationSpec owns the seed's range check.
+        return SimulationSpec(seed=value).seed
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _number(text: str) -> int | float:

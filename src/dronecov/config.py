@@ -12,17 +12,20 @@ Config files use a flat sectioned key-value grammar::
     buildings_per_km2 = 400.0
     height_scale_m = 12.0
 
-Values are stored exactly as written, in human units (dB for powers and
-path-loss intercepts, degrees for angles, per-km2 for densities, meters
-for lengths).  Conversion to the internal linear/SI representation
-happens exactly once, inside :meth:`ConfigFile.to_scenario` and friends,
-so serializing and re-parsing a config is lossless.
+Only the scenario needs unit conversion: it is stored exactly as written,
+in human units (dB for powers and path-loss intercepts, degrees for
+angles, per-km2 for densities, meters for lengths), and converted to the
+internal linear/SI representation exactly once, inside
+:meth:`ConfigFile.to_scenario`, so serializing and re-parsing a config is
+lossless.  The other sections are held as the types they configure
+(:class:`QuadratureSpec`, :class:`SimulationSpec`,
+:class:`EnvironmentParams`), whose own range checks apply.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .analytic import NetworkScenario, QuadratureSpec
 from .channel import AntennaPattern, ChannelParams, EnvironmentParams
@@ -31,9 +34,7 @@ from .montecarlo import SimulationSpec
 
 __all__ = [
     "ConfigFile",
-    "EnvironmentConfig",
     "ScenarioConfig",
-    "SimulationConfig",
     "builtin_environments",
     "default_config",
     "default_scenario",
@@ -64,48 +65,29 @@ class ScenarioConfig:
     environment: str = "urban"
 
 
-@dataclass(frozen=True)
-class EnvironmentConfig:
-    """One built-environment preset in human units."""
-
-    built_fraction: float
-    buildings_per_km2: float
-    height_scale_m: float
-
-    def to_params(self) -> EnvironmentParams:
-        return EnvironmentParams(self.built_fraction, self.buildings_per_km2,
-                                 self.height_scale_m)
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    num_drops: int = 20000
-    seed: int = 0
-    disk_radius_m: float | None = None
-
-
 # Standard parameter sets of the four reference environment classes.
-_BUILTIN_ENVIRONMENTS: tuple[tuple[str, EnvironmentConfig], ...] = (
-    ("suburban", EnvironmentConfig(0.1, 750.0, 8.0)),
-    ("urban", EnvironmentConfig(0.3, 500.0, 15.0)),
-    ("dense-urban", EnvironmentConfig(0.5, 300.0, 20.0)),
-    ("highrise-urban", EnvironmentConfig(0.5, 300.0, 50.0)),
+_BUILTIN_ENVIRONMENTS: tuple[tuple[str, EnvironmentParams], ...] = (
+    ("suburban", EnvironmentParams(0.1, 750.0, 8.0)),
+    ("urban", EnvironmentParams(0.3, 500.0, 15.0)),
+    ("dense-urban", EnvironmentParams(0.5, 300.0, 20.0)),
+    ("highrise-urban", EnvironmentParams(0.5, 300.0, 50.0)),
 )
 
 
 @dataclass(frozen=True)
 class ConfigFile:
-    """Parsed configuration; every field keeps its human-unit value.  The
-    quadrature knobs are unit-free, so they are held as the analytic
-    route's own :class:`QuadratureSpec`."""
+    """Parsed configuration.  The scenario keeps its human-unit values;
+    the unit-free sections are held as the types they configure: the
+    analytic route's :class:`QuadratureSpec`, the simulation route's
+    :class:`SimulationSpec` and named :class:`EnvironmentParams`."""
 
     scenario: ScenarioConfig = ScenarioConfig()
     quadrature: QuadratureSpec = QuadratureSpec()
-    simulation: SimulationConfig = SimulationConfig()
-    environments: tuple[tuple[str, EnvironmentConfig], ...] = \
+    simulation: SimulationSpec = SimulationSpec()
+    environments: tuple[tuple[str, EnvironmentParams], ...] = \
         _BUILTIN_ENVIRONMENTS
 
-    def environment(self, name: str) -> EnvironmentConfig:
+    def environment(self, name: str) -> EnvironmentParams:
         for key, env in self.environments:
             if key == name:
                 return env
@@ -129,7 +111,7 @@ class ConfigFile:
                 intercept_nlos=10.0 ** (s.intercept_nlos_db / 10.0),
                 m_los=s.m_los,
                 m_nlos=s.m_nlos),
-            env=self.environment(s.environment).to_params(),
+            env=self.environment(s.environment),
             pattern=AntennaPattern(
                 beamwidth_deg=s.beamwidth_deg,
                 downtilt_deg=s.downtilt_deg,
@@ -137,12 +119,11 @@ class ConfigFile:
                 gain_side=s.gain_side))
 
     def to_simulation(self, seed: int | None = None) -> SimulationSpec:
-        """The simulation route's own spec; ``seed``, if given, overrides
+        """The configured simulation spec; ``seed``, if given, overrides
         the configured one."""
-        sim = self.simulation
-        return SimulationSpec(
-            num_drops=sim.num_drops, disk_radius=sim.disk_radius_m,
-            seed=sim.seed if seed is None else seed)
+        if seed is None:
+            return self.simulation
+        return replace(self.simulation, seed=seed)
 
 
 def default_config() -> ConfigFile:
@@ -150,9 +131,8 @@ def default_config() -> ConfigFile:
 
 
 def builtin_environments() -> tuple[tuple[str, EnvironmentParams], ...]:
-    """The built-in environment presets as internal parameter sets."""
-    return tuple((name, env.to_params())
-                 for name, env in _BUILTIN_ENVIRONMENTS)
+    """The built-in environment presets, in reference order."""
+    return _BUILTIN_ENVIRONMENTS
 
 
 def default_scenario() -> NetworkScenario:
@@ -168,75 +148,72 @@ def _parse_float(text: str) -> float:
         raise ValueError("must be finite")
     return value
 
+
 def _parse_int(text: str) -> int:
     if not text.lstrip("+-").isdigit():
         raise ValueError("must be an integer")
     return int(text)
 
 
-def _positive(value: float) -> float:
+# The scenario's human-unit values have no type of their own to check
+# them, so their readers do.
+def _positive(text: str) -> float:
+    value = _parse_float(text)
     if value <= 0.0:
         raise ValueError("must be positive")
     return value
 
 
-def _fraction(value: float) -> float:
-    if not 0.0 < value <= 1.0:
-        raise ValueError("must lie in (0, 1]")
-    return value
-
-
-def _count(value: int) -> int:
+def _count(text: str) -> int:
+    value = _parse_int(text)
     if value < 1:
         raise ValueError("must be at least 1")
     return value
 
 
-def _seed(value: int) -> int:
-    if not 0 <= value < 2 ** 64:
-        raise ValueError("must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _identity(value):
-    return value
-
-
-# key -> (reader, range check) per section kind.
+# key -> reader per section kind.  Each table also fixes the order in
+# which the section is serialized.
 _SCENARIO_KEYS = {
-    "bs_density_per_km2": (_parse_float, _positive),
-    "bs_height_m": (_parse_float, _positive),
-    "ue_height_m": (_parse_float, _positive),
-    "tx_power_db": (_parse_float, _identity),
-    "sir_threshold": (_parse_float, _positive),
-    "alpha_los": (_parse_float, _positive),
-    "alpha_nlos": (_parse_float, _positive),
-    "intercept_los_db": (_parse_float, _identity),
-    "intercept_nlos_db": (_parse_float, _identity),
-    "m_los": (_parse_int, _count),
-    "m_nlos": (_parse_int, _count),
-    "beamwidth_deg": (_parse_float, _positive),
-    "downtilt_deg": (_parse_float, _identity),
-    "gain_main": (_parse_float, _positive),
-    "gain_side": (_parse_float, _positive),
-    "environment": (str, _identity),
+    "bs_density_per_km2": _positive,
+    "bs_height_m": _positive,
+    "ue_height_m": _positive,
+    "tx_power_db": _parse_float,
+    "sir_threshold": _positive,
+    "alpha_los": _positive,
+    "alpha_nlos": _positive,
+    "intercept_los_db": _parse_float,
+    "intercept_nlos_db": _parse_float,
+    "m_los": _count,
+    "m_nlos": _count,
+    "beamwidth_deg": _positive,
+    "downtilt_deg": _parse_float,
+    "gain_main": _positive,
+    "gain_side": _positive,
+    "environment": str,
 }
-_ENVIRONMENT_KEYS = {
-    "built_fraction": (_parse_float, _fraction),
-    "buildings_per_km2": (_parse_float, _positive),
-    "height_scale_m": (_parse_float, _positive),
-}
-# QuadratureSpec checks its own ranges.
 _QUADRATURE_KEYS = {
-    "rel_tol": (_parse_float, _identity),
-    "abs_tol": (_parse_float, _identity),
-    "outer_trunc_prob": (_parse_float, _identity),
+    "rel_tol": _parse_float,
+    "abs_tol": _parse_float,
+    "outer_trunc_prob": _parse_float,
 }
 _SIMULATION_KEYS = {
-    "num_drops": (_parse_int, _count),
-    "seed": (_parse_int, _seed),
-    "disk_radius_m": (_parse_float, _positive),
+    "num_drops": _parse_int,
+    "seed": _parse_int,
+    "disk_radius_m": _parse_float,
 }
+_ENVIRONMENT_KEYS = {
+    "built_fraction": _parse_float,
+    "buildings_per_km2": _parse_float,
+    "height_scale_m": _parse_float,
+}
+# Sections held by one ConfigFile field of the same name.
+_SECTIONS = {
+    "scenario": _SCENARIO_KEYS,
+    "quadrature": _QUADRATURE_KEYS,
+    "simulation": _SIMULATION_KEYS,
+}
+# Keys whose field is named without the unit suffix.
+_FIELDS = {"disk_radius_m": "disk_radius", "height_scale_m": "height_scale"}
 
 
 def _read_entries(text: str):
@@ -267,11 +244,10 @@ def _read_entries(text: str):
 
 def _apply_section(obj, table, updates, section):
     for key, (value, num) in updates.items():
-        reader, check = table[key]
         try:
             # The replaced object's own range checks (DomainError is a
             # ValueError) are reported with the key and line too.
-            obj = replace(obj, **{key: check(reader(value))})
+            obj = replace(obj, **{_FIELDS.get(key, key): table[key](value)})
         except ValueError as exc:
             raise ConfigError(
                 f"bad value {value!r} for [{section}] ({exc})",
@@ -286,13 +262,8 @@ def parse_config(text: str) -> ConfigFile:
     unknown sections or keys, malformed values, and out-of-range values.
     """
     sections: dict[str, dict[str, tuple[str, int]]] = {}
-    order: list[str] = []
     for section, key, value, num in _read_entries(text):
-        known = {
-            "scenario": _SCENARIO_KEYS,
-            "quadrature": _QUADRATURE_KEYS,
-            "simulation": _SIMULATION_KEYS,
-        }.get(section)
+        known = _SECTIONS.get(section)
         if known is None:
             if not section.startswith("environment."):
                 raise ConfigError(f"unknown section [{section}]", line=num)
@@ -307,26 +278,18 @@ def parse_config(text: str) -> ConfigFile:
         if key in entries:
             raise ConfigError(f"duplicate key in [{section}]",
                               key=key, line=num)
-        if section not in order:
-            order.append(section)
         entries[key] = (value, num)
 
-    cfg = ConfigFile(
-        scenario=_apply_section(ScenarioConfig(), _SCENARIO_KEYS,
-                                sections.pop("scenario", {}), "scenario"),
-        quadrature=_apply_section(QuadratureSpec(), _QUADRATURE_KEYS,
-                                  sections.pop("quadrature", {}),
-                                  "quadrature"),
-        simulation=_apply_section(SimulationConfig(), _SIMULATION_KEYS,
-                                  sections.pop("simulation", {}),
-                                  "simulation"))
+    defaults = ConfigFile()
+    cfg = ConfigFile(**{
+        title: _apply_section(getattr(defaults, title), table,
+                              sections.pop(title, {}), title)
+        for title, table in _SECTIONS.items()})
 
+    # What is left are the [environment.NAME] sections, in file order.
     environments = list(cfg.environments)
-    for section in order:
-        if section not in sections:
-            continue
+    for section, updates in sections.items():
         name = section[len("environment."):]
-        updates = sections[section]
         base = dict(environments).get(name)
         if base is None:
             missing = [k for k in _ENVIRONMENT_KEYS if k not in updates]
@@ -336,7 +299,7 @@ def parse_config(text: str) -> ConfigFile:
                     f"environment {name!r} is missing key(s) "
                     f"{', '.join(missing)}", line=line)
             # All keys present, so the placeholder is fully overwritten.
-            base = EnvironmentConfig(1.0, 1.0, 1.0)
+            base = EnvironmentParams(1.0, 1.0, 1.0)
             env = _apply_section(base, _ENVIRONMENT_KEYS, updates, section)
             environments.append((name, env))
         else:
@@ -354,26 +317,22 @@ def parse_config(text: str) -> ConfigFile:
 
 # ---------------------------------------------------------- serialization
 
-def _format_value(value) -> str:
-    return value if isinstance(value, str) else repr(value)
+def _section_lines(title: str, obj, table) -> list[str]:
+    lines = [f"[{title}]"]
+    for key in table:
+        value = getattr(obj, _FIELDS.get(key, key))
+        if value is not None:
+            text = value if isinstance(value, str) else repr(value)
+            lines.append(f"{key} = {text}")
+    return lines + [""]
 
 
 def serialize_config(cfg: ConfigFile) -> str:
     """Render a config back to text; parsing the result reproduces it."""
     lines: list[str] = []
-    for title, obj in (("scenario", cfg.scenario),
-                       ("quadrature", cfg.quadrature),
-                       ("simulation", cfg.simulation)):
-        lines.append(f"[{title}]")
-        for fld in fields(obj):
-            value = getattr(obj, fld.name)
-            if value is None:
-                continue
-            lines.append(f"{fld.name} = {_format_value(value)}")
-        lines.append("")
+    for title, table in _SECTIONS.items():
+        lines += _section_lines(title, getattr(cfg, title), table)
     for name, env in cfg.environments:
-        lines.append(f"[environment.{name}]")
-        for fld in fields(env):
-            lines.append(f"{fld.name} = {_format_value(getattr(env, fld.name))}")
-        lines.append("")
+        lines += _section_lines(f"environment.{name}", env,
+                                _ENVIRONMENT_KEYS)
     return "\n".join(lines)

@@ -93,7 +93,7 @@ class SimulationSpec:
     ``force_serving_los`` overrides the serving link's propagation state.
     """
 
-    num_drops: int
+    num_drops: int = 20000
     disk_radius: float | None = None
     seed: int = 0
     fixed_serving_distance: float | None = None

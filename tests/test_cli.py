@@ -66,6 +66,8 @@ def test_unknown_flag_exits_2():
 def test_bad_option_values_exit_2():
     assert invoke(["simulate", "--workers", "0"])[0] == 2
     assert invoke(["simulate", "--seed", "-1"])[0] == 2
+    assert invoke(["coverage", "--seed", "18446744073709551616"])[0] == 2
+    assert invoke(["sweep", "--preset", "figure4", "--seed", "-1"])[0] == 2
     assert invoke(["sweep", "--sweep-param", "ue_height",
                    "--sweep-grid", "1:2:0"])[0] == 2
 

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from dronecov.config import (ConfigFile, EnvironmentConfig, ScenarioConfig,
+from dronecov.channel import EnvironmentParams
+from dronecov.config import (ConfigFile, ScenarioConfig,
                              builtin_environments, default_config,
                              default_scenario, parse_config,
                              serialize_config)
@@ -87,7 +88,7 @@ def test_environment_selection_and_custom_definition():
 
 def test_overriding_builtin_environment():
     cfg = parse_config("[environment.urban]\nheight_scale_m = 25\n")
-    assert cfg.environment("urban") == EnvironmentConfig(0.3, 500.0, 25.0)
+    assert cfg.environment("urban") == EnvironmentParams(0.3, 500.0, 25.0)
     assert cfg.to_scenario().env.height_scale == 25.0
 
 
@@ -120,6 +121,10 @@ def test_comments_and_blank_lines_ignored():
     ("[quadrature]\nmax_rounds = 5\n", "unknown key"),
     ("[quadrature]\nmax_panels = 4\n", "unknown key"),
     ("[quadrature]\nouter_trunc_prob = 0.5\n", "outer_trunc_prob"),
+    ("[simulation]\nnum_drops = 0\n", "at least 1"),
+    ("[simulation]\ndisk_radius_m = -5\n", "positive"),
+    ("[environment.urban]\nheight_scale_m = 0\n", "height_scale"),
+    ("[simulation]\nfixed_serving_distance = 5\n", "unknown key"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ConfigError) as info:
@@ -137,6 +142,11 @@ def test_out_of_range_fraction_names_key_and_line():
     message = str(info.value)
     assert "built_fraction" in message
     assert "line 2" in message
+    with pytest.raises(ConfigError) as info:
+        parse_config("[simulation]\nseed = 3\ndisk_radius_m = 0\n")
+    message = str(info.value)
+    assert "disk_radius_m" in message
+    assert "line 3" in message
 
 
 def test_scenario_config_is_plain_data():

@@ -436,6 +436,19 @@ def test_validation_matrix_passes_at_defaults():
     assert report.ok
 
 
+def test_validation_records_a_pinned_distance_outside_the_disk():
+    # The median serving distance (66.4 m) lies outside a 50 m disk, so
+    # both conditioned simulations refuse; their rows say why.
+    report = validate(sim=SimulationSpec(200, disk_radius=50.0))
+    assert len(report.checks) == 5
+    assert not report.ok
+    refused = report.checks[3:]
+    for check in refused:
+        assert not check.passed
+        assert math.isnan(check.measured)
+        assert "sampling disk" in check.detail
+
+
 def test_validation_is_internal_consistency_not_physics():
     # A physically wrong exponent still self-agrees across both engines.
     twisted = replace(BASE, channel=replace(BASE.channel,
