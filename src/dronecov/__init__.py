@@ -8,8 +8,7 @@ from .analytic import (MAX_FADING_ORDER, CoverageResult, NetworkScenario,
                        laplace_interference, mean_interference,
                        serving_distance_pdf)
 from .channel import (AntennaPattern, ChannelParams, EnvironmentParams,
-                      LinkGeometry, antenna_gain, los_probability,
-                      los_step_levels, path_loss)
+                      los_step_levels)
 from .config import (ConfigFile, builtin_environments, default_config,
                      default_scenario, parse_config, serialize_config)
 from .errors import (CapabilityError, ConfigError, DomainError,
@@ -32,7 +31,6 @@ __all__ = [
     "CoverageResult",
     "DomainError",
     "EnvironmentParams",
-    "LinkGeometry",
     "MAX_FADING_ORDER",
     "NetworkScenario",
     "QuadratureError",
@@ -42,7 +40,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "ValidationReport",
-    "antenna_gain",
     "builtin_environments",
     "conditional_coverage",
     "coverage_probability",
@@ -55,11 +52,9 @@ __all__ = [
     "laplace_derivatives",
     "laplace_empirical",
     "laplace_interference",
-    "los_probability",
     "los_step_levels",
     "mean_interference",
     "parse_config",
-    "path_loss",
     "sample_network",
     "serialize_config",
     "serving_distance_pdf",

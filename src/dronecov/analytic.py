@@ -46,7 +46,7 @@ from .channel import (
     los_step_levels,
     los_step_width,
     los_tail_sums,
-    main_lobe_interval,
+    path_gain_curve,
     path_loss_curves,
     power_law_integral,
 )
@@ -242,8 +242,6 @@ class _Field:
         self.scn = scn
         self.quad = quad
         self.step = los_step_width(scn.env)
-        self.lobe = main_lobe_interval(scn.bs_height, scn.ue_height,
-                                       scn.pattern)
         self.switches = gain_switch_radii(scn.bs_height, scn.ue_height,
                                           scn.pattern)
         self.gap2 = (scn.bs_height - scn.ue_height) ** 2
@@ -282,8 +280,9 @@ class _Field:
     def far_gain(self) -> tuple[float, float]:
         # Constant gain seen far out and the radius from which it applies.
         r_gain = max(self.switches, default=0.0)
-        return float(antenna_gain_curve(2.0 * r_gain + 1.0, self.lobe,
-                                        self.scn.pattern)), r_gain
+        scn = self.scn
+        return float(antenna_gain_curve(2.0 * r_gain + 1.0, scn.bs_height,
+                                        scn.ue_height, scn.pattern)), r_gain
 
     def nlos_tail(self, s, orders: int, r) -> tuple[np.ndarray, np.ndarray]:
         """Non-line-of-sight rows beyond ``r`` (past every gain switch) in
@@ -295,7 +294,8 @@ class _Field:
         scn, mn = self.scn, self.scn.channel.m_nlos
         g_far, _ = self.far_gain
         r = np.asarray(r, dtype=float)
-        _, zn = path_loss_curves(r, scn.bs_height, scn.ue_height, scn.channel)
+        zn = path_gain_curve(r, False, scn.bs_height, scn.ue_height,
+                             scn.channel)
         y = np.asarray(s) * scn.tx_power * g_far * zn
         terms = _power_terms(scn.channel.alpha_nlos, mn, orders)
         tail = np.stack([coef * y ** q for coef, q in terms], axis=-1)
@@ -439,7 +439,8 @@ class _Field:
         scn = self.scn
         zl, zn = path_loss_curves(r, scn.bs_height, scn.ue_height,
                                   scn.channel)
-        power = scn.tx_power * antenna_gain_curve(r, self.lobe, scn.pattern)
+        power = scn.tx_power * antenna_gain_curve(r, scn.bs_height,
+                                                  scn.ue_height, scn.pattern)
         return np.array([power * zl, power * zn, self.area * r])
 
     def _link_integrand(self, s: np.ndarray, orders: int):
@@ -712,10 +713,9 @@ def _serving_coeff(scn: NetworkScenario, r0, los: bool) -> np.ndarray:
         raise DomainError("serving distance must be non-negative")
     if scn.bs_height == scn.ue_height and (r0 == 0.0).any():
         raise DomainError("path loss undefined at zero link distance")
-    zl, zn = path_loss_curves(r0, scn.bs_height, scn.ue_height, scn.channel)
-    lobe = main_lobe_interval(scn.bs_height, scn.ue_height, scn.pattern)
-    return scn.tx_power * antenna_gain_curve(r0, lobe, scn.pattern) * (
-        zl if los else zn)
+    return scn.tx_power * antenna_gain_curve(
+        r0, scn.bs_height, scn.ue_height, scn.pattern) * path_gain_curve(
+        r0, los, scn.bs_height, scn.ue_height, scn.channel)
 
 
 def laplace_interference(scn: NetworkScenario, r0: float, s: float,

@@ -7,13 +7,13 @@ station and the user plus the two antenna heights; whether the link is
 line-of-sight is a Bernoulli variable whose probability depends on the
 built-up environment.
 
-Both routes call one vectorized kernel per model: :func:`path_loss_curves`
-for path gain at both states, or :func:`path_gain_curve` at each link's
-own state, :func:`los_step_levels` read by :func:`los_level_curve` for
-the line-of-sight level and :func:`los_tail_sums` for its power-law tails,
-and :func:`antenna_gain_curve` for antenna gain.  The scalar helpers
-:func:`path_loss`, :func:`los_probability` and :func:`antenna_gain` are
-wrappers over them.
+Each model is one vectorized kernel over ground distances ``r`` that
+takes the link heights and the model's parameters, ``(r, ..., bs_height,
+ue_height, params)``: :func:`path_gain_curve` for path gain at each
+link's own state (with :func:`path_loss_curves` for both states at
+once), :func:`los_step_levels` read by :func:`los_level_curve` for the
+line-of-sight level and :func:`los_tail_sums` for its power-law tails,
+and :func:`antenna_gain_curve` for antenna gain.
 """
 
 from __future__ import annotations
@@ -31,11 +31,8 @@ __all__ = [
     "EnvironmentParams",
     "ChannelParams",
     "AntennaPattern",
-    "LinkGeometry",
-    "path_loss",
     "path_loss_curves",
     "path_gain_curve",
-    "los_probability",
     "los_breakpoints",
     "los_step_width",
     "los_step_levels",
@@ -43,7 +40,6 @@ __all__ = [
     "los_tail_sums",
     "los_exact_steps",
     "power_law_integral",
-    "antenna_gain",
     "antenna_gain_curve",
     "main_lobe_interval",
     "gain_switch_radii",
@@ -129,44 +125,6 @@ class AntennaPattern:
             raise DomainError("antenna gains must be positive")
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Relative placement of one base station and one user."""
-
-    ground_distance: float
-    bs_height: float
-    ue_height: float
-
-    def __post_init__(self) -> None:
-        if self.ground_distance < 0.0:
-            raise DomainError(
-                f"ground_distance must be non-negative, got {self.ground_distance}")
-        if self.bs_height < 0.0 or self.ue_height < 0.0:
-            raise DomainError("antenna heights must be non-negative")
-
-    @property
-    def height_gap(self) -> float:
-        """Base-station height minus user height (negative for users above)."""
-        return self.bs_height - self.ue_height
-
-    @property
-    def distance_3d(self) -> float:
-        return math.hypot(self.ground_distance, self.height_gap)
-
-
-def path_loss(geom: LinkGeometry, channel: ChannelParams, los: bool) -> float:
-    """Linear path gain ``A * d**-alpha`` over the 3-D link distance; the
-    scalar form of :func:`path_gain_curve`.
-
-    Raises :class:`DomainError` when the 3-D distance is zero, since the
-    power-law model diverges there.
-    """
-    if geom.distance_3d == 0.0:
-        raise DomainError("path loss undefined at zero link distance")
-    return float(path_gain_curve(geom.ground_distance, los, geom.bs_height,
-                                 geom.ue_height, channel))
-
-
 def path_gain_curve(r, los, bs_height: float, ue_height: float,
                     channel: ChannelParams, out=None):
     """Vectorized path gain ``A * d**-alpha`` over ground distances ``r``,
@@ -213,21 +171,6 @@ def _log_clearance(h, env: EnvironmentParams):
     x = h * h / (2.0 * env.height_scale ** 2)
     return np.where(x > math.log(2.0), np.log1p(-np.exp(-x)),
                     np.log(-np.expm1(-x)))
-
-
-def los_probability(geom: LinkGeometry, env: EnvironmentParams) -> float:
-    """Probability that the link is unobstructed by buildings.
-
-    Piecewise constant in the ground distance: each additional potential
-    blocker along the path contributes one factor
-    ``1 - exp(-h_n**2 / (2 c**2))`` where ``h_n`` is the link height at the
-    blocker position and ``c`` the building-height scale.  Links shorter
-    than the first breakpoint see no blockers and get probability 1.  The
-    value is entry ``int(r / los_step_width(env))`` of
-    :func:`los_step_levels`.
-    """
-    k = int(geom.ground_distance / los_step_width(env))
-    return float(los_step_levels(env, geom.bs_height, geom.ue_height, k)[k])
 
 
 def los_step_width(env: EnvironmentParams) -> float:
@@ -565,20 +508,13 @@ def los_tail_sums(env: EnvironmentParams, bs_height: float, ue_height: float,
     return sums, errs
 
 
-def antenna_gain(geom: LinkGeometry, pattern: AntennaPattern) -> float:
-    """Gain seen by the user: main-lobe gain when the ray to the user falls
-    inside the (inclusive) vertical beam, side-lobe gain otherwise; the
-    scalar form of :func:`antenna_gain_curve`."""
-    lobe = main_lobe_interval(geom.bs_height, geom.ue_height, pattern)
-    return float(antenna_gain_curve(geom.ground_distance, lobe, pattern))
-
-
-def antenna_gain_curve(r, lobe: tuple[float, float] | None,
+def antenna_gain_curve(r, bs_height: float, ue_height: float,
                        pattern: AntennaPattern):
-    """Vectorized antenna gain over ground distances ``r``, given the
-    ``main_lobe_interval`` of the link heights: main-lobe gain inside the
-    (inclusive) interval, side-lobe gain elsewhere."""
+    """Vectorized antenna gain over ground distances ``r``: main-lobe
+    gain inside the (inclusive) :func:`main_lobe_interval` of the link
+    heights, side-lobe gain elsewhere."""
     r = np.asarray(r, dtype=float)
+    lobe = main_lobe_interval(bs_height, ue_height, pattern)
     if lobe is None:
         return np.full(r.shape, pattern.gain_side)
     return np.where((r >= lobe[0]) & (r <= lobe[1]), pattern.gain_main,

@@ -115,6 +115,12 @@ class SweepAxis:
                     raise ConfigError(
                         f"label {label!r} is empty or not CSV-safe")
 
+    @property
+    def paths(self) -> tuple[str, ...]:
+        """The dotted field paths the axis sets, one for a plain axis."""
+        return (self.parameter if isinstance(self.parameter, tuple)
+                else (self.parameter,))
+
     def label(self, index: int):
         """Row value for CSV and curve lookup: the float itself for
         numeric grids, the configured label otherwise."""
@@ -229,11 +235,9 @@ def _with_value(obj, path: str, value):
 
 def _apply_axis(scn: NetworkScenario, axis: SweepAxis,
                 index: int) -> NetworkScenario:
-    paths = (axis.parameter if isinstance(axis.parameter, tuple)
-             else (axis.parameter,))
     values = (axis.values[index] if isinstance(axis.parameter, tuple)
               else (axis.values[index],))
-    for path, value in zip(paths, values):
+    for path, value in zip(axis.paths, values):
         scn = _with_value(scn, path, value)
     return scn
 
@@ -241,9 +245,7 @@ def _apply_axis(scn: NetworkScenario, axis: SweepAxis,
 def validate_spec(spec: SweepSpec) -> None:
     """Reject bad parameter paths before any evaluation starts."""
     for axis in spec.axes:
-        paths = (axis.parameter if isinstance(axis.parameter, tuple)
-                 else (axis.parameter,))
-        for path in paths:
+        for path in axis.paths:
             _check_path(spec.base, path)
 
 

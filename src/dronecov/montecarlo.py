@@ -51,7 +51,6 @@ from .channel import (
     los_step_levels,
     los_step_width,
     los_tail_sums,
-    main_lobe_interval,
     path_gain_curve,
     power_law_integral,
 )
@@ -151,7 +150,6 @@ def _far_field_moments(scn, radius: float) -> tuple[float, float]:
                           "far-field interference mean")
     gap2 = (scn.bs_height - scn.ue_height) ** 2
     step = los_step_width(scn.env)
-    lobe = main_lobe_interval(scn.bs_height, scn.ue_height, scn.pattern)
     cuts = np.array(sorted([float(radius)] + [
         x for x in gain_switch_radii(scn.bs_height, scn.ue_height, scn.pattern)
         if x > radius]))
@@ -159,8 +157,9 @@ def _far_field_moments(scn, radius: float) -> tuple[float, float]:
     p = np.array([ch.alpha_los, 2.0 * ch.alpha_los, ch.alpha_nlos,
                   2.0 * ch.alpha_nlos])
     ks, u = (cuts / step).astype(np.int64) + 1, cuts * cuts + gap2
-    sight = los_step_levels(scn.env, scn.bs_height, scn.ue_height, int(
-        ks.max()))[ks - 1] * power_law_integral(
+    levels = los_step_levels(scn.env, scn.bs_height, scn.ue_height,
+                             int(ks.max()))
+    sight = los_level_curve(cuts, levels, step) * power_law_integral(
         u, (ks * step - cuts) * (ks * step + cuts), p[:, None]) \
         + los_tail_sums(scn.env, scn.bs_height, scn.ue_height, p, ks)[0]
     whole = power_law_integral(u, np.inf, p[:, None])
@@ -173,7 +172,8 @@ def _far_field_moments(scn, radius: float) -> tuple[float, float]:
            + ch.intercept_nlos ** 2 * (ch.m_nlos + 1.0) / ch.m_nlos
            * blocked[3])
     probe = np.append(0.5 * (cuts[:-1] + cuts[1:]), 2.0 * cuts[-1] + step)
-    gain = antenna_gain_curve(probe, lobe, scn.pattern)
+    gain = antenna_gain_curve(probe, scn.bs_height, scn.ue_height,
+                              scn.pattern)
     scale = 2.0 * math.pi * scn.bs_density * scn.tx_power
     return (scale * float(np.dot(gain, mean)),
             scale * scn.tx_power * float(np.dot(gain * gain, var)))
@@ -405,10 +405,8 @@ def _link_sums(scn, blk: _Block) -> tuple[np.ndarray, np.ndarray]:
                             scn.channel, out=(bufs.take("power", n),
                                               bufs.take("work", n),
                                               bufs.take("index", n, np.intp)))
-    power *= antenna_gain_curve(
-        blk.radii,
-        main_lobe_interval(scn.bs_height, scn.ue_height, scn.pattern),
-        scn.pattern)
+    power *= antenna_gain_curve(blk.radii, scn.bs_height, scn.ue_height,
+                                scn.pattern)
     power *= scn.tx_power
     power *= blk.fading
     signal = power[blk.serving]

@@ -17,7 +17,8 @@ import numpy as np
 from dronecov.analytic import (QuadratureSpec, conditional_coverage,
                                coverage_probability, laplace_derivatives,
                                laplace_interference, mean_interference)
-from dronecov.channel import LinkGeometry, los_breakpoints, los_probability
+from dronecov.channel import (los_breakpoints, los_level_curve,
+                              los_step_levels, los_step_width)
 from dronecov.cli import run
 from dronecov.config import builtin_environments, default_scenario
 from dronecov.experiments import (SweepAxis, SweepSpec, figure2_check,
@@ -237,7 +238,9 @@ def test_altitude_curves_cross_once_with_modest_altitude_peak():
 def test_sight_probability_steps_altitude_monotone_and_near_unity():
     env = BASE.env
     breaks = list(los_breakpoints(env, 2000.0))
-    p_of = lambda r, h: los_probability(LinkGeometry(r, 30.0, h), env)
+    step = los_step_width(env)
+    p_of = lambda r, h: float(los_level_curve(
+        r, los_step_levels(env, 30.0, h, int(r / step)), step))
     # Value 1 everywhere before the first step.
     below = [p_of(r, 60.0) for r in (0.5, 0.5 * breaks[0],
                                      0.999 * breaks[0])]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,23 +14,21 @@ from dronecov.channel import (
     AntennaPattern,
     ChannelParams,
     EnvironmentParams,
-    LinkGeometry,
-    antenna_gain,
     antenna_gain_curve,
     gain_switch_radii,
     los_breakpoints,
     los_exact_steps,
-    los_probability,
+    los_level_curve,
     los_step_levels,
     los_step_width,
     main_lobe_interval,
     path_gain_curve,
-    path_loss,
     path_loss_curves,
 )
 import dronecov.channel as channel
 from dronecov.channel import _los_levels_exact
-from dronecov.config import builtin_environments
+from dronecov.analytic import conditional_coverage
+from dronecov.config import builtin_environments, default_scenario
 from dronecov.errors import DomainError, QuadratureError
 
 URBAN = EnvironmentParams(built_fraction=0.3, buildings_per_km2=500.0,
@@ -45,24 +44,28 @@ PATTERN = AntennaPattern(beamwidth_deg=40.0, downtilt_deg=30.0,
 # ---------------------------------------------------------------- path loss
 
 def test_path_loss_reference_values():
-    geom = LinkGeometry(ground_distance=100.0, bs_height=30.0, ue_height=60.0)
-    assert_allclose(geom.distance_3d, 104.4030650891055, rtol=1e-14)
-    assert_allclose(path_loss(geom, CHANNEL, los=True),
-                    4.686939090549629e-09, rtol=1e-13)
-    assert_allclose(path_loss(geom, CHANNEL, los=False),
-                    1.3798291526491068e-11, rtol=1e-13)
+    # 100 m on the ground between heights 30 and 60 m is a 3-D distance
+    # of 104.4030650891055 m.
+    for los, z in ((True, 4.686939090549629e-09),
+                   (False, 1.3798291526491068e-11)):
+        assert_allclose(path_gain_curve(100.0, los, 30.0, 60.0, CHANNEL), z,
+                        rtol=1e-13)
+        a, alpha = ((CHANNEL.intercept_los, CHANNEL.alpha_los) if los else
+                    (CHANNEL.intercept_nlos, CHANNEL.alpha_nlos))
+        assert_allclose(z, a * 104.4030650891055 ** -alpha, rtol=1e-13)
 
 
 def test_path_loss_is_intercept_at_unit_distance():
-    geom = LinkGeometry(ground_distance=1.0, bs_height=10.0, ue_height=10.0)
-    assert_allclose(path_loss(geom, CHANNEL, los=True),
+    assert_allclose(path_gain_curve(1.0, True, 10.0, 10.0, CHANNEL),
                     CHANNEL.intercept_los, rtol=1e-15)
 
 
 def test_path_loss_zero_distance_rejected():
-    geom = LinkGeometry(ground_distance=0.0, bs_height=25.0, ue_height=25.0)
-    with pytest.raises(DomainError):
-        path_loss(geom, CHANNEL, los=True)
+    scn = default_scenario()
+    scn = replace(scn, ue_height=scn.bs_height)
+    with pytest.raises(DomainError,
+                       match="path loss undefined at zero link distance"):
+        conditional_coverage(scn, 0.0, True)
 
 
 def test_path_loss_monotone_decreasing_in_distance():
@@ -76,9 +79,9 @@ def test_path_loss_curves_match_scalar():
     r = np.array([10.0, 100.0, 330.0])
     zl, zn = path_loss_curves(r, 30.0, 60.0, CHANNEL)
     for i, ri in enumerate(r):
-        geom = LinkGeometry(float(ri), 30.0, 60.0)
-        assert_allclose(zl[i], path_loss(geom, CHANNEL, True), rtol=1e-14)
-        assert_allclose(zn[i], path_loss(geom, CHANNEL, False), rtol=1e-14)
+        for los, z in ((True, zl), (False, zn)):
+            assert_allclose(path_gain_curve(float(ri), los, 30.0, 60.0,
+                                            CHANNEL), z[i], rtol=1e-14)
     los = np.array([True, False, True])
     assert_allclose(path_gain_curve(r, los, 30.0, 60.0, CHANNEL),
                     np.where(los, zl, zn), rtol=1e-14)
@@ -170,24 +173,31 @@ def test_los_tail_sums_do_not_depend_on_the_other_starts():
 
 # ------------------------------------------------------------ line of sight
 
+def _los_level(r, bs_height, ue_height, env):
+    # The line-of-sight level at ground distance r, read by los_level_curve
+    # from a table just long enough to hold r's step.
+    step = los_step_width(env)
+    levels = los_step_levels(env, bs_height, ue_height, int(r / step))
+    return float(los_level_curve(r, levels, step))
+
+
 def test_los_probability_one_below_first_breakpoint():
     step = los_step_width(URBAN)
     assert_allclose(step, 81.64965809277261, rtol=1e-14)
     for r in (0.0, 1.0, 40.0, step * 0.999):
-        assert los_probability(LinkGeometry(r, 30.0, 60.0), URBAN) == 1.0
+        assert _los_level(r, 30.0, 60.0, URBAN) == 1.0
 
 
 def test_los_probability_single_blocker_value():
     # One blocker at link height 45 m: 1 - exp(-45^2 / (2 * 15^2)).
-    geom = LinkGeometry(100.0, 30.0, 60.0)
-    assert_allclose(los_probability(geom, URBAN),
+    assert_allclose(_los_level(100.0, 30.0, 60.0, URBAN),
                     0.9888910034617577, rtol=1e-15)
 
 
 def test_los_probability_two_blocker_values():
-    assert_allclose(los_probability(LinkGeometry(170.0, 30.0, 60.0), URBAN),
+    assert_allclose(_los_level(170.0, 30.0, 60.0, URBAN),
                     0.9539716869104711, rtol=1e-14)
-    assert_allclose(los_probability(LinkGeometry(200.0, 30.0, 1.5), URBAN),
+    assert_allclose(_los_level(200.0, 30.0, 1.5, URBAN),
                     0.10473910295510545, rtol=1e-14)
 
 
@@ -196,7 +206,7 @@ def test_los_probability_constant_between_breakpoints():
     edges = np.concatenate([[0.0], bps, [1000.0]])
     for lo, hi in zip(edges[:-1], edges[1:]):
         samples = np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 7)
-        vals = [los_probability(LinkGeometry(float(r), 30.0, 60.0), URBAN)
+        vals = [_los_level(float(r), 30.0, 60.0, URBAN)
                 for r in samples]
         assert max(vals) == min(vals)
 
@@ -204,14 +214,14 @@ def test_los_probability_constant_between_breakpoints():
 def test_los_probability_monotone_in_user_height():
     heights = [1.5, 10.0, 30.0, 60.0, 120.0, 300.0]
     for r in (150.0, 400.0, 900.0):
-        vals = [los_probability(LinkGeometry(r, 30.0, h), URBAN)
+        vals = [_los_level(r, 30.0, h, URBAN)
                 for h in heights]
         assert np.all(np.diff(vals) >= 0.0)
 
 
 def test_los_probability_nonincreasing_in_distance():
     rs = np.arange(10.0, 2000.0, 37.0)
-    vals = [los_probability(LinkGeometry(float(r), 30.0, 60.0), URBAN)
+    vals = [_los_level(float(r), 30.0, 60.0, URBAN)
             for r in rs]
     assert np.all(np.diff(vals) <= 1e-15)
 
@@ -229,8 +239,8 @@ def test_los_step_levels_match_scalar_probability():
     step = los_step_width(URBAN)
     for k in range(13):
         r = (k + 0.5) * step
-        geom = LinkGeometry(r, 30.0, 60.0)
-        assert_allclose(levels[k], los_probability(geom, URBAN), rtol=1e-14)
+        assert_allclose(levels[k], _los_level(r, 30.0, 60.0, URBAN),
+                        rtol=1e-14)
 
 
 @pytest.mark.parametrize("name, env", builtin_environments())
@@ -242,7 +252,7 @@ def test_los_probability_reads_step_table_at_breakpoints(name, env):
     levels = los_step_levels(env, 30.0, 60.0, 5000)
     for r in los_breakpoints(env, 5000 * step):
         k = int(r / step)
-        assert los_probability(LinkGeometry(r, 30.0, 60.0), env) == levels[k]
+        assert _los_level(r, 30.0, 60.0, env) == levels[k]
     # A table's entries do not depend on its length or on the order in
     # which tables were asked for.
     switch = los_exact_steps(env, 30.0, 60.0)
@@ -270,8 +280,7 @@ def test_exact_step_table_grows_without_rebuilding():
     for k in range(301):
         assert levels[k] == _blocker_product(URBAN, 30.0, 60.0, k)
     for k in (0, 1, 17, 299, 300):
-        assert los_probability(LinkGeometry((k + 0.5) * step, 30.0, 60.0),
-                               URBAN) == levels[k]
+        assert _los_level((k + 0.5) * step, 30.0, 60.0, URBAN) == levels[k]
     # The exact entries of a 2,048-step switch span about two million
     # blocker heights, which the table builds in many blocks.
     levels = los_step_levels(URBAN, 150.0, 1.5, 2048)
@@ -382,7 +391,7 @@ def test_los_step_levels_long_table_for_user_at_ground_level():
     levels = los_step_levels(URBAN, 30.0, 0.0, 4100)
     assert levels[4000] == 0.0 and np.all(levels[4001:] == 0.0)
     r = 4050.5 * los_step_width(URBAN)
-    assert los_probability(LinkGeometry(r, 30.0, 0.0), URBAN) == 0.0
+    assert _los_level(r, 30.0, 0.0, URBAN) == 0.0
 
 
 def test_environment_validation():
@@ -398,13 +407,12 @@ def test_environment_validation():
 
 def test_antenna_gain_levels():
     # Drone above the base station: a downtilted beam never points at it.
-    for r in (1.0, 50.0, 500.0):
-        geom = LinkGeometry(r, 30.0, 60.0)
-        assert antenna_gain(geom, PATTERN) == PATTERN.gain_side
+    assert np.all(antenna_gain_curve([1.0, 50.0, 500.0], 30.0, 60.0, PATTERN)
+                  == PATTERN.gain_side)
     # Ground user at the cell edge of the beam footprint.
-    assert antenna_gain(LinkGeometry(50.0, 30.0, 0.0), PATTERN) == 10.0
-    assert antenna_gain(LinkGeometry(20.0, 30.0, 0.0), PATTERN) == 0.5
-    assert antenna_gain(LinkGeometry(200.0, 30.0, 0.0), PATTERN) == 0.5
+    assert antenna_gain_curve(50.0, 30.0, 0.0, PATTERN) == 10.0
+    assert antenna_gain_curve(20.0, 30.0, 0.0, PATTERN) == 0.5
+    assert antenna_gain_curve(200.0, 30.0, 0.0, PATTERN) == 0.5
 
 
 def test_antenna_gain_inclusive_edges():
@@ -412,30 +420,29 @@ def test_antenna_gain_inclusive_edges():
     upper = AntennaPattern(40.0, 30.0, 10.0, 0.5)
     gap = 30.0
     r_edge = gap / math.tan(math.radians(50.0))
-    geom = LinkGeometry(r_edge, 30.0, 0.0)
-    assert antenna_gain(geom, upper) == 10.0
+    assert antenna_gain_curve(r_edge, 30.0, 0.0, upper) == 10.0
 
 
 def test_antenna_gain_matches_curve_at_lobe_edges():
     # Each finite main-lobe edge and its neighbouring floats, over the
-    # figure3 station heights, user heights 0-300 m and tilts -30..45 deg.
+    # figure3 station heights, user heights 0-300 m and tilts -30..45 deg:
+    # the edges are inclusive, so the main gain holds at the edge and on
+    # its inner neighbour, and the side gain on its outer one.
     probes = 0
     for tilt in np.arange(-30.0, 46.0, 5.0):
         pattern = AntennaPattern(40.0, float(tilt), 10.0, 0.5)
         for bs in np.arange(10.0, 151.0, 10.0):
             for ue in np.arange(0.0, 301.0, 10.0):
                 lobe = main_lobe_interval(bs, ue, pattern)
-                for edge in lobe if lobe is not None else ():
+                for edge, inward in zip(lobe or (), (math.inf, -math.inf)):
                     if not math.isfinite(edge):
                         continue
-                    for r in (np.nextafter(edge, -1.0), edge,
-                              np.nextafter(edge, math.inf)):
-                        if r < 0.0:
-                            continue
-                        probes += 1
-                        curve = float(antenna_gain_curve(r, lobe, pattern))
-                        geom = LinkGeometry(float(r), float(bs), float(ue))
-                        assert antenna_gain(geom, pattern) == curve
+                    inner, outer = np.nextafter(edge, [inward, -inward])
+                    n = 3 if outer >= 0.0 else 2
+                    probes += n
+                    assert antenna_gain_curve([inner, edge, outer][:n], bs,
+                                              ue, pattern).tolist() == [
+                        10.0, 10.0, 0.5][:n]
     assert probes > 5000
 
 
@@ -444,7 +451,7 @@ def test_gain_switch_radii_ground_user():
     assert_allclose(radii, [25.1729889353184, 170.1384545885313], rtol=1e-13)
     # Distances just inside/outside each switch agree with the pointwise gain.
     for r, expect in [(25.0, 0.5), (25.3, 10.0), (170.0, 10.0), (170.3, 0.5)]:
-        assert antenna_gain(LinkGeometry(r, 30.0, 0.0), PATTERN) == expect
+        assert antenna_gain_curve(r, 30.0, 0.0, PATTERN) == expect
 
 
 def test_gain_switch_radii_empty_for_high_user():
@@ -466,7 +473,7 @@ def test_main_lobe_interval_uptilt_reaches_drone():
     assert_allclose(lo, 60.0 / math.tan(math.radians(40.0)), rtol=1e-13)
     assert_allclose(hi, 60.0 / math.tan(math.radians(20.0)), rtol=1e-13)
     mid = 0.5 * (lo + hi)
-    assert antenna_gain(LinkGeometry(mid, 30.0, 90.0), up) == 10.0
+    assert antenna_gain_curve(mid, 30.0, 90.0, up) == 10.0
 
 
 def test_pattern_validation():
@@ -487,10 +494,3 @@ def test_channel_params_validation():
         ChannelParams(2.09, 3.75, 1e-4, 5e-4, 0, 1)
     with pytest.raises(DomainError):
         ChannelParams(2.09, 3.75, 1e-4, 5e-4, 1.5, 1)
-
-
-def test_link_geometry_validation():
-    with pytest.raises(DomainError):
-        LinkGeometry(-1.0, 30.0, 60.0)
-    with pytest.raises(DomainError):
-        LinkGeometry(10.0, -5.0, 60.0)
