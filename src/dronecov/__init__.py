@@ -17,7 +17,7 @@ from .experiments import (SweepAxis, SweepResult, SweepSpec,
                           ValidationReport, figure2_preset, figure3_preset,
                           figure4_preset, sweep, validate)
 from .montecarlo import (CoverageEstimate, SimulationSpec, estimate_coverage,
-                         laplace_empirical, sample_network)
+                         laplace_empirical)
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "los_step_levels",
     "mean_interference",
     "parse_config",
-    "sample_network",
     "serialize_config",
     "serving_distance_pdf",
     "sweep",

@@ -326,7 +326,8 @@ class _Field:
     def los_tails(self, powers: tuple, end: float) -> tuple:
         """Handover candidates (grid edges on breakpoints past the last
         gain switch) to the first past ``end`` or as far as sums are at
-        hand, and :func:`los_tail_sums` with errors there, rows per power."""
+        hand, and :func:`los_tail_sums`' line-of-sight shares and errors
+        there, rows per power."""
         scn, e = self.scn, self._grid_to(end)
         if self._cut_edges != e.size:
             steps = np.round(e / self.step).astype(np.int64)
@@ -339,9 +340,9 @@ class _Field:
                 vals.shape[1])
         if vals.shape[1] < n:
             more = los_tail_sums(scn.env, scn.bs_height, scn.ue_height, powers,
-                                 self._cuts[vals.shape[1]:n])
+                                 self._cuts[vals.shape[1]:n] * self.step)
             vals, errs = self._tails[powers] = (np.hstack([vals, more[0]]),
-                                                np.hstack([errs, more[1]]))
+                                                np.hstack([errs, more[2]]))
         return self._cuts[:n], vals[:, :n], errs[:, :n]
 
     def handover(self, r0: np.ndarray, s: np.ndarray, orders: int,
@@ -351,12 +352,13 @@ class _Field:
         both, their errors, and the largest line-of-sight and blocked
         shares.  Past ``K`` rows are power laws ``c y^q`` (:meth:`nlos_tail`)
         with ``y = s P g A``: the line-of-sight correction is ``2 pi lam
-        (c_L yL^q T_(alpha_L q)[K] - c_N yN^q T_(alpha_N q)[K])``, ``T`` from
-        :func:`los_tail_sums`, off by ``(m + orders) / m c y^(q+1)
-        T_(alpha (q+1))[K]`` per state plus the sums' errors.  ``K`` is the
-        first candidate past ``r0`` where that slack fits a quarter of the
-        tolerance, read off all candidates at once.  ``floor`` is
-        :meth:`eta_floor` at ``r0`` and ``s`` when at hand."""
+        (c_L yL^q T_(alpha_L q)[K] - c_N yN^q T_(alpha_N q)[K])``, ``T``
+        the line-of-sight share of :func:`los_tail_sums` at ``K step``,
+        off by ``(m + orders) / m c y^(q+1) T_(alpha (q+1))[K]`` per state
+        plus the sums' errors.  ``K`` is the first candidate past ``r0``
+        where that slack fits a quarter of the tolerance, read off all
+        candidates at once.  ``floor`` is :meth:`eta_floor` at ``r0`` and
+        ``s`` when at hand."""
         quad, scn, ch = self.quad, self.scn, self.scn.channel
         ml, mn = ch.m_los, ch.m_nlos
         g_far, r_gain = self.far_gain
@@ -752,22 +754,21 @@ def laplace_derivatives(scn: NetworkScenario, r0: float, s: float,
 def mean_interference(scn: NetworkScenario, r0: float,
                       quad: QuadratureSpec | None = None) -> float:
     """Mean aggregate interference power given serving distance ``r0``:
-    linear in the path gain, so exactly its power laws beyond the first
-    handover candidate past ``r0`` (:meth:`_Field.handover`), with the
-    quadrature tolerance relative to that tail, since the moment is of
-    order 1e-9, far below ``abs_tol``."""
+    linear in the path gain, so exactly each state's share of
+    :func:`los_tail_sums` beyond the first handover candidate past ``r0``,
+    with the quadrature tolerance relative to that tail, since the moment
+    is of order 1e-9, far below ``abs_tol``."""
     if r0 < 0.0:
         raise DomainError("serving distance must be non-negative")
     fld, ch = _field_for(scn, quad or QuadratureSpec()), scn.channel
     g_far, r_gain = fld.far_gain
-    ks, (t_los, t_nlos), _ = fld.los_tails((ch.alpha_los, ch.alpha_nlos),
-                                           max(r0, r_gain))
+    powers = (ch.alpha_los, ch.alpha_nlos)
+    ks = fld.los_tails(powers, max(r0, r_gain))[0]
     k = ks[np.searchsorted(ks * fld.step, r0, side="right")]
-    # Row 0's power law at s = 1 is the mean power whatever the fading order.
-    tail = float(fld.nlos_tail(1.0, 0, k * fld.step)[0][0]
-                 + fld.area * scn.tx_power * g_far * (
-                     ch.intercept_los * t_los[ks == k][0]
-                     - ch.intercept_nlos * t_nlos[ks == k][0]))
+    sight, blocked, _ = los_tail_sums(scn.env, scn.bs_height, scn.ue_height,
+                                      powers, [k * fld.step])
+    tail = float(fld.area * scn.tx_power * g_far * (
+        ch.intercept_los * sight[0, 0] + ch.intercept_nlos * blocked[1, 0]))
     res = fld.integrate_rows(
         lambda data, owner, weighted: (data[0 if weighted else 1]
                                        * data[2])[None],

@@ -12,8 +12,8 @@ takes the link heights and the model's parameters, ``(r, ..., bs_height,
 ue_height, params)``: :func:`path_gain_curve` for path gain at each
 link's own state (with :func:`path_loss_curves` for both states at
 once), :func:`los_step_levels` read by :func:`los_level_curve` for the
-line-of-sight level and :func:`los_tail_sums` for its power-law tails,
-and :func:`antenna_gain_curve` for antenna gain.
+line-of-sight level and :func:`los_tail_sums` for each state's share of
+power-law tails, and :func:`antenna_gain_curve` for antenna gain.
 """
 
 from __future__ import annotations
@@ -478,19 +478,31 @@ def _smooth_tail(env: EnvironmentParams, bs_height: float, ue_height: float,
 
 
 def los_tail_sums(env: EnvironmentParams, bs_height: float, ue_height: float,
-                  powers, ks) -> tuple[np.ndarray, np.ndarray]:
-    """``T_p[K] = sum_{k >= K} levels[k] int_{k step}^{(k+1) step} r (r^2
-    + gap^2)^(-p/2) dr`` over :func:`los_step_levels`, for powers ``p > 2``
-    (rows) and starts ``K >= 1`` (columns), with certified errors: summed
+                  powers, cuts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Line-of-sight and blocked shares ``(sight, blocked)`` of ``int_c^inf
+    r (r^2 + gap^2)^(-p/2) dr`` for powers ``p > 2`` (rows) and ground-
+    distance cuts ``c >= 0`` (columns), and certified errors of ``sight``:
+    the level at ``c`` up to the first breakpoint ``K step`` at or past it,
+    plus ``sum_{k >= K} levels[k] int_{k step}^{(k+1) step}``, summed
     exactly to the first of 64 to 512 steps, 32 past ``K``, where the
     level times the power-law tail beyond, which bounds the rest and adds
-    to the error, is below half an ulp of the sum from step 1; else to
-    the smooth level law and by Euler-Maclaurin beyond.  No value
-    depends on the other starts."""
+    to the error, is below half an ulp of the sum from step 1; else to the
+    smooth level law and by Euler-Maclaurin beyond.  ``blocked`` is the
+    rest of the closed form.  No value depends on the other cuts."""
     powers = tuple(float(p) for p in powers)
+    cuts = np.asarray(cuts, dtype=float)
+    step, gap2 = los_step_width(env), (bs_height - ue_height) ** 2
+    p, u = np.array(powers)[:, None], cuts * cuts + gap2
+    if min(powers, default=3.0) <= 2.0 or (cuts < 0.0).any() or not u.all():
+        raise DomainError("tail sums need powers above 2 and cuts >= 0 "
+                          "off a zero link distance")
+    # First breakpoint K step >= each cut, K >= 1: ceil, then a 1-step fix.
+    ks = np.maximum(np.ceil(cuts / step), 1.0).astype(np.int64)
+    ks += ks * step < cuts
+    ks -= (ks > 1) & ((ks - 1) * step >= cuts)
     geo = (env, bs_height, ue_height, powers)
-    sums, errs = np.zeros((2, len(powers), len(ks)))
-    for j, k in enumerate(int(k) for k in ks):
+    sums, errs = np.zeros((2, len(powers), cuts.size))
+    for j, k in enumerate(ks.tolist()):
         for n in (64, 128, 256, 512):
             if k <= n - 32:
                 d, rnd, rest = _exact_sums(*geo, n)
@@ -505,7 +517,13 @@ def los_tail_sums(env: EnvironmentParams, bs_height: float, ue_height: float,
                 errs[:, j] += rnd[:, k - 1]
             else:
                 _, sums[:, j], errs[:, j] = _smooth_tail(*geo, k)
-    return sums, errs
+    part = ks * step != cuts    # cuts inside a step
+    if part.any():
+        k, c = ks[part], cuts[part]
+        levels = los_step_levels(env, bs_height, ue_height, int(k.max()) - 1)
+        sums[:, part] += levels[k - 1] * power_law_integral(
+            u[part], (k * step - c) * (k * step + c), p)
+    return sums, power_law_integral(u, np.inf, p) - sums, errs
 
 
 def antenna_gain_curve(r, bs_height: float, ue_height: float,

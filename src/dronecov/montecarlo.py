@@ -9,13 +9,13 @@ evaluation and serves as its independent cross-check.
 The interference from outside the sampling disk is not negligible here:
 the line-of-sight component decays so slowly that a disk small enough to
 simulate quickly would bias coverage upward by far more than the Monte
-Carlo noise.  Instead of growing the disk, every drop adds the exact
-mean of the out-of-disk interference, from :func:`channel.los_tail_sums`
-for every geometry, as a deterministic offset.  What that replacement
-ignores is the fluctuation of the far field, so the automatic disk is
-the smallest, doubling from the radius that holds the nearest station
-but for a 1e-8 chance, whose far-field standard deviation is a small
-share of the interference of the least interfered drops: the 10th
+Carlo noise.  Instead of growing the disk, every drop adds the exact mean
+of the out-of-disk interference, both states' shares from
+:func:`channel.los_tail_sums`, as a deterministic offset.  What that
+replacement ignores is the fluctuation of the far field, so the automatic
+disk is the smallest, doubling from the radius that holds the nearest
+station but for a 1e-8 chance, whose far-field standard deviation is a
+small share of the interference of the least interfered drops: the 10th
 percentile over a fixed-seed pilot, which makes the radius a function of
 the scenario alone.  That ratio is reported as ``far_ripple`` in the
 diagnostics, the pilot's percentile as ``ripple_scale``.
@@ -52,7 +52,6 @@ from .channel import (
     los_step_width,
     los_tail_sums,
     path_gain_curve,
-    power_law_integral,
 )
 from .errors import DomainError
 
@@ -61,7 +60,6 @@ __all__ = [
     "NetworkRealization",
     "CoverageEstimate",
     "default_disk_radius",
-    "far_field_mean",
     "sample_network",
     "compute_sir",
     "estimate_coverage",
@@ -141,50 +139,33 @@ class CoverageEstimate:
 def _far_field_moments(scn, radius: float) -> tuple[float, float]:
     """Exact mean and variance of the aggregate interference received from
     every station beyond ``radius``, fading and states averaged out: per
-    annulus between gain switches, the line-of-sight share of each power
-    law is the partial step up to a breakpoint plus :func:`los_tail_sums`
-    from there, and the blocked share the rest of its closed form."""
+    annulus between gain switches, the line-of-sight and blocked shares
+    of each power law from :func:`los_tail_sums` beyond its lower cut but
+    not beyond the next."""
     ch = scn.channel
     if min(ch.alpha_los, ch.alpha_nlos) <= 2.0:
         raise DomainError("path-loss exponents must exceed 2 for a finite "
                           "far-field interference mean")
-    gap2 = (scn.bs_height - scn.ue_height) ** 2
-    step = los_step_width(scn.env)
     cuts = np.array(sorted([float(radius)] + [
         x for x in gain_switch_radii(scn.bs_height, scn.ue_height, scn.pattern)
         if x > radius]))
     # Rows: line-of-sight mean and variance, then blocked mean and variance.
     p = np.array([ch.alpha_los, 2.0 * ch.alpha_los, ch.alpha_nlos,
                   2.0 * ch.alpha_nlos])
-    ks, u = (cuts / step).astype(np.int64) + 1, cuts * cuts + gap2
-    levels = los_step_levels(scn.env, scn.bs_height, scn.ue_height,
-                             int(ks.max()))
-    sight = los_level_curve(cuts, levels, step) * power_law_integral(
-        u, (ks * step - cuts) * (ks * step + cuts), p[:, None]) \
-        + los_tail_sums(scn.env, scn.bs_height, scn.ue_height, p, ks)[0]
-    whole = power_law_integral(u, np.inf, p[:, None])
-    # Each annulus is what lies beyond its lower cut but not the next.
+    sight, blocked, _ = los_tail_sums(scn.env, scn.bs_height, scn.ue_height,
+                                      p, cuts)
     sight[:, :-1] -= sight[:, 1:].copy()
-    whole[:, :-1] -= whole[:, 1:].copy()
-    blocked = whole - sight
+    blocked[:, :-1] -= blocked[:, 1:].copy()
     mean = ch.intercept_los * sight[0] + ch.intercept_nlos * blocked[2]
     var = (ch.intercept_los ** 2 * (ch.m_los + 1.0) / ch.m_los * sight[1]
            + ch.intercept_nlos ** 2 * (ch.m_nlos + 1.0) / ch.m_nlos
            * blocked[3])
-    probe = np.append(0.5 * (cuts[:-1] + cuts[1:]), 2.0 * cuts[-1] + step)
+    probe = np.append(0.5 * (cuts[:-1] + cuts[1:]), 2.0 * cuts[-1] + 1.0)
     gain = antenna_gain_curve(probe, scn.bs_height, scn.ue_height,
                               scn.pattern)
     scale = 2.0 * math.pi * scn.bs_density * scn.tx_power
     return (scale * float(np.dot(gain, mean)),
             scale * scn.tx_power * float(np.dot(gain * gain, var)))
-
-
-def far_field_mean(scn, radius: float) -> float:
-    """Mean interference received from beyond ``radius``; the offset the
-    estimator adds to every drop's simulated interference."""
-    if radius <= 0.0:
-        raise DomainError("radius must be positive")
-    return _far_field_moments(scn, float(radius))[0]
 
 
 @lru_cache(maxsize=64)

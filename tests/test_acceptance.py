@@ -24,9 +24,10 @@ from dronecov.config import builtin_environments, default_scenario
 from dronecov.experiments import (SweepAxis, SweepSpec, figure2_check,
                                   figure3_preset, figure4_check,
                                   figure4_preset, sweep)
-from dronecov.montecarlo import (SimulationSpec, _block_rng, compute_sir,
+from dronecov.montecarlo import (SimulationSpec, _block_rng,
+                                 _far_field_moments, compute_sir,
                                  default_disk_radius, estimate_coverage,
-                                 far_field_mean, sample_network)
+                                 sample_network)
 
 BASE = default_scenario()
 MEDIAN_R0 = math.sqrt(math.log(2.0) / (math.pi * BASE.bs_density))
@@ -274,7 +275,7 @@ def test_transmit_power_cancels_in_coverage():
                           disk_radius=default_disk_radius(BASE))
     outcomes = []
     for scn in scns:
-        far = far_field_mean(scn, spec.disk_radius)
+        far = _far_field_moments(scn, spec.disk_radius)[0]
         covered = [compute_sir(sample_network(scn, spec,
                                               _block_rng(spec.seed, i)),
                                scn, far) > scn.sir_threshold

@@ -719,7 +719,9 @@ def test_public_names_resolve_and_quadrature_spec_holds_accuracy_only():
     assert {"path_loss_curves", "path_gain_curve", "los_level_curve",
             "los_tail_sums", "antenna_gain_curve",
             "power_law_integral"} <= set(channel.__all__)
-    removed = {"LinkGeometry", "path_loss", "los_probability", "antenna_gain"}
-    assert not removed & (set(dronecov.__all__) | set(channel.__all__))
+    removed = {"LinkGeometry", "path_loss", "los_probability", "antenna_gain",
+               "far_field_mean"}
+    assert not removed & (set(dronecov.__all__) | set(channel.__all__)
+                          | set(montecarlo.__all__))
     assert [f.name for f in fields(QuadratureSpec)] == [
         "rel_tol", "abs_tol", "outer_trunc_prob"]

@@ -102,16 +102,24 @@ def _step_integrals(step, gap2, p, k):
         / (p - 2.0)
 
 
-def _fsum_tails(env, bs_height, ue_height, p, levels):
-    # T_p[K] for TAIL_STARTS by math.fsum of the level-weighted steps up to
-    # the end of the given levels, and the level there times the whole
-    # power-law tail beyond, which bounds the rest.
+def _fsum_tails(env, bs_height, ue_height, p, levels, xs=TAIL_STARTS):
+    # Line-of-sight tails beyond the cuts xs steps out by math.fsum of the
+    # level-weighted steps up to the end of the given levels, a cut inside
+    # a step taking that step's level from the cut on, and the level at
+    # the end times the whole power-law tail beyond, which bounds the rest.
     step, gap2 = los_step_width(env), (bs_height - ue_height) ** 2
     k = np.arange(1, levels.size)
-    terms = levels[1:] * _step_integrals(step, gap2, p, k)
+    terms = list(levels[1:] * _step_integrals(step, gap2, p, k))
     rest = levels[-1] * ((levels.size * step) ** 2 + gap2) ** (
         1.0 - 0.5 * p) / (p - 2.0)
-    return np.array([math.fsum(terms[K - 1:]) for K in TAIL_STARTS]), rest
+    sums = []
+    for x in xs:
+        j, c = max(math.ceil(x), 1), x * step
+        e, u0 = 1.0 - 0.5 * p, c * c + gap2
+        part = [] if j == x else [levels[j - 1] * u0 ** e * -np.expm1(
+            e * np.log1p((j * step - c) * (j * step + c) / u0)) / (p - 2.0)]
+        sums.append(math.fsum(part + terms[j - 1:]))
+    return np.array(sums), rest
 
 
 @pytest.mark.parametrize("p", [2.09, 4.18, 3.75])
@@ -123,7 +131,8 @@ def test_los_tail_sums_match_exact_blocker_products_to_4000(p):
     levels = np.array([_blocker_product(URBAN, 30.0, 60.0, k)
                        for k in range(4000)])
     assert levels[-1] < math.exp(-100.0)
-    sums, errs = channel.los_tail_sums(URBAN, 30.0, 60.0, [p], TAIL_STARTS)
+    sums, _, errs = channel.los_tail_sums(URBAN, 30.0, 60.0, [p],
+                                          TAIL_STARTS * los_step_width(URBAN))
     exact, rest = _fsum_tails(URBAN, 30.0, 60.0, p, levels)
     assert np.all(np.abs(sums[0] - exact) <= errs[0] + rest + 1e-12 * exact)
 
@@ -134,8 +143,8 @@ def test_los_tail_sums_for_clear_equal_heights_are_power_law_tails():
     # power law's own, (K step)^(2-p) / (p - 2).
     step = los_step_width(URBAN)
     for p in (2.09, 4.18, 7.5):
-        sums, errs = channel.los_tail_sums(URBAN, 300.0, 300.0, [p],
-                                           TAIL_STARTS)
+        sums, _, errs = channel.los_tail_sums(URBAN, 300.0, 300.0, [p],
+                                              TAIL_STARTS * step)
         exact = (TAIL_STARTS * step) ** (2.0 - p) / (p - 2.0)
         assert_allclose(sums[0], exact, rtol=1e-13)
         assert np.all(errs[0] <= 1e-12 * exact)
@@ -150,13 +159,17 @@ def test_los_tail_sums_match_fsum_over_a_million_steps(env, bs_height,
     # geometric decay at equal heights and the level law past the switch
     # otherwise.  Urban 30 -> 150 m has decayed past e^-700 long before;
     # urban at equal 60 m and suburban 30 -> 60 m stay near 1 for
-    # thousands of steps and fall below 1e-20 by 10^6.
+    # thousands of steps and fall below 1e-20 by 10^6.  Besides the
+    # breakpoints, the cuts fall inside steps and, where the link does
+    # not vanish there, at 0.
     levels = los_step_levels(env, bs_height, ue_height, 10 ** 6)
     assert levels[-1] < 1e-20
+    xs = np.concatenate([TAIL_STARTS, [0.3, 99.5, 2999.75]
+                         + ([0.0] if bs_height != ue_height else [])])
     for p in (2.09, 4.18):
-        sums, errs = channel.los_tail_sums(env, bs_height, ue_height, [p],
-                                           TAIL_STARTS)
-        exact, rest = _fsum_tails(env, bs_height, ue_height, p, levels)
+        sums, _, errs = channel.los_tail_sums(
+            env, bs_height, ue_height, [p], xs * los_step_width(env))
+        exact, rest = _fsum_tails(env, bs_height, ue_height, p, levels, xs)
         assert np.all(np.abs(sums[0] - exact)
                       <= errs[0] + rest + 1e-14 * exact)
 
@@ -164,11 +177,34 @@ def test_los_tail_sums_match_fsum_over_a_million_steps(env, bs_height,
 def test_los_tail_sums_do_not_depend_on_the_other_starts():
     # Each start is summed on its own, so a cached value never changes
     # with what else was asked for.
-    together, _ = channel.los_tail_sums(URBAN, 30.0, 60.0, [2.09, 3.75],
-                                        TAIL_STARTS)
-    for i, k in enumerate(TAIL_STARTS):
-        alone, _ = channel.los_tail_sums(URBAN, 30.0, 60.0, [2.09, 3.75], [k])
-        assert np.array_equal(alone[:, 0], together[:, i])
+    cuts = TAIL_STARTS * los_step_width(URBAN)
+    together = channel.los_tail_sums(URBAN, 30.0, 60.0, [2.09, 3.75], cuts)
+    for i, c in enumerate(cuts):
+        alone = channel.los_tail_sums(URBAN, 30.0, 60.0, [2.09, 3.75], [c])
+        for a, b in zip(alone, together):
+            assert np.array_equal(a[:, 0], b[:, i])
+
+
+def test_los_tail_shares_add_up_to_the_power_law_tail():
+    # Every link is either line-of-sight or blocked, so the two shares
+    # make up the power law's closed form beyond each cut, on a
+    # breakpoint, inside a step or at 0.
+    step = los_step_width(URBAN)
+    cuts = np.array([0.0, 0.4 * step, step, 99.5 * step, 3000 * step])
+    p = np.array([2.09, 3.75, 7.5])
+    sight, blocked, _ = channel.los_tail_sums(URBAN, 30.0, 60.0, p, cuts)
+    whole = channel.power_law_integral(cuts * cuts + 900.0, np.inf, p[:, None])
+    assert np.all((sight > 0.0) & (blocked > 0.0))
+    assert_allclose(sight + blocked, whole, rtol=4e-16)
+
+
+def test_los_tail_sums_refuse_negative_cuts_and_divergent_powers():
+    for powers, cuts in (([3.75], [-1.0]), ([2.0], [100.0]),
+                         ([1.5, 3.75], [100.0])):
+        with pytest.raises(DomainError):
+            channel.los_tail_sums(URBAN, 30.0, 60.0, powers, cuts)
+    with pytest.raises(DomainError):
+        channel.los_tail_sums(URBAN, 60.0, 60.0, [3.75], [0.0])
 
 
 # ------------------------------------------------------------ line of sight

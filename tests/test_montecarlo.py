@@ -34,10 +34,10 @@ from dronecov.montecarlo import (
     NetworkRealization,
     SimulationSpec,
     _block_rng,
+    _far_field_moments,
     compute_sir,
     default_disk_radius,
     estimate_coverage,
-    far_field_mean,
     laplace_empirical,
     sample_network,
 )
@@ -212,7 +212,7 @@ def test_sampled_field_sir_equals_its_block_sir(ue_height):
     # of its positions, which is an ulp off for some angles.
     scn = make_scenario(ue_height=ue_height)
     spec = SimulationSpec(num_drops=1)
-    far = far_field_mean(scn, default_disk_radius(scn))
+    far = _far_field_moments(scn, default_disk_radius(scn))[0]
     for seed in range(20):
         real = sample_network(scn, spec, _block_rng(seed, 0))
         blk = montecarlo._sampler(scn, spec)(_block_rng(seed, 0), 1)
@@ -233,17 +233,16 @@ def test_sir_empty_realization_rejected():
 def test_far_field_mean_matches_analytic_mean_interference():
     quad = QuadratureSpec()
     for r0 in (50.0, 100.0, 300.0):
-        assert_allclose(far_field_mean(SCN, r0),
+        assert_allclose(_far_field_moments(SCN, r0)[0],
                         mean_interference(SCN, r0, quad), rtol=1e-6)
 
 
 def test_far_field_mean_scales_with_power_and_decreases():
-    a = far_field_mean(SCN, 500.0)
-    assert far_field_mean(SCN, 1000.0) < a
-    assert_allclose(far_field_mean(make_scenario(tx_power=10 ** 0.4), 500.0),
-                    10.0 * a, rtol=1e-12)
-    with pytest.raises(DomainError):
-        far_field_mean(SCN, 0.0)
+    a = _far_field_moments(SCN, 500.0)[0]
+    assert _far_field_moments(SCN, 1000.0)[0] < a
+    assert_allclose(
+        _far_field_moments(make_scenario(tx_power=10 ** 0.4), 500.0)[0],
+        10.0 * a, rtol=1e-12)
 
 
 def test_shallow_los_decay_rejected():
@@ -266,7 +265,7 @@ def test_far_field_tail_closes_for_slow_blocked_decay():
                        intercept_nlos=0.0005128613839913648,
                        m_los=3, m_nlos=1)
     scn = make_scenario(channel=ch)
-    mean = far_field_mean(scn, 500.0)
+    mean = _far_field_moments(scn, 500.0)[0]
     assert math.isfinite(mean) and mean > 0.0
     est = estimate_coverage(scn, SimulationSpec(num_drops=20, seed=3))
     assert 0.0 <= est.probability <= 1.0
@@ -284,7 +283,7 @@ def test_far_field_mean_of_never_blocked_links_is_power_law_closed_form():
     alpha = CHANNEL.alpha_los
     exact = (2.0 * math.pi * 50e-6 * 10 ** -0.6 * PATTERN.gain_side
              * CHANNEL.intercept_los * 500.0 ** (2.0 - alpha) / (alpha - 2.0))
-    assert_allclose(far_field_mean(scn, 500.0), exact, rtol=1e-13)
+    assert_allclose(_far_field_moments(scn, 500.0)[0], exact, rtol=1e-13)
 
 
 # ---------------------------------------------------------------- estimation
@@ -352,7 +351,7 @@ def test_block_kernel_allocates_no_block_sized_temporaries():
     scn = replace(default_scenario(), ue_height=60.0)
     spec = SimulationSpec(num_drops=5 * _BLOCK, seed=3)
     draw = montecarlo._sampler(scn, spec)
-    far = far_field_mean(scn, default_disk_radius(scn))
+    far = _far_field_moments(scn, default_disk_radius(scn))[0]
     for k in range(4):
         montecarlo._block_sir(scn, draw(_block_rng(spec.seed, k), _BLOCK),
                               far)
@@ -422,7 +421,7 @@ def test_estimate_follows_drop_by_drop_stream(ue_height, conditional):
                           else None,
                           force_serving_los=True if conditional else None)
     base = make_scenario(ue_height=ue_height)
-    far = far_field_mean(base, default_disk_radius(base))
+    far = _far_field_moments(base, default_disk_radius(base))[0]
     sirs = []
     for blk in montecarlo._blocks(montecarlo._sampler(base, spec),
                                   spec.seed, 0, spec.num_drops):
@@ -467,8 +466,8 @@ def test_disk_radius_sufficiency_with_coupled_fields():
     # only difference is the truncation treatment itself.
     full_r = default_disk_radius(SCN)
     half_r = 0.5 * full_r
-    far_full = far_field_mean(SCN, full_r)
-    far_half = far_field_mean(SCN, half_r)
+    far_full = _far_field_moments(SCN, full_r)[0]
+    far_half = _far_field_moments(SCN, half_r)[0]
     spec = SimulationSpec(num_drops=3000, disk_radius=full_r, seed=21)
     cov_full = cov_half = 0
     for i in range(spec.num_drops):
@@ -502,8 +501,8 @@ def test_default_disk_flips_few_coupled_drops(ue_height):
     radius = default_disk_radius(scn)
     spec = SimulationSpec(num_drops=8000, seed=0,
                           disk_radius=10.0 * _floor_radius(scn))
-    far_full = far_field_mean(scn, spec.disk_radius)
-    far_inner = far_field_mean(scn, radius)
+    far_full = _far_field_moments(scn, spec.disk_radius)[0]
+    far_inner = _far_field_moments(scn, radius)[0]
     flips = 0
     for blk in montecarlo._blocks(montecarlo._sampler(scn, spec),
                                   spec.seed, 0, spec.num_drops):
@@ -621,6 +620,41 @@ def test_only_the_channel_layer_finds_the_main_lobe():
 def _called_name(node: ast.Call) -> str:
     func = node.func
     return getattr(func, "id", None) or getattr(func, "attr", "")
+
+
+def _names(tree) -> set:
+    # Every name a syntax tree mentions: variables, attributes, imports.
+    return {name for node in ast.walk(tree) for name in (
+        getattr(node, "id", None), getattr(node, "attr", None),
+        getattr(node, "name", None)) if isinstance(name, str)}
+
+
+def test_far_field_shares_come_from_one_channel_kernel():
+    # channel.los_tail_sums splits each power-law tail beyond a cut into
+    # its line-of-sight and blocked shares, so neither route composes
+    # them from the step table, the closed form or the blocked tail.
+    src = Path(montecarlo.__file__).parent
+    trees = {name: ast.parse((src / name).read_text(encoding="utf-8"))
+             for name in ("montecarlo.py", "analytic.py")}
+    funcs = {node.name: node for tree in trees.values()
+             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "power_law_integral" not in _names(trees["montecarlo.py"])
+    assert not {"los_step_levels", "los_level_curve"} & _names(
+        funcs["_far_field_moments"])
+    assert "nlos_tail" not in _names(funcs["mean_interference"])
+
+
+def test_traced_monte_carlo_stages_exist():
+    # bench/tracing.py wraps these simulator names by lookup, so the
+    # benchmark's --trace run breaks if one of them is deleted.
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "tracing.py")
+                     .read_text(encoding="utf-8"))
+    stages = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", "") for t in node.targets]
+                  == ["MC_STAGES"])
+    assert stages
+    assert [name for name in stages if not hasattr(montecarlo, name)] == []
 
 
 def test_package_has_one_adaptive_integrator():
