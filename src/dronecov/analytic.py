@@ -7,18 +7,21 @@ integral form, and for integer Nakagami fading orders the conditional
 coverage probability is a finite sum over derivatives of that transform.
 This module evaluates those integrals numerically with certified
 tails: past a line-of-sight handover on a grid edge, and past a
-blocked-field radius, every row is its leading power law, summed in
-closed form and from the tail sums of :func:`channel.los_tail_sums`,
-with its slack inside the tolerance.  Before them a Chebyshev product
-rule on a panel grid cached per scenario moves the line-of-sight steps
-into per-node weights, so a panel of about one 3-d distance costs two
-dozen nodes however many steps it spans.  Conditional terms that a
-closed-form Chernoff bound already certifies below tolerance are
-skipped.  Every serving distance one call of the outer integrand
-receives goes, per serving-link state, through one skip screen, whose
-floor pass also sets the handover tolerance, one handover choice and
-panel quadrature in batches of about ``_NODE_BUDGET`` nodes, and gets
-the handover, panels and error test it would get alone.
+blocked-field radius, every row is its leading power law and is off
+from it by at most the next power law, its slack; both laws come from
+one table per handover and multiply the power-law tails of
+:func:`channel.power_law_integral` and :func:`channel.los_tail_sums`,
+so both link states follow one slack rule, kept inside the tolerance.
+Before them a Chebyshev product rule on a panel grid cached per
+scenario moves the line-of-sight steps into per-node weights, so a
+panel of about one 3-d distance costs two dozen nodes however many
+steps it spans.  Conditional terms that a closed-form Chernoff bound
+already certifies below tolerance are skipped.  Every serving distance
+one call of the outer integrand receives goes, per serving-link state,
+through one skip screen, whose floor pass also sets the handover
+tolerance, one handover choice and panel quadrature in batches of about
+``_NODE_BUDGET`` nodes, and gets the handover, panels and error test it
+would get alone.
 
 Internally all derivative bookkeeping uses the scaled quantities
 ``t_j = s^j eta^(j) / j!`` and ``M_k = s^k L^(k) / k!``; every term of the
@@ -197,14 +200,6 @@ def _row_coefs(m: int, orders: int) -> list[tuple[float, int]]:
             for j in range(orders + 1)]
 
 
-@lru_cache(maxsize=256)
-def _power_terms(alpha: float, m: int,
-                 orders: int) -> tuple[tuple[float, int], ...]:
-    # _row_coefs, each divided by alpha q - 2 so that times d^2 it is the
-    # integral of its power law over r dr beyond 3-d distance d.
-    return tuple((c / (alpha * q - 2.0), q) for c, q in _row_coefs(m, orders))
-
-
 def _log(x: np.ndarray) -> np.ndarray:
     # ln x, -inf where x is 0, without a warning.
     return np.log(x, out=np.full(np.shape(x), -np.inf), where=x > 0.0)
@@ -284,45 +279,6 @@ class _Field:
         return float(antenna_gain_curve(2.0 * r_gain + 1.0, scn.bs_height,
                                         scn.ue_height, scn.pattern)), r_gain
 
-    def nlos_tail(self, s, orders: int, r) -> tuple[np.ndarray, np.ndarray]:
-        """Non-line-of-sight rows beyond ``r`` (past every gain switch) in
-        closed form, and the slack of that form per row, on a last axis
-        after the broadcast shape of ``s`` and ``r``: each row becomes its
-        leading power law ``m x`` or ``C(m+j-1, j) x^j``, whose tail
-        integral is exact, off by a factor of at most ``(m + orders) x``
-        with ``x`` taken at ``r``, where it is largest."""
-        scn, mn = self.scn, self.scn.channel.m_nlos
-        g_far, _ = self.far_gain
-        r = np.asarray(r, dtype=float)
-        zn = path_gain_curve(r, False, scn.bs_height, scn.ue_height,
-                             scn.channel)
-        y = np.asarray(s) * scn.tx_power * g_far * zn
-        terms = _power_terms(scn.channel.alpha_nlos, mn, orders)
-        tail = np.stack([coef * y ** q for coef, q in terms], axis=-1)
-        tail *= (self.area * (r * r + self.gap2))[..., None]
-        return tail, (mn + orders) * (y / mn)[..., None] * tail
-
-    def tail_start(self, s: np.ndarray, orders: int, r0: np.ndarray,
-                   slack: np.ndarray) -> np.ndarray:
-        """Smallest radius beyond ``r0`` and the last gain switch from
-        which every row of :meth:`nlos_tail` has at most ``slack``.  Each
-        row's slack is ``B y^(q+1) d^2`` with ``y = a d^-alpha`` at the
-        3-d distance ``d``, so it falls with ``d`` and is solved directly."""
-        scn, mn = self.scn, self.scn.channel.m_nlos
-        g_far, r_gain = self.far_gain
-        alpha = scn.channel.alpha_nlos
-        ln_a = np.log(s * scn.tx_power * g_far * scn.channel.intercept_nlos)
-        ln_slack = np.log(slack)
-        ln_d = np.max([(math.log((mn + orders) / mn * 2.0 * math.pi
-                                 * scn.bs_density * coef)
-                        + (q + 1) * ln_a - ln_slack)
-                       / (alpha * (q + 1) - 2.0)
-                       for coef, q in _power_terms(alpha, mn, orders)],
-                      axis=0)
-        d2 = np.exp(np.minimum(2.0 * ln_d, 700.0))
-        return np.maximum(np.maximum(r0, r_gain),
-                          np.sqrt(np.maximum(d2 - self.gap2, 0.0)))
-
     def los_tails(self, powers: tuple, end: float) -> tuple:
         """Handover candidates (grid edges on breakpoints past the last
         gain switch) to the first past ``end`` or as far as sums are at
@@ -348,44 +304,47 @@ class _Field:
     def handover(self, r0: np.ndarray, s: np.ndarray, orders: int,
                  floor: np.ndarray | None = None) -> tuple:
         """Per entry, the line-of-sight handover step ``K``, the radius
-        past which the blocked field is closed-form too, the rows beyond
-        both, their errors, and the largest line-of-sight and blocked
-        shares.  Past ``K`` rows are power laws ``c y^q`` (:meth:`nlos_tail`)
-        with ``y = s P g A``: the line-of-sight correction is ``2 pi lam
-        (c_L yL^q T_(alpha_L q)[K] - c_N yN^q T_(alpha_N q)[K])``, ``T``
-        the line-of-sight share of :func:`los_tail_sums` at ``K step``,
-        off by ``(m + orders) / m c y^(q+1) T_(alpha (q+1))[K]`` per state
-        plus the sums' errors.  ``K`` is the first candidate past ``r0``
-        where that slack fits a quarter of the tolerance, read off all
-        candidates at once.  ``floor`` is :meth:`eta_floor` at ``r0`` and
-        ``s`` when at hand."""
+        ``R`` past which the blocked field is closed-form too, the rows
+        beyond both, their errors, and the largest line-of-sight and
+        blocked slacks.  Past the handover each row of state ``i`` is its
+        power law ``2 pi lam c y_i^q`` (:func:`_row_coefs`), ``y_i = s P
+        g A_i d^-alpha_i``, off by at most its slack law, the next power
+        times ``1 + orders / m_i``.  Every closed form is a law from one table
+        built here times a power-law tail: the blocked laws over all of
+        :func:`power_law_integral` beyond ``R``, and each state's over the
+        line-of-sight share of :func:`los_tail_sums` beyond ``K step``,
+        the blocked one subtracted and the sums' errors in the slack.
+        ``R`` is solved per row for a blocked slack of a quarter of the
+        tolerance, and ``K`` is the first candidate past ``r0`` where the
+        rest fits that quarter, read off all candidates at once.
+        ``floor`` is :meth:`eta_floor` at ``r0`` and ``s`` when at hand."""
         quad, scn, ch = self.quad, self.scn, self.scn.channel
-        ml, mn = ch.m_los, ch.m_nlos
         g_far, r_gain = self.far_gain
-        ln_y = np.log(np.multiply.outer(
-            [ch.intercept_los, ch.intercept_nlos], s * scn.tx_power * g_far))
         # Sums up to one past the largest power any row of the scenario's
-        # orders needs, shared; state i's at alpha_i q is row i top + q - 1.
+        # orders needs, shared; state i's alpha_i q is at i top + q - 1.
         top = max(orders, ch.m_los - 1, ch.m_nlos - 1, 1) + 1
         powers = tuple(alpha * q for alpha in (ch.alpha_los, ch.alpha_nlos)
                        for q in range(1, top + 1))
-        # Per row, each state's next power law and own sum's error: log
-        # coefficient, power of y, state and row of the sums, then errors.
-        terms = np.array([term for row in zip(_row_coefs(ml, orders),
-                                              _row_coefs(mn, orders))
-                          for i, (c, q) in enumerate(row) for term in (
-            (math.log(self.area * c * (1.0 + orders / (ml, mn)[i])), q + 1,
-             i, i * top + q),
-            (math.log(self.area * c), q, i, len(powers) + i * top + q - 1))
-        ]).reshape(-1, 4, 4)
-        ln_c, pw = terms[..., 0, None], terms[..., 1, None]
-        st, at = terms[..., 2].astype(int), terms[..., 3].astype(int)
+        p = np.array(powers)[:, None]
+        # The law table, (state, row, entry): each row's law, its slack
+        # law and the index of the law's power, the slack's the next.
+        ln_y = np.log(np.multiply.outer(
+            [ch.intercept_los, ch.intercept_nlos], s * scn.tx_power * g_far))
+        ms = np.array([ch.m_los, ch.m_nlos])
+        coefs = [_row_coefs(m, orders) for m in ms.tolist()]
+        law = np.array([[math.log(self.area * c) + q * ln_y[i]
+                         for c, q in rows] for i, rows in enumerate(coefs)])
+        slack = law + (ln_y + np.log1p(orders / ms)[:, None])[:, None]
+        at = np.array([[i * top + q - 1 for _, q in rows]
+                       for i, rows in enumerate(coefs)])
 
-        def ln_slack(i, vals, errs):
-            # ln of the largest row slack per entry i and candidate.
-            ln_t = _log(np.concatenate([vals, errs]))[at][:, :, None]
-            return np.logaddexp.reduce((ln_c + pw * ln_y[:, i][st])[..., None]
-                                       + ln_t, axis=1).max(axis=0)
+        def ln_slack(i, sums, errs):
+            # ln of the largest row slack past each candidate, per entry i.
+            ln_t = np.concatenate([slack[:, :, i, None]
+                                   + _log(sums)[at + 1][:, :, None],
+                                   law[:, :, i, None]
+                                   + _log(errs)[at][:, :, None]])
+            return np.logaddexp.reduce(ln_t, axis=0).max(axis=0)
 
         # A transform-log error is a relative error of the transform: keep
         # it within rel_tol min(L, 1), L the floor of -eta, or where the
@@ -394,13 +353,19 @@ class _Field:
         low = self.eta_floor(r0, s) if floor is None else floor
         tol = np.maximum(quad.abs_tol, quad.rel_tol * np.minimum(low, 1.0))
         far = self._floor_steps[1][0, -1] * power_law_integral(
-            (_STRICT_STEPS * self.step) ** 2 + self.gap2, np.inf,
-            np.array(powers)[:, None])
+            (_STRICT_STEPS * self.step) ** 2 + self.gap2, np.inf, p)
         loose = ln_slack(np.arange(r0.size), far, 0.0 * far)[:, 0] \
             > np.log(0.25 * tol)
         tol[loose] = np.maximum(quad.abs_tol * np.exp(np.minimum(low, 60.0)),
                                 quad.rel_tol * low)[loose]
-        r_end = self.tail_start(s, orders, r0, 0.25 * tol)
+        # R: the blocked slack beyond 3-d distance d is e^slack d^(2 - p)
+        # / (p - 2) at p = alpha_N (q + 1), which falls with d; d^2 past
+        # e^700 would overflow.
+        pn = p[at[1] + 1]
+        ln_d2 = ((slack[1] - np.log(pn - 2.0) - np.log(0.25 * tol))
+                 / (0.5 * pn - 1.0)).max(axis=0)
+        r_end = np.maximum(np.maximum(r0, r_gain), np.sqrt(np.maximum(
+            np.exp(np.minimum(ln_d2, 700.0)) - self.gap2, 0.0)))
         self._grid_to(r_end.max())
         pick, seen, end = np.full(r0.size, -1), 0, max(r0.max(), r_gain)
         while (pick < 0).any():
@@ -421,15 +386,16 @@ class _Field:
             seen, end = ks.size, min(4 * ks[-1], _MAX_TABLE - 1) * self.step
         e = self._edges
         r_end = e[np.searchsorted(e, np.maximum(ks[pick] * self.step, r_end))]
-        tail, nlos_slack = self.nlos_tail(s, orders, r_end)
-        # At the handovers: the slack, and the correction read off the
-        # error terms' coefficients.
-        ln_c = ln_c + pw * ln_y[st]
-        ln_t = _log(np.concatenate([vals, errs]))[:, pick]
-        los_err = np.exp(ln_c + ln_t[at]).sum(axis=1).T
-        tail += ((1 - 2 * st[:, 1::2, None]) * np.exp(
-            ln_c[:, 1::2] + ln_t[at[:, 1::2] - len(powers)])).sum(axis=1).T
-        return ks[pick], r_end, tail, nlos_slack + los_err, \
+        # Each law times its tail: all of it beyond R for the blocked laws,
+        # the line-of-sight share and its error beyond K for both states.
+        ln_u = _log(power_law_integral(r_end ** 2 + self.gap2, np.inf, p))
+        ln_t, ln_e = _log(vals[:, pick]), _log(errs[:, pick])
+        nlos_slack = np.exp(slack[1] + ln_u[at[1] + 1]).T
+        los_err = (np.exp(slack + ln_t[at + 1])
+                   + np.exp(law + ln_e[at])).sum(axis=0).T
+        tail = np.exp(law[1] + ln_u[at[1]]) + (np.exp(law[0] + ln_t[at[0]])
+                                               - np.exp(law[1] + ln_t[at[1]]))
+        return ks[pick], r_end, tail.T, nlos_slack + los_err, \
             los_err.max(axis=1), nlos_slack.max(axis=1)
 
     # ------------------------------------------------------------ integrand
@@ -764,7 +730,12 @@ def mean_interference(scn: NetworkScenario, r0: float,
     g_far, r_gain = fld.far_gain
     powers = (ch.alpha_los, ch.alpha_nlos)
     ks = fld.los_tails(powers, max(r0, r_gain))[0]
-    k = ks[np.searchsorted(ks * fld.step, r0, side="right")]
+    past = np.searchsorted(ks * fld.step, r0, side="right")
+    if past == ks.size:
+        raise QuadratureError("no line-of-sight handover candidate past the "
+                              "serving distance below the step-table cap",
+                              {"r0": r0})
+    k = ks[past]
     sight, blocked, _ = los_tail_sums(scn.env, scn.bs_height, scn.ue_height,
                                       powers, [k * fld.step])
     tail = float(fld.area * scn.tx_power * g_far * (

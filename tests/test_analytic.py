@@ -28,12 +28,13 @@ import dronecov
 import dronecov.analytic as analytic
 from dronecov import (channel, cli, config, errors, experiments, montecarlo,
                       quadrature)
-from dronecov.analytic import (_Field, _field_for, _link_rows, _power_terms,
+from dronecov.analytic import (_Field, _field_for, _link_rows, _row_coefs,
                                _scaled_attenuation_rows, _serving_coeff)
 from dronecov.channel import (AntennaPattern, ChannelParams,
                               EnvironmentParams, _los_levels_exact,
-                              los_breakpoints, los_level_curve)
-from dronecov.errors import CapabilityError, DomainError
+                              los_breakpoints, los_level_curve,
+                              path_gain_curve)
+from dronecov.errors import CapabilityError, DomainError, QuadratureError
 from dronecov.quadrature import (CHEB_NODES, build_edges, integrate_steps,
                                  kronrod_panels)
 
@@ -186,6 +187,14 @@ def test_laplace_derivatives_completely_monotone():
 def test_laplace_rejects_bad_arguments():
     with pytest.raises(DomainError):
         laplace_interference(SCN, -1.0, 1e7, QUAD)
+    # No handover candidate lies past a serving distance beyond the
+    # step-table cap.
+    for refused in (lambda: laplace_interference(SCN, 4e7, 1e7, QUAD),
+                    lambda: conditional_coverage(SCN, 4e7, True, QUAD),
+                    lambda: mean_interference(SCN, 4e7, QUAD)):
+        with pytest.raises(QuadratureError, match="step-table cap") as err:
+            refused()
+        assert err.value.diagnostics["r0"] == 4e7
     with pytest.raises(DomainError):
         laplace_interference(SCN, 100.0, -1e7, QUAD)
     with pytest.raises(DomainError):
@@ -456,33 +465,57 @@ def _float_power_coefficient(m, j):
     return math.perm(m + j - 1, j) / (math.factorial(j) * float(m) ** j)
 
 
-def test_power_terms_coefficient_exact_where_float_overflows():
-    alpha = 3.75
-    coef, q = _power_terms(alpha, 100, 99)[99]
+def test_row_coefs_coefficient_exact_where_float_overflows():
+    coef, q = _row_coefs(100, 99)[99]
     assert q == 99
-    exact = Fraction(math.comb(198, 99), 100 ** 99)
-    assert coef == float(exact) / (alpha * q - 2.0)
-    assert_allclose(coef * (alpha * q - 2.0), 2.275e-140, rtol=1e-3)
+    assert coef == float(Fraction(math.comb(198, 99), 100 ** 99))
+    assert_allclose(coef, 2.275e-140, rtol=1e-3)
     # The float denominator overflows there, which zeroed the row.
     assert _float_power_coefficient(100, 99) == 0.0
 
 
-def test_power_terms_coefficient_matches_float_formula():
+def test_row_coefs_coefficient_matches_float_formula():
     # The integer ratio C(m+j-1, j) / m^j is rounded once; the float
     # formula rounds perm, j!, their product with m^j and the quotient, so
     # the two agree within 2 units in the last place, and exactly for
     # m = 1 and, up to row 14, m = 3 (the default channel's orders).
-    alpha = 3.75
     for m in range(1, MAX_FADING_ORDER + 1):
-        terms = _power_terms(alpha, m, MAX_FADING_ORDER - 1)
-        for j, (coef, q) in enumerate(terms):
-            exact = Fraction(math.comb(m + j - 1, j), m ** j)
-            assert coef == float(exact) / (alpha * q - 2.0)
-            old = (1.0 if j == 0 else _float_power_coefficient(m, j)) / (
-                alpha * q - 2.0)
+        for j, (coef, q) in enumerate(_row_coefs(m, MAX_FADING_ORDER - 1)):
+            assert q == max(j, 1)
+            assert coef == float(Fraction(math.comb(m + j - 1, j), m ** j))
+            old = 1.0 if j == 0 else _float_power_coefficient(m, j)
             if m == 1 or (m == 3 and j <= 14):
                 assert coef == old
             assert abs(coef - old) <= 2.0 * np.spacing(old)
+
+
+@pytest.mark.parametrize("ue_height", [1.5, 60.0])
+@pytest.mark.parametrize("r0", [20.0, 66.4])
+@pytest.mark.parametrize("los", [True, False], ids=["los", "nlos"])
+def test_blocked_slack_is_its_tail_integral(ue_height, r0, los):
+    # Past R each blocked row j is its power law 2 pi lam c_j y^q, off by
+    # at most (1 + orders / m_N) c_j y^(q+1); the slack the handover
+    # reports is that bound integrated from R on, for the largest row.
+    scn = make_scenario(ue_height=ue_height)
+    fld, ch = _field_for(scn, QUAD), scn.channel
+    m = ch.fading_order(los)
+    s = m * scn.sir_threshold / _serving_coeff(scn, r0, los)
+    r_end, slack = (fld.handover(np.array([r0]), np.array([s]), m - 1)[i][0]
+                    for i in (1, 5))
+    g_far, r_gain = fld.far_gain
+    assert r_end >= max(r0, r_gain)
+
+    def row_slack(c, q):
+        def f(r):
+            y = s * scn.tx_power * g_far * path_gain_curve(
+                r, False, scn.bs_height, scn.ue_height, ch)
+            return fld.area * r * (1.0 + (m - 1) / ch.m_nlos) * c * y ** (
+                q + 1)
+        return integrate.quad(f, r_end, np.inf, epsabs=0.0, epsrel=1e-12,
+                              limit=200)[0]
+
+    expect = max(row_slack(c, q) for c, q in _row_coefs(ch.m_nlos, m - 1))
+    assert_allclose(slack, expect, rtol=1e-9)
 
 
 # ------------------------------------------------ batched inner transforms

@@ -642,6 +642,14 @@ def test_far_field_shares_come_from_one_channel_kernel():
     assert not {"los_step_levels", "los_level_curve"} & _names(
         funcs["_far_field_moments"])
     assert "nlos_tail" not in _names(funcs["mean_interference"])
+    # Past the handover every row's power law and its slack come from the
+    # one law table of _Field.handover.
+    assert not {"nlos_tail", "tail_start", "_power_terms"} & _names(
+        trees["analytic.py"])
+    assert {node.name for node in ast.walk(trees["analytic.py"])
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(n, ast.Call) and _called_name(n) == "_row_coefs"
+                for n in ast.walk(node))} == {"handover"}
 
 
 def test_traced_monte_carlo_stages_exist():
