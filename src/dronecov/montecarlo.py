@@ -12,23 +12,30 @@ simulate quickly would bias coverage upward by far more than the Monte
 Carlo noise.  Instead of growing the disk, every drop adds the exact mean
 of the out-of-disk interference, both states' shares from
 :func:`channel.los_tail_sums`, as a deterministic offset.  What that
-replacement ignores is the fluctuation of the far field, so the automatic
-disk is the smallest, doubling from the radius that holds the nearest
-station but for a 1e-8 chance, whose far-field standard deviation is a
-small share of the interference of the least interfered drops: the 10th
-percentile over a fixed-seed pilot, which makes the radius a function of
-the scenario alone.  That ratio is reported as ``far_ripple`` in the
-diagnostics, the pilot's percentile as ``ripple_scale``.
+replacement ignores is the fluctuation of the far field.  The far field
+is independent of the near field and the offset is its mean, so the
+first-order effect of a fluctuation cancels over the drops: drops pushed
+across the threshold one way are balanced by drops pushed the other, and
+the estimate is biased only to second order in the far field's standard
+deviation.  The automatic disk is therefore the smallest, doubling from
+the radius that holds the nearest station but for a 1e-8 chance, whose
+far-field standard deviation is at most ``_RIPPLE_TARGET`` of the
+interference of the least interfered drops: the 10th percentile over a
+fixed-seed pilot, which makes the radius a function of the scenario
+alone.  That ratio is reported as ``far_ripple`` in the diagnostics, the
+pilot's percentile as ``ripple_scale``.
 
-Drops are evaluated in blocks of ``_BLOCK`` consecutive indices, cut at
-multiples of ``_BLOCK``, and each block draws from its own random
-substream keyed by (seed, block index), with one draw call per kind of
-variate for the whole block, which keeps the fixed cost of building
-generators and calling them off each drop.  The stream is therefore
-defined per block: changing ``_BLOCK`` changes seeded results.  Worker
-chunks are whole blocks and the estimate is reduced by integer counts,
-so results are bit-identical for any worker count.  The array work
-(line-of-sight states, path and antenna gains, serving station,
+Drops are evaluated in blocks of consecutive indices, cut at multiples
+of the block size, and each block draws from its own random substream
+keyed by (seed, block index), with one draw call per kind of variate for
+the whole block, which keeps the fixed cost of building generators and
+calling them off each drop.  The block size is ``_BLOCK`` drops, halved
+while the disk's expected stations per block exceed ``_BLOCK_STATIONS``,
+so it is a function of the scenario and the disk alone, and the stream
+is defined per block: changing either constant changes seeded results.
+Worker chunks are whole blocks and the estimate is reduced by integer
+counts, so results are bit-identical for any worker count.  The array
+work (line-of-sight states, path and antenna gains, serving station,
 interference) runs once over the block's concatenated stations, through
 segment reductions that never mix drops.  Its block-sized intermediates
 live in per-estimate buffers, because fresh block-sized temporaries cost
@@ -69,11 +76,23 @@ __all__ = [
 _SERVING_TRUNC = 1e-8     # nearest-station mass ignored by the radius floor
 # Allowed far-field standard deviation over the pilot's 10th-percentile
 # interference.  A low percentile, not the mean, because interference is
-# skewed (at 1.5 m the mean is hundreds of times the 10th percentile) and a
-# fluctuation flips the drops that see little interference.  At 60 m, 1e-2
-# picks a 1,370 m disk on which 0.1-0.2 % of drops flip against a 3,424 m
-# one; 5e-3 picks 2,740 m, where at most 0.06 % do.
-_RIPPLE_TARGET = 5e-3
+# skewed (at 1.5 m the mean is hundreds of times the 10th percentile).
+# The target bounds the estimate's bias, which is second order in the far
+# field's spread; the share of drops a fluctuation flips is first order
+# but cancels between the two directions (685 m flips about 0.4 % of
+# coupled drops at 60 m against a 3,424 m disk, within paired noise).
+# Bias at the defaults, 4e6 drops against the analytic route:
+#
+#     user    disk      ripple   z
+#     60 m    342 m     0.051    -1.48
+#     60 m    685 m     0.022    -0.34
+#     60 m    1,370 m   0.009    -0.98
+#     1.5 m   342 m     0.165    -8.07
+#     1.5 m   685 m     0.004    +1.33
+#
+# 2.5e-2 picks 685 m at 1.5, 60 and 150 m; 5e-3 picked 2,740 m from 30 m
+# up, with 16 times the stations per drop.
+_RIPPLE_TARGET = 2.5e-2
 _PILOT_DROPS = 256        # drops of the pilot that sets the ripple scale
 _PILOT_SEED = 0           # the pilot's seed, fixed so the radius is not random
 _MAX_MEAN_COUNT = 6e4     # cost ceiling on the expected stations per drop
@@ -197,8 +216,9 @@ def _disk_profile(scn) -> tuple[float, float]:
 
 
 def default_disk_radius(scn) -> float:
-    """Sampling radius at which the replaced far field's fluctuation is
-    negligible against the interference of the weaker-interfered drops."""
+    """Sampling radius at which replacing the far field by its mean
+    biases the estimate negligibly: its fluctuation is a small share of
+    the interference of the weaker-interfered drops."""
     return _disk_profile(scn)[0]
 
 
@@ -216,13 +236,25 @@ def _with_radius(scn, spec: SimulationSpec) -> SimulationSpec:
 
 # ------------------------------------------------------------------ sampling
 
-# Drops per block, and so per generator: part of the stream contract, so
-# changing it changes seeded results.  On the automatic disks (tens to a
-# few thousand stations per drop) a block of 32 drops spreads the fixed
-# cost of a generator and of each NumPy call over enough stations to
-# matter.  Its arrays grow with the disk: about 2 MiB of peak memory per
-# 1,000 stations per drop.
+# Drops per block, and so per generator, at most: part of the stream
+# contract, so changing it changes seeded results.  On the automatic disks
+# (tens to a few hundred stations per drop) a block of 32 drops spreads
+# the fixed cost of a generator and of each NumPy call over enough
+# stations to matter.  Its arrays grow with the disk, about 2 MiB of peak
+# memory per 1,000 stations per drop at 32 drops, so a block is halved
+# while its expected stations exceed _BLOCK_STATIONS: every automatic disk
+# at the defaults keeps 32 drops, and a set 5,000 m disk at 50 stations
+# per km^2 (3,927 per drop) gets 16.
 _BLOCK = 32
+_BLOCK_STATIONS = 65536
+
+
+def _drops_per_block(scn, radius: float) -> int:
+    per_drop = scn.bs_density * math.pi * radius * radius
+    block = _BLOCK
+    while block > 1 and block * per_drop > _BLOCK_STATIONS:
+        block //= 2
+    return block
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -269,7 +301,8 @@ def _segment_argmin(values: np.ndarray, starts: np.ndarray,
 
 
 def _sampler(scn, spec: SimulationSpec):
-    """``draw(rng, drops) -> _Block`` for one estimate.
+    """``draw(rng, drops) -> _Block`` for one estimate, with the disk's
+    drops per block as ``draw.block``.
 
     A block's generator makes one call per kind of draw, in a fixed
     order: Poisson counts for all its drops (empty fields redrawn
@@ -341,23 +374,25 @@ def _sampler(scn, spec: SimulationSpec):
         return _Block(radii, los, fading, starts, counts, serving, resampled,
                       bufs)
 
+    draw.block = _drops_per_block(scn, radius)
     return draw
 
 
 def _blocks(draw, seed: int, lo: int, hi: int):
-    """Blocks over drops ``lo..hi-1``, each drawn from the generator of
-    its block index.  ``lo`` must be a multiple of ``_BLOCK`` and ``hi``
-    one too or the estimate's last drop, so that every block is whole
-    whatever the worker split."""
-    for a in range(lo, hi, _BLOCK):
-        yield draw(_block_rng(seed, a // _BLOCK), min(_BLOCK, hi - a))
+    """Blocks of ``draw.block`` drops over drops ``lo..hi-1``, each drawn
+    from the generator of its block index.  ``lo`` must be a multiple of
+    the block size and ``hi`` one too or the estimate's last drop, so
+    that every block is whole whatever the worker split."""
+    block = draw.block
+    for a in range(lo, hi, block):
+        yield draw(_block_rng(seed, a // block), min(block, hi - a))
 
 
-def _chunk_bounds(n: int, workers: int) -> list[int]:
-    # Worker chunk edges over n drops, at multiples of _BLOCK (bar the
-    # last, n) so that no block is split between workers.
-    blocks = -(-n // _BLOCK)
-    edges = np.linspace(0, blocks, workers + 1).astype(int) * _BLOCK
+def _chunk_bounds(n: int, workers: int, block: int) -> list[int]:
+    # Worker chunk edges over n drops, at multiples of the block size (bar
+    # the last, n) so that no block is split between workers.
+    blocks = -(-n // block)
+    edges = np.linspace(0, blocks, workers + 1).astype(int) * block
     return np.unique(np.minimum(edges, n)).tolist()
 
 
@@ -451,7 +486,7 @@ def estimate_coverage(scn, spec: SimulationSpec,
     if workers == 1 or n < 4 * workers:
         counts = _chunk_counts(scn, spec, 0, n, far_mean)
     else:
-        bounds = _chunk_bounds(n, workers)
+        bounds = _chunk_bounds(n, workers, _drops_per_block(scn, radius))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_chunk_counts, scn, spec, a, b, far_mean)
                     for a, b in zip(bounds[:-1], bounds[1:])]

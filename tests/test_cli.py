@@ -184,8 +184,8 @@ def test_simulate_reference_value_and_determinism(small_sim_config):
     code, out, err = first
     assert code == 0 and err == ""
     values = parse_kv(out)
-    assert float(values["probability"]) == 0.326
-    assert float(values["std_error"]) == 0.020963015050321363
+    assert float(values["probability"]) == 0.372
+    assert float(values["std_error"]) == 0.021615549958305478
     assert values["num_drops"] == "500"
     assert "disk_radius" in values
 
