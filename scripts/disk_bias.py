@@ -3,9 +3,11 @@ analytic route.
 
     PYTHONPATH=src python3 scripts/disk_bias.py   # about 6 minutes on 2 cores
 
-Runs ``estimate_coverage`` with the default radius over 19 scenarios: the
-default scenario with the user at 1.5, 60 and 150 m, and each built-in
-environment with stations at 10 and 150 m and the user at 1.5 and 60 m.
+Runs ``estimate_coverage`` with the default radius, 4,000,000 drops
+(``DROPS``), seed 123 (``SEED``) and 2 worker processes (``WORKERS``) over
+19 scenarios: the default scenario with the user at 1.5, 60 and 150 m,
+and each built-in environment with stations at 10 and 150 m and the user
+at 1.5 and 60 m.
 Each row prints the disk radius, its ``far_ripple``, the stations per drop,
 the estimate P, the analytic ``coverage_probability``, their difference
 and z = (P - analytic) / std_error.  The far field beyond the disk enters
@@ -15,12 +17,15 @@ on every row is what the radius rule is held to.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import replace
 
 from dronecov.analytic import coverage_probability
 from dronecov.config import builtin_environments, default_scenario
 from dronecov.montecarlo import SimulationSpec, estimate_coverage
+
+DROPS = 4_000_000
+SEED = 123
+WORKERS = 2
 
 
 def scenarios():
@@ -35,17 +40,12 @@ def scenarios():
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--drops", type=int, default=4_000_000)
-    parser.add_argument("--seed", type=int, default=123)
-    parser.add_argument("--workers", type=int, default=2)
-    args = parser.parse_args()
-    spec = SimulationSpec(args.drops, seed=args.seed)
+    spec = SimulationSpec(DROPS, seed=SEED)
     print(f"{'scenario':<32} {'radius_m':>9} {'far_ripple':>10} "
           f"{'stations':>8} {'P':>10} {'analytic':>10} {'P-analytic':>10} "
           f"{'z':>6}")
     for label, scn in scenarios():
-        est = estimate_coverage(scn, spec, workers=args.workers)
+        est = estimate_coverage(scn, spec, workers=WORKERS)
         exact = coverage_probability(scn).probability
         diag = est.diagnostics
         z = ((est.probability - exact) / est.std_error if est.std_error

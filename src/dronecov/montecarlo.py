@@ -206,7 +206,7 @@ def _disk_profile(scn) -> tuple[float, float]:
     far = _far_field_moments(scn, radius)[0]
     interference = np.concatenate([
         _link_sums(scn, blk)[1] + far
-        for blk in _blocks(_sampler(scn, pilot), pilot.seed, 0, _PILOT_DROPS)])
+        for blk in _blocks(scn, pilot, 0, _PILOT_DROPS)])
     k = _PILOT_DROPS // 10
     scale = float(np.partition(interference, k)[k])
     while (radius < cap_r and math.sqrt(_far_field_moments(scn, radius)[1])
@@ -301,8 +301,7 @@ def _segment_argmin(values: np.ndarray, starts: np.ndarray,
 
 
 def _sampler(scn, spec: SimulationSpec):
-    """``draw(rng, drops) -> _Block`` for one estimate, with the disk's
-    drops per block as ``draw.block``.
+    """``draw(rng, drops) -> _Block`` for one estimate.
 
     A block's generator makes one call per kind of draw, in a fixed
     order: Poisson counts for all its drops (empty fields redrawn
@@ -374,18 +373,19 @@ def _sampler(scn, spec: SimulationSpec):
         return _Block(radii, los, fading, starts, counts, serving, resampled,
                       bufs)
 
-    draw.block = _drops_per_block(scn, radius)
     return draw
 
 
-def _blocks(draw, seed: int, lo: int, hi: int):
-    """Blocks of ``draw.block`` drops over drops ``lo..hi-1``, each drawn
-    from the generator of its block index.  ``lo`` must be a multiple of
-    the block size and ``hi`` one too or the estimate's last drop, so
-    that every block is whole whatever the worker split."""
-    block = draw.block
+def _blocks(scn, spec: SimulationSpec, lo: int, hi: int):
+    """Blocks of ``_drops_per_block`` drops over drops ``lo..hi-1`` of an
+    estimate whose spec has its radius resolved, each drawn from the
+    generator of its block index.  ``lo`` must be a multiple of the block
+    size and ``hi`` one too or the estimate's last drop, so that every
+    block is whole whatever the worker split."""
+    draw = _sampler(scn, spec)
+    block = _drops_per_block(scn, spec.disk_radius)
     for a in range(lo, hi, block):
-        yield draw(_block_rng(seed, a // block), min(block, hi - a))
+        yield draw(_block_rng(spec.seed, a // block), min(block, hi - a))
 
 
 def _chunk_bounds(n: int, workers: int, block: int) -> list[int]:
@@ -461,7 +461,7 @@ def _chunk_counts(scn, spec: SimulationSpec, lo: int, hi: int,
     # Covered drops, resampled drops, single-station drops and stations.
     counts = np.zeros(4, dtype=np.int64)
     thr = scn.sir_threshold
-    for blk in _blocks(_sampler(scn, spec), spec.seed, lo, hi):
+    for blk in _blocks(scn, spec, lo, hi):
         counts += (np.count_nonzero(_block_sir(scn, blk, far_mean) > thr),
                    blk.resampled, np.count_nonzero(blk.counts == 1),
                    blk.counts.sum())
@@ -522,7 +522,7 @@ def laplace_empirical(scn, spec: SimulationSpec, s_values) -> tuple[
     far_mean = _far_field_moments(scn, spec.disk_radius)[0]
     total = np.zeros(s.size)
     total_sq = np.zeros(s.size)
-    for blk in _blocks(_sampler(scn, spec), spec.seed, 0, spec.num_drops):
+    for blk in _blocks(scn, spec, 0, spec.num_drops):
         _, others = _link_sums(scn, blk)
         vals = np.exp(np.multiply.outer(others + far_mean, -s))
         total += vals.sum(axis=0)

@@ -353,7 +353,7 @@ def test_block_kernel_allocates_no_block_sized_temporaries():
     scn = replace(default_scenario(), ue_height=60.0)
     spec = SimulationSpec(num_drops=5 * _BLOCK, seed=3, disk_radius=2739.57)
     draw = montecarlo._sampler(scn, spec)
-    assert draw.block == _BLOCK
+    assert montecarlo._drops_per_block(scn, spec.disk_radius) == _BLOCK
     far = _far_field_moments(scn, spec.disk_radius)[0]
     for k in range(4):
         montecarlo._block_sir(scn, draw(_block_rng(spec.seed, k), _BLOCK),
@@ -376,15 +376,16 @@ def test_block_of_a_wide_set_disk_holds_a_bounded_station_count():
     spec = SimulationSpec(num_drops=3, seed=5, disk_radius=10000.0)
     far = _far_field_moments(scn, spec.disk_radius)[0]
     montecarlo._sampler(scn, spec)   # line-of-sight table, cached
+    block = montecarlo._drops_per_block(scn, spec.disk_radius)
+    assert block == 4
     tracemalloc.start()
     try:
         draw = montecarlo._sampler(scn, spec)
-        blk = draw(_block_rng(spec.seed, 0), draw.block)
+        blk = draw(_block_rng(spec.seed, 0), block)
         montecarlo._block_sir(scn, blk, far)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert draw.block == 4
     assert peak <= 8 * 2 ** 20
 
 
@@ -393,7 +394,7 @@ def test_estimate_worker_invariant_on_halved_blocks():
     # block budget at 32 drops: its blocks are 16 drops, and chunks
     # follow them.
     spec = SimulationSpec(num_drops=3 * 16 + 5, seed=8, disk_radius=5000.0)
-    assert montecarlo._sampler(SCN, spec).block == 16
+    assert montecarlo._drops_per_block(SCN, spec.disk_radius) == 16
     a = estimate_coverage(SCN, spec, workers=1)
     for workers in (2, 3):
         b = estimate_coverage(SCN, spec, workers=workers)
@@ -458,10 +459,10 @@ def test_estimate_follows_drop_by_drop_stream(ue_height, conditional):
                           else None,
                           force_serving_los=True if conditional else None)
     base = make_scenario(ue_height=ue_height)
-    far = _far_field_moments(base, default_disk_radius(base))[0]
+    resolved = montecarlo._with_radius(base, spec)
+    far = _far_field_moments(base, resolved.disk_radius)[0]
     sirs = []
-    for blk in montecarlo._blocks(montecarlo._sampler(base, spec),
-                                  spec.seed, 0, spec.num_drops):
+    for blk in montecarlo._blocks(base, resolved, 0, spec.num_drops):
         block_sirs = montecarlo._block_sir(base, blk, far)
         for sir, lo, k in zip(block_sirs, blk.starts, blk.counts):
             part = slice(lo, lo + k)
@@ -527,34 +528,44 @@ def _floor_radius(scn) -> float:
                      / (math.pi * scn.bs_density))
 
 
-@pytest.mark.parametrize("ue_height", [1.5, 60.0])
-def test_default_disk_moves_coupled_coverage_within_paired_noise(ue_height):
-    # 8,000 drops on a 3,424 m disk are judged whole and restricted to the
+@pytest.mark.parametrize("ue_height, num_drops, floor_resolved", [
+    pytest.param(1.5, 40_000, True, id="1.5"),
+    pytest.param(60.0, 8_000, False, id="60.0")])
+def test_default_disk_moves_coupled_coverage_within_paired_noise(
+        ue_height, num_drops, floor_resolved):
+    # Drops on a 3,424 m disk are judged whole and restricted to the
     # default radius with that radius's far-field mean.  Restriction of a
     # Poisson field is a Poisson field, so only the replaced far field can
     # move a drop across the threshold.  Drops flip both ways, and the
     # estimate sees only their balance: the coverage difference must lie
     # within 4 paired standard errors, sqrt(flip rate - difference^2) over
     # sqrt(n).  At 60 m the 685 m disk flips about 0.4 % of the drops.
+    # The same drops restricted to the 342 m serving floor are the
+    # negative control: at 1.5 m the floor's bias, about -2e-3, lies 7
+    # paired standard errors out over 40,000 drops (4.0 over 8,000), so a
+    # rule that fell back to the floor would fail here; at 60 m the
+    # floor's bias is below what 8,000 drops resolve.
     scn = make_scenario(ue_height=ue_height)
-    radius = default_disk_radius(scn)
-    spec = SimulationSpec(num_drops=8000, seed=0,
-                          disk_radius=10.0 * _floor_radius(scn))
+    radii = (default_disk_radius(scn), _floor_radius(scn))
+    spec = SimulationSpec(num_drops=num_drops, seed=0,
+                          disk_radius=10.0 * radii[1])
     far_full = _far_field_moments(scn, spec.disk_radius)[0]
-    far_inner = _far_field_moments(scn, radius)[0]
-    flips = gained = 0
-    for blk in montecarlo._blocks(montecarlo._sampler(scn, spec),
-                                  spec.seed, 0, spec.num_drops):
-        full = montecarlo._block_sir(scn, blk, far_full)
-        inner = montecarlo._block_sir(scn, replace(blk, fading=np.where(
-            blk.radii <= radius, blk.fading, 0.0)), far_inner)
-        full, inner = full > scn.sir_threshold, inner > scn.sir_threshold
-        flips += np.count_nonzero(full != inner)
-        gained += np.count_nonzero(inner) - np.count_nonzero(full)
-    n = spec.num_drops
-    diff = gained / n
-    paired_se = math.sqrt(flips / n - diff * diff) / math.sqrt(n)
-    assert abs(diff) <= 4.0 * paired_se
+    far_inner = [_far_field_moments(scn, r)[0] for r in radii]
+    flips = np.zeros(2, np.int64)
+    gained = np.zeros(2, np.int64)
+    for blk in montecarlo._blocks(scn, spec, 0, num_drops):
+        full = montecarlo._block_sir(scn, blk, far_full) > scn.sir_threshold
+        for i, (radius, far) in enumerate(zip(radii, far_inner)):
+            inner = montecarlo._block_sir(scn, replace(blk, fading=np.where(
+                blk.radii <= radius, blk.fading, 0.0)), far)
+            inner = inner > scn.sir_threshold
+            flips[i] += np.count_nonzero(full != inner)
+            gained[i] += np.count_nonzero(inner) - np.count_nonzero(full)
+    diff = gained / num_drops
+    paired_se = np.sqrt(flips / num_drops - diff * diff) / math.sqrt(num_drops)
+    assert abs(diff[0]) <= 4.0 * paired_se[0]
+    if floor_resolved:
+        assert abs(diff[1]) > 4.0 * paired_se[1]
 
 
 @pytest.mark.parametrize("ue_height", [1.5, 60.0, 150.0])
