@@ -777,6 +777,12 @@ def coverage_probability(scn: NetworkScenario,
     ch = scn.channel
     _require_order(max(ch.m_los, ch.m_nlos))
     fld = _field_for(scn, quad)
+    if fld.r_outer > _MAX_TABLE * fld.step:
+        # Outer nodes past the cap have no handover candidate beyond them,
+        # so the first batch would be refused after r_outer / step panels.
+        raise QuadratureError("outer radius lies past the step-table cap", {
+            "outer_radius": fld.r_outer, "outer_steps": fld.r_outer / fld.step,
+            "max_steps": _MAX_TABLE})
     thr = scn.sir_threshold
     skipped = inner_evals = inner_panels = 0
 

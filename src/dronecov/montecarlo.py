@@ -29,17 +29,18 @@ Drops are evaluated in blocks of consecutive indices, cut at multiples
 of the block size, and each block draws from its own random substream
 keyed by (seed, block index), with one draw call per kind of variate for
 the whole block, which keeps the fixed cost of building generators and
-calling them off each drop.  The block size is ``_BLOCK`` drops, halved
-while the disk's expected stations per block exceed ``_BLOCK_STATIONS``,
-so it is a function of the scenario and the disk alone, and the stream
-is defined per block: changing either constant changes seeded results.
-Worker chunks are whole blocks and the estimate is reduced by integer
-counts, so results are bit-identical for any worker count.  The array
-work (line-of-sight states, path and antenna gains, serving station,
-interference) runs once over the block's concatenated stations, through
-segment reductions that never mix drops.  Its block-sized intermediates
-live in per-estimate buffers, because fresh block-sized temporaries cost
-about a fifth of the time.
+calling them off each drop.  A block is the largest power of two of
+drops whose expected station count fits ``_BLOCK_STATIONS``: enough
+stations to spread that fixed cost, few enough for the block's arrays to
+stay in cache.  So the block size is a function of the scenario and the
+disk alone, and the stream is defined per block: changing the constant
+changes seeded results.  Worker chunks are whole blocks and the
+estimate is reduced by integer counts, so results are bit-identical for
+any worker count.  The array work (line-of-sight states, path and
+antenna gains, serving station, interference) runs once over the
+block's concatenated stations, through segment reductions that never
+mix drops.  Its block-sized intermediates live in per-estimate buffers,
+because fresh block-sized temporaries cost about a fifth of the time.
 """
 
 from __future__ import annotations
@@ -85,10 +86,10 @@ _SERVING_TRUNC = 1e-8     # nearest-station mass ignored by the radius floor
 #
 #     user    disk      ripple   z
 #     60 m    342 m     0.051    -1.48
-#     60 m    685 m     0.022    -0.34
+#     60 m    685 m     0.022    +0.50
 #     60 m    1,370 m   0.009    -0.98
 #     1.5 m   342 m     0.165    -8.07
-#     1.5 m   685 m     0.004    +1.33
+#     1.5 m   685 m     0.005    -0.91
 #
 # 2.5e-2 picks 685 m at 1.5, 60 and 150 m; 5e-3 picked 2,740 m from 30 m
 # up, with 16 times the stations per drop.
@@ -236,24 +237,25 @@ def _with_radius(scn, spec: SimulationSpec) -> SimulationSpec:
 
 # ------------------------------------------------------------------ sampling
 
-# Drops per block, and so per generator, at most: part of the stream
-# contract, so changing it changes seeded results.  On the automatic disks
-# (tens to a few hundred stations per drop) a block of 32 drops spreads
-# the fixed cost of a generator and of each NumPy call over enough
-# stations to matter.  Its arrays grow with the disk, about 2 MiB of peak
-# memory per 1,000 stations per drop at 32 drops, so a block is halved
-# while its expected stations exceed _BLOCK_STATIONS: every automatic disk
-# at the defaults keeps 32 drops, and a set 5,000 m disk at 50 stations
-# per km^2 (3,927 per drop) gets 16.
-_BLOCK = 32
-_BLOCK_STATIONS = 65536
+# Expected stations per block, the one constant of the block rule and so
+# part of the stream contract: changing it changes seeded results.  A
+# block pays a fixed cost (a generator, five draw calls and about thirty
+# NumPy calls) and holds about 80 bytes of buffers per station, so
+# 16,384 stations amortise that cost and keep the block's arrays in
+# cache: the automatic 685 m disk (74 stations per drop) gets 128-drop
+# blocks, which ran mc-drops about a quarter faster than 32-drop ones,
+# while 512-drop blocks ran slower than 128 and added RSS.  A set 2,740 m
+# disk gets 8 drops (about a tenth slower there than 32), a set 10 km
+# disk 1, and a set 50 m disk 32,768.
+_BLOCK_STATIONS = 16384
 
 
 def _drops_per_block(scn, radius: float) -> int:
+    # The largest power of two of drops whose expected stations fit.
     per_drop = scn.bs_density * math.pi * radius * radius
-    block = _BLOCK
-    while block > 1 and block * per_drop > _BLOCK_STATIONS:
-        block //= 2
+    block = 1
+    while 2 * block * per_drop <= _BLOCK_STATIONS:
+        block *= 2
     return block
 
 
@@ -348,10 +350,10 @@ def _sampler(scn, spec: SimulationSpec):
             # Each drop's pinned serving station leads its segment.
             radii = bufs.take("radii", ends[-1])
             radii[starts] = r0
-            a = 0
-            for nj, lo in zip(n.tolist(), starts.tolist()):
-                radii[lo + 1:lo + 1 + nj] = u[a:a + nj]
-                a += nj
+            rest = bufs.take("rest", ends[-1], bool)
+            rest.fill(True)
+            rest[starts] = False
+            radii[rest] = u
             serving = starts
         else:
             radii = np.sqrt(u, out=u)

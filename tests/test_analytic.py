@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -709,6 +710,20 @@ def test_fading_order_above_cap_rejected():
     scn = make_scenario(m_los=MAX_FADING_ORDER + 1)
     with pytest.raises(CapabilityError):
         coverage_probability(scn, QUAD)
+
+
+def test_sparse_density_refused_fast():
+    # At 1e-10 stations per km^2 the outer radius lies about seven times
+    # past the step-table cap, where no serving distance has a handover
+    # candidate beyond it: refused before any panel is built.
+    scn = replace(config.default_scenario(), bs_density=1e-16)
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="step-table cap") as err:
+        coverage_probability(scn, QUAD)
+    assert time.perf_counter() - start < 1.0
+    diag = err.value.diagnostics
+    assert diag["outer_radius"] == _field_for(scn, QUAD).r_outer
+    assert diag["outer_steps"] > diag["max_steps"] == analytic._MAX_TABLE
 
 
 def test_shallow_nlos_decay_rejected():

@@ -30,7 +30,6 @@ from dronecov.config import default_scenario
 from dronecov import montecarlo
 from dronecov.errors import DomainError
 from dronecov.montecarlo import (
-    _BLOCK,
     CoverageEstimate,
     NetworkRealization,
     SimulationSpec,
@@ -114,6 +113,25 @@ def test_fixed_serving_distance_is_exact_minimum():
         # it comes back only to rounding.
         assert radii[0] == pytest.approx(150.0, rel=1e-15)
         assert int(np.argmin(radii)) == 0
+
+
+def test_conditional_block_lays_out_radii_in_draw_order():
+    # Reference loop: each drop's segment is its pinned serving station,
+    # then that drop's share of the radius uniforms, in draw order.
+    r0, radius, drops = 150.0, 3000.0, 40
+    spec = SimulationSpec(num_drops=drops, disk_radius=radius,
+                          fixed_serving_distance=r0)
+    blk = montecarlo._sampler(SCN, spec)(_block_rng(7, 0), drops)
+    rng = _block_rng(7, 0)
+    area = radius * radius - r0 * r0
+    n = rng.poisson(SCN.bs_density * math.pi * area, drops)
+    u = np.sqrt(rng.random(int(n.sum())) * area + r0 * r0)
+    assert np.array_equal(blk.counts, n + 1)
+    a = 0
+    for lo, nj in zip(blk.starts, n):
+        assert blk.radii[lo] == r0
+        assert np.array_equal(blk.radii[lo + 1:lo + 1 + nj], u[a:a + nj])
+        a += nj
 
 
 def test_forced_serving_state_is_applied():
@@ -292,8 +310,8 @@ def test_far_field_mean_of_never_blocked_links_is_power_law_closed_form():
 def test_estimate_reference_value():
     est = estimate_coverage(SCN, SimulationSpec(num_drops=500, seed=11))
     assert isinstance(est, CoverageEstimate)
-    assert est.probability == 0.372
-    assert_allclose(est.std_error, 0.021615549958305478, rtol=1e-12)
+    assert est.probability == 0.284
+    assert_allclose(est.std_error, 0.020166506886419373, rtol=1e-12)
     assert est.num_drops == 500
     assert est.diagnostics["disk_radius"] == pytest.approx(684.89, abs=0.01)
 
@@ -319,10 +337,10 @@ def _abg_scenario(alpha: float, threshold: float):
 
 
 @pytest.mark.parametrize("case, probability, stations, radius", [
-    ("ground", 0.7285, 147521, 684.89),
-    ("aerial", 0.3365, 147219, 684.89),
-    ("conditional", 0.2655, 147777, 684.89),
-    ("abg", 0.556, 147049, 684.89),
+    pytest.param("ground", 0.741, 147087, 684.89, id="ground"),
+    pytest.param("aerial", 0.3315, 147455, 684.89, id="aerial"),
+    pytest.param("conditional", 0.2495, 147886, 684.89, id="conditional"),
+    pytest.param("abg", 0.5605, 147124, 684.89, id="abg"),
 ])
 def test_estimate_seeded_outputs_are_pinned(case, probability, stations,
                                             radius):
@@ -343,41 +361,64 @@ def test_estimate_seeded_outputs_are_pinned(case, probability, stations,
     assert est.diagnostics["disk_radius"] == pytest.approx(radius, abs=0.01)
 
 
+def _auto_block(scn) -> int:
+    # Drops per block on the scenario's automatic disk.
+    return montecarlo._drops_per_block(scn, default_disk_radius(scn))
+
+
+def test_block_is_the_largest_power_of_two_fitting_the_station_budget():
+    # The automatic 685 m disk holds about 74 stations per drop, so its
+    # blocks are 128 drops; the pilot's 256 drops on the 342 m floor are
+    # one block.  Set disks follow the same rule, however far from the
+    # default: one drop past the budget, 32,768 drops on 50 m.
+    for ue_height in (1.5, 60.0, 150.0):
+        assert _auto_block(replace(default_scenario(),
+                                   ue_height=ue_height)) == 128
+    scn = default_scenario()
+    for radius, block in ((342.44, 512), (2739.57, 8), (5000.0, 4),
+                          (10000.0, 1), (50.0, 32768)):
+        per_drop = scn.bs_density * math.pi * radius * radius
+        assert montecarlo._drops_per_block(scn, radius) == block
+        assert block * per_drop <= montecarlo._BLOCK_STATIONS
+        assert 2 * block * per_drop > montecarlo._BLOCK_STATIONS
+
+
 def test_block_kernel_allocates_no_block_sized_temporaries():
-    # A 60 m block holds about 37,700 stations, so each float temporary
-    # of its size is 295 KiB.  Past warm-up, the draw and the SIR pass
-    # write into the estimate's buffers; the bound admits the serving
-    # search's comparison (about 330 KiB) and not one block-sized
-    # temporary beside it.  The disk is set to the 2,740 m the radius rule
-    # once picked at 60 m, since the automatic one holds a sixteenth.
+    # A 60 m block on the 2,740 m disk the radius rule once picked holds 8
+    # drops, about 9,600 stations, so each float temporary of its size
+    # takes 8 bytes per station.  Past warm-up, the draw and the SIR pass
+    # write into the estimate's buffers; the bound of 11 bytes per station
+    # admits the serving search's comparison (about 9.3) and not one
+    # block-sized float temporary beside it.
     scn = replace(default_scenario(), ue_height=60.0)
-    spec = SimulationSpec(num_drops=5 * _BLOCK, seed=3, disk_radius=2739.57)
+    block = montecarlo._drops_per_block(scn, 2739.57)
+    assert block == 8
+    spec = SimulationSpec(num_drops=5 * block, seed=3, disk_radius=2739.57)
     draw = montecarlo._sampler(scn, spec)
-    assert montecarlo._drops_per_block(scn, spec.disk_radius) == _BLOCK
     far = _far_field_moments(scn, spec.disk_radius)[0]
     for k in range(4):
-        montecarlo._block_sir(scn, draw(_block_rng(spec.seed, k), _BLOCK),
+        montecarlo._block_sir(scn, draw(_block_rng(spec.seed, k), block),
                               far)
     tracemalloc.start()
     try:
-        montecarlo._block_sir(scn, draw(_block_rng(spec.seed, 4), _BLOCK),
-                              far)
+        blk = draw(_block_rng(spec.seed, 4), block)
+        montecarlo._block_sir(scn, blk, far)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 400 * 1024
+    assert peak <= 11 * blk.radii.size
 
 
 def test_block_of_a_wide_set_disk_holds_a_bounded_station_count():
     # A set 10 km disk holds about 15,700 stations per drop, so its blocks
-    # shrink to 4 drops; drawing and judging one block, buffers included,
-    # stays under 8 MiB (5.4 MiB traced, against 38 MiB for a 32-drop block).
+    # are one drop; drawing and judging one block, buffers included, stays
+    # under 2 MiB (1.2 MiB traced, against 5.4 MiB for a 4-drop block).
     scn = replace(default_scenario(), ue_height=60.0)
     spec = SimulationSpec(num_drops=3, seed=5, disk_radius=10000.0)
     far = _far_field_moments(scn, spec.disk_radius)[0]
     montecarlo._sampler(scn, spec)   # line-of-sight table, cached
     block = montecarlo._drops_per_block(scn, spec.disk_radius)
-    assert block == 4
+    assert block == 1
     tracemalloc.start()
     try:
         draw = montecarlo._sampler(scn, spec)
@@ -386,15 +427,14 @@ def test_block_of_a_wide_set_disk_holds_a_bounded_station_count():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2 ** 20
+    assert peak <= 2 * 2 ** 20
 
 
 def test_estimate_worker_invariant_on_halved_blocks():
-    # A set 5,000 m disk holds about 3,927 stations per drop, over the
-    # block budget at 32 drops: its blocks are 16 drops, and chunks
-    # follow them.
-    spec = SimulationSpec(num_drops=3 * 16 + 5, seed=8, disk_radius=5000.0)
-    assert montecarlo._drops_per_block(SCN, spec.disk_radius) == 16
+    # A set 5,000 m disk holds about 3,927 stations per drop, so its blocks
+    # are 4 drops, and chunks follow them.
+    spec = SimulationSpec(num_drops=3 * 4 + 5, seed=8, disk_radius=5000.0)
+    assert montecarlo._drops_per_block(SCN, spec.disk_radius) == 4
     a = estimate_coverage(SCN, spec, workers=1)
     for workers in (2, 3):
         b = estimate_coverage(SCN, spec, workers=workers)
@@ -416,10 +456,11 @@ def test_estimate_reports_its_drops_and_stations():
     # The counts are integer sums over the drops, so every worker split
     # reports the same; the stations are those of blocks drawn one by one
     # from their own generators.
-    spec = SimulationSpec(num_drops=2 * _BLOCK + 3, seed=7)
+    block = _auto_block(SCN)
+    spec = SimulationSpec(num_drops=2 * block + 3, seed=7)
     draw = montecarlo._sampler(SCN, spec)
     stations = sum(draw(_block_rng(7, k), size).radii.size
-                   for k, size in enumerate((_BLOCK, _BLOCK, 3)))
+                   for k, size in enumerate((block, block, 3)))
     for workers in (1, 2):
         diag = estimate_coverage(SCN, spec, workers=workers).diagnostics
         assert (diag["drops"], diag["stations"]) == (spec.num_drops,
@@ -427,8 +468,8 @@ def test_estimate_reports_its_drops_and_stations():
 
 
 def test_worker_chunks_are_whole_blocks():
-    for n, block in itertools.product((1, 7, 8, 3 * _BLOCK + 5, 20000, 20001),
-                                      (_BLOCK, 16, 1)):
+    for n, block in itertools.product((1, 7, 8, 3 * 128 + 5, 20000, 20001),
+                                      (128, 16, 1)):
         for workers in (1, 2, 3, 4):
             bounds = montecarlo._chunk_bounds(n, workers, block)
             assert bounds[0] == 0 and bounds[-1] == n
@@ -440,7 +481,7 @@ def test_worker_chunks_are_whole_blocks():
 def test_estimate_worker_invariant_across_unaligned_blocks():
     # 3 blocks and 5 drops: the last block is partial, and it must be
     # drawn whole by whichever worker holds it.
-    spec = SimulationSpec(num_drops=3 * _BLOCK + 5, seed=6)
+    spec = SimulationSpec(num_drops=3 * _auto_block(SCN) + 5, seed=6)
     a = estimate_coverage(SCN, spec, workers=1)
     for workers in (2, 3):
         b = estimate_coverage(SCN, spec, workers=workers)
@@ -454,11 +495,11 @@ def test_estimate_follows_drop_by_drop_stream(ue_height, conditional):
     # Each drop of a block is judged as compute_sir judges the field on
     # its own slice of the block's stations, and a one-drop estimate's
     # field is the one sample_network draws from the block-0 generator.
-    spec = SimulationSpec(num_drops=3 * _BLOCK + 5, seed=4,
+    base = make_scenario(ue_height=ue_height)
+    spec = SimulationSpec(num_drops=3 * _auto_block(base) + 5, seed=4,
                           fixed_serving_distance=250.0 if conditional
                           else None,
                           force_serving_los=True if conditional else None)
-    base = make_scenario(ue_height=ue_height)
     resolved = montecarlo._with_radius(base, spec)
     far = _far_field_moments(base, resolved.disk_radius)[0]
     sirs = []
@@ -592,7 +633,7 @@ def test_default_radius_is_smallest_doubling_within_ripple_target(ue_height):
 
 def test_pilot_seed_does_not_move_the_default_radius(monkeypatch):
     # The ripple scale is a pilot's noisy 10th percentile; over pilot seeds
-    # 0-7 the 60 m ripple on 685 m reads 0.0218-0.0234 against the 0.025
+    # 0-7 the 60 m ripple on 685 m reads 0.0220-0.0232 against the 0.025
     # target, so this guards the radius rule's margin.
     scenarios = [replace(default_scenario(), ue_height=h)
                  for h in (1.5, 60.0, 150.0)]
@@ -645,7 +686,7 @@ def test_laplace_empirical_reference_and_bounds():
     means, std_errs = laplace_empirical(
         SCN, SimulationSpec(num_drops=300, seed=12,
                             fixed_serving_distance=100.0), [5e7, 2e8])
-    assert_allclose(means, [0.7837153890629329, 0.38092685042629615],
+    assert_allclose(means, [0.7829730995312963, 0.37977721786072055],
                     rtol=1e-12)
     assert np.all((means > 0.0) & (means < 1.0))
     assert np.all(std_errs > 0.0)
