@@ -240,9 +240,9 @@ def _with_radius(scn, spec: SimulationSpec) -> SimulationSpec:
 # Expected stations per block, the one constant of the block rule and so
 # part of the stream contract: changing it changes seeded results.  A
 # block pays a fixed cost (a generator, five draw calls and about thirty
-# NumPy calls) and holds about 80 bytes of buffers per station, so
-# 16,384 stations amortise that cost and keep the block's arrays in
-# cache: the automatic 685 m disk (74 stations per drop) gets 128-drop
+# NumPy calls) and holds about 80 bytes of buffers per station;
+# 16,384 stations (about 1.3 MiB) amortise that cost and keep the
+# block's arrays in cache: the automatic 685 m disk (74 stations per drop) gets 128-drop
 # blocks, which ran mc-drops about a quarter faster than 32-drop ones,
 # while 512-drop blocks ran slower than 128 and added RSS.  A set 2,740 m
 # disk gets 8 drops (about a tenth slower there than 32), a set 10 km
