@@ -50,7 +50,6 @@ from .channel import (
     los_step_width,
     los_tail_sums,
     path_gain_curve,
-    path_loss_curves,
     power_law_integral,
 )
 from .errors import CapabilityError, DomainError, QuadratureError
@@ -405,8 +404,8 @@ class _Field:
         the mean received power per unit fading over a line-of-sight and
         over a non-line-of-sight link, and ``2 pi lam r``."""
         scn = self.scn
-        zl, zn = path_loss_curves(r, scn.bs_height, scn.ue_height,
-                                  scn.channel)
+        zl, zn = (path_gain_curve(r, los, scn.bs_height, scn.ue_height,
+                                  scn.channel) for los in (True, False))
         power = scn.tx_power * antenna_gain_curve(r, scn.bs_height,
                                                   scn.ue_height, scn.pattern)
         return np.array([power * zl, power * zn, self.area * r])
@@ -537,8 +536,8 @@ class _Field:
         n = min(4 * (int(10.0 * self.r_outer / self.step) + 1),
                 _MAX_TABLE - 1)
         right = self.step * np.arange(1, n + 1, dtype=float)
-        zl, zn = path_loss_curves(right, scn.bs_height, scn.ue_height,
-                                  scn.channel)
+        zl, zn = (path_gain_curve(right, los, scn.bs_height, scn.ue_height,
+                                  scn.channel) for los in (True, False))
         levels = self.levels_upto(n)[:n]
         area = math.pi * scn.bs_density * (right ** 2
                                            - (right - self.step) ** 2)

@@ -9,9 +9,9 @@ built-up environment.
 
 Each model is one vectorized kernel over ground distances ``r`` that
 takes the link heights and the model's parameters, ``(r, ..., bs_height,
-ue_height, params)``: :func:`path_gain_curve` for path gain at each
-link's own state (with :func:`path_loss_curves` for both states at
-once), :func:`los_step_levels` read by :func:`los_level_curve` for the
+ue_height, params)``, and returns its values rather than writing into
+an argument: :func:`path_gain_curve` for path gain at each link's own state,
+:func:`los_step_levels` read by :func:`los_level_curve` for the
 line-of-sight level and :func:`los_tail_sums` for each state's share of
 power-law tails, and :func:`antenna_gain_curve` for antenna gain.
 """
@@ -31,7 +31,6 @@ __all__ = [
     "EnvironmentParams",
     "ChannelParams",
     "AntennaPattern",
-    "path_loss_curves",
     "path_gain_curve",
     "los_breakpoints",
     "los_step_width",
@@ -126,39 +125,16 @@ class AntennaPattern:
 
 
 def path_gain_curve(r, los, bs_height: float, ue_height: float,
-                    channel: ChannelParams, out=None):
+                    channel: ChannelParams):
     """Vectorized path gain ``A * d**-alpha`` over ground distances ``r``,
     ``d`` being the 3-D link distance, each link at its own propagation
-    state ``los`` (a bool or a bool array shaped like ``r``).
-
-    ``out``, if given, is a ``(gain, work, state)`` triple of arrays
-    shaped like ``r``, float, float and intp: the gain is written into
-    the first and returned, the other two are overwritten.
-    """
+    state ``los`` (a bool or a bool array shaped like ``r``)."""
+    # np.take indexes (blocked, sight) by state without branching, which
+    # np.where does per element and mispredicts on mixed states.
     r = np.asarray(r, dtype=float)
-    if out is None:
-        out = (np.empty(r.shape), np.empty(r.shape),
-               np.empty(r.shape, dtype=np.intp))
-    gain, work, state = out
-    np.copyto(state, los)   # indexes (blocked, sight)
-    np.multiply(r, r, out=gain)
-    gain += (bs_height - ue_height) ** 2
-    gain **= np.take((-0.5 * channel.alpha_nlos, -0.5 * channel.alpha_los),
-                     state, out=work, mode="clip")
-    gain *= np.take((channel.intercept_nlos, channel.intercept_los), state,
-                    out=work, mode="clip")
-    return gain
-
-
-def path_loss_curves(r, bs_height: float, ue_height: float,
-                     channel: ChannelParams):
-    """Vectorized ``(los, nlos)`` path-gain pair ``A * d**-alpha`` over
-    ground distances ``r``, ``d`` being the 3-D link distance."""
-    r = np.asarray(r, dtype=float)
-    d2 = r * r + (bs_height - ue_height) ** 2
-    zl = channel.intercept_los * d2 ** (-0.5 * channel.alpha_los)
-    zn = channel.intercept_nlos * d2 ** (-0.5 * channel.alpha_nlos)
-    return zl, zn
+    gain = np.power(r * r + (bs_height - ue_height) ** 2, np.take(
+        (-0.5 * channel.alpha_nlos, -0.5 * channel.alpha_los), los))
+    return gain * np.take((channel.intercept_nlos, channel.intercept_los), los)
 
 
 def _clearance(h, env: EnvironmentParams):
@@ -369,25 +345,12 @@ def los_step_levels(env: EnvironmentParams, bs_height: float,
     return _los_levels_exact(env, bs_height, ue_height).upto(k_max)
 
 
-def los_level_curve(r, levels: np.ndarray, step: float,
-                    out=None) -> np.ndarray:
+def los_level_curve(r, levels: np.ndarray, step: float) -> np.ndarray:
     """Vectorized line-of-sight level over ground distances ``r``, read
     from a :func:`los_step_levels` table of step width ``step``:
-    ``levels[min(int(r / step), levels.size - 1)]``.
-
-    ``out``, if given, is a ``(level, index)`` pair of arrays shaped like
-    ``r``, float and intp: the level is written into the first, which
-    holds the step quotient before it, and returned; the second is
-    overwritten with the step index.
-    """
-    r = np.asarray(r, dtype=float)
-    if out is None:
-        out = (np.empty(r.shape), np.empty(r.shape, dtype=np.intp))
-    level, k = out
-    np.divide(r, step, out=level)
-    np.copyto(k, level, casting="unsafe")   # truncates, as int() does
-    np.minimum(k, levels.size - 1, out=k)
-    return np.take(levels, k, out=level, mode="clip")
+    ``levels[min(int(r / step), levels.size - 1)]``."""
+    k = (np.asarray(r, dtype=float) / step).astype(np.intp)   # truncates
+    return np.take(levels, k, mode="clip")   # the last level past the table
 
 
 def power_law_integral(u, du, p):

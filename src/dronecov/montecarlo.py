@@ -39,8 +39,7 @@ estimate is reduced by integer counts, so results are bit-identical for
 any worker count.  The array work (line-of-sight states, path and
 antenna gains, serving station, interference) runs once over the
 block's concatenated stations, through segment reductions that never
-mix drops.  Its block-sized intermediates live in per-estimate buffers,
-because fresh block-sized temporaries cost about a fifth of the time.
+mix drops.
 """
 
 from __future__ import annotations
@@ -240,9 +239,9 @@ def _with_radius(scn, spec: SimulationSpec) -> SimulationSpec:
 # Expected stations per block, the one constant of the block rule and so
 # part of the stream contract: changing it changes seeded results.  A
 # block pays a fixed cost (a generator, five draw calls and about thirty
-# NumPy calls) and holds about 80 bytes of buffers per station;
-# 16,384 stations (about 1.3 MiB) amortise that cost and keep the
-# block's arrays in cache: the automatic 685 m disk (74 stations per drop) gets 128-drop
+# NumPy calls) and its arrays peak at about 41 bytes per station; 16,384
+# stations (about 0.64 MiB) amortise that cost and keep the block's arrays
+# in cache: the automatic 685 m disk (74 stations per drop) gets 128-drop
 # blocks, which ran mc-drops about a quarter faster than 32-drop ones,
 # while 512-drop blocks ran slower than 128 and added RSS.  A set 2,740 m
 # disk gets 8 drops (about a tenth slower there than 32), a set 10 km
@@ -264,25 +263,9 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seq))
 
 
-class _Buffers:
-    """Per-estimate arrays reused by every block, grown with headroom when
-    a block needs more; a block's arrays are views valid until the next
-    block is drawn."""
-
-    def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, size: int, dtype=float) -> np.ndarray:
-        buf = self._arrays.get(name)
-        if buf is None or buf.size < size:
-            buf = self._arrays[name] = np.empty(size + size // 4 + 64, dtype)
-        return buf[:size]
-
-
 @dataclass
 class _Block:
-    """Stations of consecutive drops, concatenated in drop order, and the
-    buffers that their arrays view and that their SIR pass writes into."""
+    """Stations of consecutive drops, concatenated in drop order."""
 
     radii: np.ndarray     # ground distances
     los: np.ndarray
@@ -291,7 +274,6 @@ class _Block:
     counts: np.ndarray    # stations per drop
     serving: np.ndarray   # index of each drop's serving station
     resampled: int        # empty fields discarded over the block
-    bufs: _Buffers
 
 
 def _segment_argmin(values: np.ndarray, starts: np.ndarray,
@@ -312,7 +294,7 @@ def _sampler(scn, spec: SimulationSpec):
     blocked stations, each over the block's concatenated stations in
     drop order.  The disk radius and the line-of-sight table are the
     same for every drop, so they are resolved once here rather than per
-    block, and so are the arrays every block writes into.
+    block.
     """
     radius = _with_radius(scn, spec).disk_radius
     lam = scn.bs_density
@@ -329,7 +311,6 @@ def _sampler(scn, spec: SimulationSpec):
         mean = lam * math.pi * (radius * radius - r0 * r0)
     else:
         mean = lam * math.pi * radius * radius
-    bufs = _Buffers()
 
     def draw(rng: np.random.Generator, drops: int) -> _Block:
         n = rng.poisson(mean, drops)   # radius uniforms per drop
@@ -341,39 +322,24 @@ def _sampler(scn, spec: SimulationSpec):
         counts = n + 1 if r0 is not None else n
         ends = np.cumsum(counts)
         starts = ends - counts
-        u = rng.random(out=bufs.take("u", int(n.sum())))
-        los_u = rng.random(out=bufs.take("los_u", ends[-1]))
         if r0 is not None:
-            u *= radius * radius - r0 * r0
-            u += r0 * r0
-            np.sqrt(u, out=u)
             # Each drop's pinned serving station leads its segment.
-            radii = bufs.take("radii", ends[-1])
-            radii[starts] = r0
-            rest = bufs.take("rest", ends[-1], bool)
-            rest.fill(True)
-            rest[starts] = False
-            radii[rest] = u
+            u = rng.random(int(n.sum())) * (radius * radius - r0 * r0)
+            radii = np.insert(np.sqrt(u + r0 * r0), starts - np.arange(drops),
+                              r0)
             serving = starts
         else:
-            radii = np.sqrt(u, out=u)
-            radii *= radius
+            radii = np.sqrt(rng.random(int(n.sum()))) * radius
             serving = _segment_argmin(radii, starts, counts)
-        level = los_level_curve(radii, levels, step, out=(
-            bufs.take("work", radii.size),
-            bufs.take("index", radii.size, np.intp)))
-        los = np.less(los_u, level, out=bufs.take("los", radii.size, bool))
+        los = rng.random(radii.size) < los_level_curve(radii, levels, step)
         if force is not None:
             los[serving] = force
         # gamma(m, 1/m) is 1/m times standard_gamma(m), bit for bit.
-        fading = bufs.take("fading", radii.size)
-        for key, idx, m in (("fade_los", np.flatnonzero(los), ch.m_los),
-                            ("fade_nlos", np.flatnonzero(~los), ch.m_nlos)):
-            fade = rng.standard_gamma(m, out=bufs.take(key, idx.size))
-            fade *= 1.0 / m
-            fading[idx] = fade
-        return _Block(radii, los, fading, starts, counts, serving, resampled,
-                      bufs)
+        fading = np.empty(radii.size)
+        for idx, m in ((np.flatnonzero(los), ch.m_los),
+                       (np.flatnonzero(~los), ch.m_nlos)):
+            fading[idx] = rng.standard_gamma(m, idx.size) * (1.0 / m)
+        return _Block(radii, los, fading, starts, counts, serving, resampled)
 
     return draw
 
@@ -415,14 +381,11 @@ def sample_network(scn, spec: SimulationSpec,
 
 def _link_sums(scn, blk: _Block) -> tuple[np.ndarray, np.ndarray]:
     """Serving power and summed power of every other station, per drop
-    of a block, the per-station power written into the block's buffers.
-    The serving entry is zeroed before the sum rather than subtracted
-    after it, so a strong signal costs the interference no digits."""
-    n, bufs = blk.radii.size, blk.bufs
+    of a block.  The serving entry is zeroed before the sum rather than
+    subtracted after it, so a strong signal costs the interference no
+    digits."""
     power = path_gain_curve(blk.radii, blk.los, scn.bs_height, scn.ue_height,
-                            scn.channel, out=(bufs.take("power", n),
-                                              bufs.take("work", n),
-                                              bufs.take("index", n, np.intp)))
+                            scn.channel)
     power *= antenna_gain_curve(blk.radii, scn.bs_height, scn.ue_height,
                                 scn.pattern)
     power *= scn.tx_power
@@ -451,7 +414,7 @@ def compute_sir(real: NetworkRealization, scn, far_mean: float = 0.0) -> float:
     blk = _Block(radii, real.los, real.fading, starts=np.zeros(1, np.intp),
                  counts=np.array([radii.size]),
                  serving=np.array([np.argmin(radii)]),
-                 resampled=real.resampled, bufs=_Buffers())
+                 resampled=real.resampled)
     return float(_block_sir(scn, blk, far_mean)[0])
 
 

@@ -199,11 +199,6 @@ class StepPanels:
         self.top[idx], self.bottom[idx] = panels.top, panels.bottom
         self.owner[idx] = panels.owner
 
-    @property
-    def total(self) -> np.ndarray:
-        """Weights of the plain integral ``int f``."""
-        return self.w0 + self.w1
-
     @staticmethod
     def concat(parts: Sequence["StepPanels"]) -> "StepPanels":
         return StepPanels(np.concatenate([p.lo for p in parts]),

@@ -764,11 +764,10 @@ def test_public_names_resolve_and_quadrature_spec_holds_accuracy_only():
         names = getattr(module, "__all__", ())
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
-    assert {"path_loss_curves", "path_gain_curve", "los_level_curve",
-            "los_tail_sums", "antenna_gain_curve",
-            "power_law_integral"} <= set(channel.__all__)
+    assert {"path_gain_curve", "los_level_curve", "los_tail_sums",
+            "antenna_gain_curve", "power_law_integral"} <= set(channel.__all__)
     removed = {"LinkGeometry", "path_loss", "los_probability", "antenna_gain",
-               "far_field_mean"}
+               "far_field_mean", "path_loss_curves"}
     assert not removed & (set(dronecov.__all__) | set(channel.__all__)
                           | set(montecarlo.__all__))
     assert [f.name for f in fields(QuadratureSpec)] == [

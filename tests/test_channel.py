@@ -23,7 +23,6 @@ from dronecov.channel import (
     los_step_width,
     main_lobe_interval,
     path_gain_curve,
-    path_loss_curves,
 )
 import dronecov.channel as channel
 from dronecov.channel import _los_levels_exact
@@ -70,21 +69,28 @@ def test_path_loss_zero_distance_rejected():
 
 def test_path_loss_monotone_decreasing_in_distance():
     r = np.linspace(1.0, 500.0, 200)
-    zl, zn = path_loss_curves(r, 30.0, 60.0, CHANNEL)
-    assert np.all(np.diff(zl) < 0)
-    assert np.all(np.diff(zn) < 0)
+    for los in (True, False):
+        z = path_gain_curve(r, los, 30.0, 60.0, CHANNEL)
+        assert np.all(np.diff(z) < 0)
 
 
-def test_path_loss_curves_match_scalar():
-    r = np.array([10.0, 100.0, 330.0])
-    zl, zn = path_loss_curves(r, 30.0, 60.0, CHANNEL)
+def test_path_gain_is_exact_across_state_layouts_and_scalars():
+    # The analytic route reads both states from one call per state, the
+    # Monte Carlo route from one mixed-state call, and the serving link
+    # from a scalar call: all must give the same bits.
+    r = np.append([10.0, 100.0, 330.0], np.geomspace(0.5, 2e4, 45))
+    zl, zn = (path_gain_curve(r, los, 30.0, 60.0, CHANNEL)
+              for los in (True, False))
     for i, ri in enumerate(r):
         for los, z in ((True, zl), (False, zn)):
-            assert_allclose(path_gain_curve(float(ri), los, 30.0, 60.0,
-                                            CHANNEL), z[i], rtol=1e-14)
-    los = np.array([True, False, True])
-    assert_allclose(path_gain_curve(r, los, 30.0, 60.0, CHANNEL),
-                    np.where(los, zl, zn), rtol=1e-14)
+            assert path_gain_curve(float(ri), los, 30.0, 60.0,
+                                   CHANNEL) == z[i]
+    los = np.arange(r.size) % 3 != 1
+    assert np.array_equal(path_gain_curve(r, los, 30.0, 60.0, CHANNEL),
+                          np.where(los, zl, zn))
+    grid = r[:48].reshape(2, 24)
+    assert np.array_equal(path_gain_curve(grid, True, 30.0, 60.0, CHANNEL),
+                          zl[:48].reshape(2, 24))
 
 
 # ------------------------------------------------------ line-of-sight tails
