@@ -12,11 +12,15 @@ Each row prints the disk radius, its ``far_ripple``, the stations per drop,
 the estimate P, the analytic ``coverage_probability``, their difference
 and z = (P - analytic) / std_error.  The far field beyond the disk enters
 as its mean only, so z measures what that replacement costs; |z| within 4
-on every row is what the radius rule is held to.
+on every row is what the radius rule is held to.  The script exits 1 if
+any row has |z| above 4 or an undefined z (no spread to judge it by),
+else 0.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import replace
 
 from dronecov.analytic import coverage_probability
@@ -26,6 +30,7 @@ from dronecov.montecarlo import SimulationSpec, estimate_coverage
 DROPS = 4_000_000
 SEED = 123
 WORKERS = 2
+MAX_Z = 4.0
 
 
 def scenarios():
@@ -39,11 +44,12 @@ def scenarios():
                        replace(base, env=env, bs_height=bs, ue_height=ue))
 
 
-def main() -> None:
+def main() -> int:
     spec = SimulationSpec(DROPS, seed=SEED)
     print(f"{'scenario':<32} {'radius_m':>9} {'far_ripple':>10} "
           f"{'stations':>8} {'P':>10} {'analytic':>10} {'P-analytic':>10} "
           f"{'z':>6}")
+    failed = 0
     for label, scn in scenarios():
         est = estimate_coverage(scn, spec, workers=WORKERS)
         exact = coverage_probability(scn).probability
@@ -55,7 +61,11 @@ def main() -> None:
               f"{diag['stations'] / diag['drops']:8.1f} "
               f"{est.probability:10.3e} {exact:10.3e} "
               f"{est.probability - exact:+10.2e} {z:6.2f}", flush=True)
+        failed += math.isnan(z) or abs(z) > MAX_Z
+    if failed:
+        print(f"{failed} rows beyond |z| = {MAX_Z:g} or undefined")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

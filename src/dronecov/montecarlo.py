@@ -36,10 +36,10 @@ stay in cache.  So the block size is a function of the scenario and the
 disk alone, and the stream is defined per block: changing the constant
 changes seeded results.  Worker chunks are whole blocks and the
 estimate is reduced by integer counts, so results are bit-identical for
-any worker count.  The array work (line-of-sight states, path and
-antenna gains, serving station, interference) runs once over the
-block's concatenated stations, through segment reductions that never
-mix drops.
+any worker count.  Each drop's serving station is drawn first and
+leads its segment; the array work (line-of-sight states, path and
+antenna gains, interference) runs once over the block's concatenated
+stations, through segment reductions that never mix drops.
 """
 
 from __future__ import annotations
@@ -129,15 +129,11 @@ class SimulationSpec:
 
 @dataclass
 class NetworkRealization:
-    """One sampled field: station positions, propagation states, fading.
-
-    ``resampled`` counts empty fields discarded before this one.
-    """
+    """One sampled field: station positions, propagation states, fading."""
 
     positions: np.ndarray   # (n, 2) ground coordinates, user at origin
     los: np.ndarray         # (n,) bool
     fading: np.ndarray      # (n,) unit-mean power gains
-    resampled: int = 0
     # (n,) ground distances as drawn, which np.hypot of the positions
     # misses by an ulp for some angles; None for a field built by hand.
     radii: np.ndarray | None = None
@@ -265,39 +261,38 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 @dataclass
 class _Block:
-    """Stations of consecutive drops, concatenated in drop order."""
+    """Stations of consecutive drops, concatenated in drop order, each
+    drop's serving station first."""
 
     radii: np.ndarray     # ground distances
     los: np.ndarray
     fading: np.ndarray
-    starts: np.ndarray    # index of each drop's first station
+    starts: np.ndarray    # index of each drop's first, serving station
     counts: np.ndarray    # stations per drop
-    serving: np.ndarray   # index of each drop's serving station
-    resampled: int        # empty fields discarded over the block
-
-
-def _segment_argmin(values: np.ndarray, starts: np.ndarray,
-                    counts: np.ndarray) -> np.ndarray:
-    # First minimum of each segment, which is argmin's tie rule.
-    low = np.minimum.reduceat(values, starts)
-    hits = np.flatnonzero(values == np.repeat(low, counts))
-    return hits[np.searchsorted(hits, starts)]
 
 
 def _sampler(scn, spec: SimulationSpec):
     """``draw(rng, drops) -> _Block`` for one estimate.
 
-    A block's generator makes one call per kind of draw, in a fixed
-    order: Poisson counts for all its drops (empty fields redrawn
-    together until none is left), radius uniforms, line-of-sight
-    uniforms, then gamma fading for the line-of-sight and then for the
-    blocked stations, each over the block's concatenated stations in
-    drop order.  The disk radius and the line-of-sight table are the
-    same for every drop, so they are resolved once here rather than per
-    block.
+    The serving station is drawn first.  Its squared distance comes from
+    the nearest-station law on a disk that holds a station, or is the
+    pinned distance squared; the other stations form a Poisson field on
+    the annulus beyond it, which is the conditional law of a Poisson
+    field seen from its nearest point.  A block's generator makes one
+    call per kind of draw, in a fixed order: serving uniforms for all
+    its drops (none when the distance is pinned), Poisson counts of the
+    annulus stations, one radius uniform per station, the serving
+    station's slot included, line-of-sight uniforms, then gamma fading
+    for the line-of-sight and then for the blocked stations, each over
+    the block's concatenated stations in drop order.  Each drop's
+    serving slot is then overwritten with its serving distance.  The
+    disk radius and the line-of-sight table are the same for every
+    drop, so they are resolved once here rather than per block.
     """
     radius = _with_radius(scn, spec).disk_radius
-    lam = scn.bs_density
+    area = radius * radius
+    per_area = scn.bs_density * math.pi
+    hold = -math.expm1(-per_area * area)   # chance the disk holds a station
     r0 = spec.fixed_serving_distance
     if r0 is not None and r0 >= radius:
         raise DomainError("fixed_serving_distance must lie inside "
@@ -307,39 +302,33 @@ def _sampler(scn, spec: SimulationSpec):
                              int(radius / step) + 1)
     ch = scn.channel
     force = spec.force_serving_los
-    if r0 is not None:
-        mean = lam * math.pi * (radius * radius - r0 * r0)
-    else:
-        mean = lam * math.pi * radius * radius
 
     def draw(rng: np.random.Generator, drops: int) -> _Block:
-        n = rng.poisson(mean, drops)   # radius uniforms per drop
-        resampled = 0
-        while r0 is None and not n.all():
-            empty = np.flatnonzero(n == 0)
-            resampled += empty.size
-            n[empty] = rng.poisson(mean, empty.size)
-        counts = n + 1 if r0 is not None else n
+        if r0 is None:
+            near = -np.log1p(-hold * rng.random(drops)) / per_area
+            np.minimum(near, area, out=near)
+        else:
+            near = np.full(drops, r0 * r0)
+        width = area - near   # the annulus, in squared distance
+        counts = rng.poisson(per_area * width) + 1
         ends = np.cumsum(counts)
         starts = ends - counts
-        if r0 is not None:
-            # Each drop's pinned serving station leads its segment.
-            u = rng.random(int(n.sum())) * (radius * radius - r0 * r0)
-            radii = np.insert(np.sqrt(u + r0 * r0), starts - np.arange(drops),
-                              r0)
-            serving = starts
-        else:
-            radii = np.sqrt(rng.random(int(n.sum()))) * radius
-            serving = _segment_argmin(radii, starts, counts)
+        # area - (1 - u) * width, in place: u - 1 is -(1 - u) exactly.
+        radii = rng.random(int(ends[-1]))
+        radii -= 1.0
+        radii *= np.repeat(width, counts)
+        radii += area
+        radii[starts] = near
+        np.sqrt(radii, out=radii)
         los = rng.random(radii.size) < los_level_curve(radii, levels, step)
         if force is not None:
-            los[serving] = force
+            los[starts] = force
         # gamma(m, 1/m) is 1/m times standard_gamma(m), bit for bit.
         fading = np.empty(radii.size)
         for idx, m in ((np.flatnonzero(los), ch.m_los),
                        (np.flatnonzero(~los), ch.m_nlos)):
             fading[idx] = rng.standard_gamma(m, idx.size) * (1.0 / m)
-        return _Block(radii, los, fading, starts, counts, serving, resampled)
+        return _Block(radii, los, fading, starts, counts)
 
     return draw
 
@@ -375,8 +364,7 @@ def sample_network(scn, spec: SimulationSpec,
     angles = 2.0 * math.pi * rng.random(blk.radii.size)
     positions = np.column_stack((blk.radii * np.cos(angles),
                                  blk.radii * np.sin(angles)))
-    return NetworkRealization(positions, blk.los, blk.fading, blk.resampled,
-                              blk.radii)
+    return NetworkRealization(positions, blk.los, blk.fading, blk.radii)
 
 
 def _link_sums(scn, blk: _Block) -> tuple[np.ndarray, np.ndarray]:
@@ -390,8 +378,8 @@ def _link_sums(scn, blk: _Block) -> tuple[np.ndarray, np.ndarray]:
                                 scn.pattern)
     power *= scn.tx_power
     power *= blk.fading
-    signal = power[blk.serving]
-    power[blk.serving] = 0.0
+    signal = power[blk.starts]
+    power[blk.starts] = 0.0
     return signal, np.add.reduceat(power, blk.starts)
 
 
@@ -411,10 +399,12 @@ def compute_sir(real: NetworkRealization, scn, far_mean: float = 0.0) -> float:
         radii = np.hypot(real.positions[:, 0], real.positions[:, 1])
     if radii.size == 0:
         raise DomainError("realization holds no stations")
-    blk = _Block(radii, real.los, real.fading, starts=np.zeros(1, np.intp),
-                 counts=np.array([radii.size]),
-                 serving=np.array([np.argmin(radii)]),
-                 resampled=real.resampled)
+    # A block leads with its serving station: swap the nearest to the front.
+    k = int(np.argmin(radii))
+    order = np.arange(radii.size)
+    order[[0, k]] = k, 0
+    blk = _Block(radii[order], real.los[order], real.fading[order],
+                 starts=np.zeros(1, np.intp), counts=np.array([radii.size]))
     return float(_block_sir(scn, blk, far_mean)[0])
 
 
@@ -423,12 +413,12 @@ def compute_sir(real: NetworkRealization, scn, far_mean: float = 0.0) -> float:
 
 def _chunk_counts(scn, spec: SimulationSpec, lo: int, hi: int,
                   far_mean: float) -> np.ndarray:
-    # Covered drops, resampled drops, single-station drops and stations.
-    counts = np.zeros(4, dtype=np.int64)
+    # Covered drops, single-station drops and stations.
+    counts = np.zeros(3, dtype=np.int64)
     thr = scn.sir_threshold
     for blk in _blocks(scn, spec, lo, hi):
         counts += (np.count_nonzero(_block_sir(scn, blk, far_mean) > thr),
-                   blk.resampled, np.count_nonzero(blk.counts == 1),
+                   np.count_nonzero(blk.counts == 1),
                    blk.counts.sum())
         del blk   # freed before the next block is drawn, not after
     return counts
@@ -456,7 +446,7 @@ def estimate_coverage(scn, spec: SimulationSpec,
             futs = [pool.submit(_chunk_counts, scn, spec, a, b, far_mean)
                     for a, b in zip(bounds[:-1], bounds[1:])]
             counts = sum(fut.result() for fut in futs)
-    covered, resampled, single, stations = (int(c) for c in counts)
+    covered, single, stations = (int(c) for c in counts)
     prob = covered / n
     std_err = math.sqrt(prob * (1.0 - prob) / n)
     scale = _disk_profile(scn)[1]
@@ -466,7 +456,6 @@ def estimate_coverage(scn, spec: SimulationSpec,
         "far_mean": far_mean,
         "far_ripple": math.sqrt(far_var) / scale if scale > 0.0 else 0.0,
         "ripple_scale": scale,
-        "resampled_drops": resampled,
         "single_station_drops": single,
         "drops": n,
         "stations": stations,

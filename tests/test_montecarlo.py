@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import itertools
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from dronecov.analytic import (
     NetworkScenario,
@@ -115,23 +117,70 @@ def test_fixed_serving_distance_is_exact_minimum():
         assert int(np.argmin(radii)) == 0
 
 
+@pytest.mark.parametrize("disk_radius", [None, 80.0], ids=["auto", "80m"])
+def test_serving_distance_follows_truncated_nearest_station_law(disk_radius):
+    # Each drop's segment starts with its serving station, whose distance
+    # on a disk that holds a station has the law
+    # F(r) = (1 - exp(-lam pi r^2)) / (1 - exp(-lam pi R^2)).  The set
+    # 80 m disk holds about one station in expectation, so there the
+    # untruncated law is far off and must be rejected.
+    scn = default_scenario()
+    spec = montecarlo._with_radius(scn, SimulationSpec(
+        num_drops=100_000, seed=1, disk_radius=disk_radius))
+    per_area = scn.bs_density * math.pi
+    radius = spec.disk_radius
+    near = np.concatenate([
+        blk.radii[blk.starts]
+        for blk in montecarlo._blocks(scn, spec, 0, spec.num_drops)])
+    assert near.size == spec.num_drops and near.max() <= radius
+
+    def law(r):
+        return -np.expm1(-per_area * r * r) / -math.expm1(
+            -per_area * radius * radius)
+
+    assert stats.kstest(near, law).pvalue > 1e-3
+    if disk_radius is not None:
+        untruncated = stats.kstest(near,
+                                   lambda r: -np.expm1(-per_area * r * r))
+        assert untruncated.pvalue < 1e-6
+
+
+def test_disk_too_small_to_hold_a_station_answers_at_once():
+    # A 0.01 m disk holds a second station with chance 1.6e-8: every drop
+    # is its serving station alone, drawn on the disk.
+    scn = default_scenario()
+    spec = SimulationSpec(num_drops=2000, seed=3, disk_radius=0.01)
+    start = time.perf_counter()
+    est = estimate_coverage(scn, spec)
+    assert time.perf_counter() - start < 1.0
+    assert (est.diagnostics["single_station_drops"] == est.diagnostics["drops"]
+            == spec.num_drops)
+    for blk in montecarlo._blocks(scn, spec, 0, spec.num_drops):
+        assert blk.radii.max() <= spec.disk_radius
+
+
 def test_conditional_block_lays_out_radii_in_draw_order():
     # Reference loop: each drop's segment is its pinned serving station,
-    # then that drop's share of the radius uniforms, in draw order.
+    # then the annulus stations mapped from that drop's radius uniforms,
+    # in draw order; the uniform of the serving slot is drawn and unused.
     r0, radius, drops = 150.0, 3000.0, 40
     spec = SimulationSpec(num_drops=drops, disk_radius=radius,
                           fixed_serving_distance=r0)
     blk = montecarlo._sampler(SCN, spec)(_block_rng(7, 0), drops)
     rng = _block_rng(7, 0)
-    area = radius * radius - r0 * r0
-    n = rng.poisson(SCN.bs_density * math.pi * area, drops)
-    u = np.sqrt(rng.random(int(n.sum())) * area + r0 * r0)
-    assert np.array_equal(blk.counts, n + 1)
+    width = radius * radius - r0 * r0
+    n = [int(rng.poisson(SCN.bs_density * math.pi * width))
+         for _ in range(drops)]
+    u = rng.random(sum(n) + drops)
+    assert blk.counts.tolist() == [nj + 1 for nj in n]
     a = 0
     for lo, nj in zip(blk.starts, n):
         assert blk.radii[lo] == r0
-        assert np.array_equal(blk.radii[lo + 1:lo + 1 + nj], u[a:a + nj])
-        a += nj
+        for k in range(1, nj + 1):
+            assert blk.radii[lo + k] == math.sqrt(
+                radius * radius - (1.0 - u[a + k]) * width)
+        a += nj + 1
+    assert a == blk.radii.size
 
 
 def test_forced_serving_state_is_applied():
@@ -310,8 +359,8 @@ def test_far_field_mean_of_never_blocked_links_is_power_law_closed_form():
 def test_estimate_reference_value():
     est = estimate_coverage(SCN, SimulationSpec(num_drops=500, seed=11))
     assert isinstance(est, CoverageEstimate)
-    assert est.probability == 0.284
-    assert_allclose(est.std_error, 0.020166506886419373, rtol=1e-12)
+    assert est.probability == 0.322
+    assert_allclose(est.std_error, 0.020895741192884256, rtol=1e-12)
     assert est.num_drops == 500
     assert est.diagnostics["disk_radius"] == pytest.approx(684.89, abs=0.01)
 
@@ -337,10 +386,10 @@ def _abg_scenario(alpha: float, threshold: float):
 
 
 @pytest.mark.parametrize("case, probability, stations, radius", [
-    pytest.param("ground", 0.741, 147087, 684.89, id="ground"),
-    pytest.param("aerial", 0.3315, 147455, 684.89, id="aerial"),
-    pytest.param("conditional", 0.2495, 147886, 684.89, id="conditional"),
-    pytest.param("abg", 0.5605, 147124, 684.89, id="abg"),
+    pytest.param("ground", 0.757, 147160, 684.89, id="ground"),
+    pytest.param("aerial", 0.343, 148000, 684.89, id="aerial"),
+    pytest.param("conditional", 0.251, 147886, 684.89, id="conditional"),
+    pytest.param("abg", 0.552, 147476, 684.89, id="abg"),
 ])
 def test_estimate_seeded_outputs_are_pinned(case, probability, stations,
                                             radius):
@@ -688,7 +737,7 @@ def test_laplace_empirical_reference_and_bounds():
     means, std_errs = laplace_empirical(
         SCN, SimulationSpec(num_drops=300, seed=12,
                             fixed_serving_distance=100.0), [5e7, 2e8])
-    assert_allclose(means, [0.7829730995312963, 0.37977721786072055],
+    assert_allclose(means, [0.7815499081641029, 0.3771778844232483],
                     rtol=1e-12)
     assert np.all((means > 0.0) & (means < 1.0))
     assert np.all(std_errs > 0.0)
