@@ -46,13 +46,15 @@ from .channel import (
     los_breakpoints,
     los_exact_steps,
     los_level_curve,
+    los_step_index,
     los_step_levels,
     los_step_width,
     los_tail_sums,
     path_gain_curve,
     power_law_integral,
 )
-from .errors import CapabilityError, DomainError, QuadratureError
+from .errors import (CapabilityError, DomainError, QuadratureError,
+                     require_positive)
 from .quadrature import (CHEB_NODES, StepIntegrals, StepPanels, build_edges,
                          chebyshev_nodes, integrate_steps, kronrod_panels,
                          step_panels)
@@ -100,15 +102,11 @@ class NetworkScenario:
     pattern: AntennaPattern
 
     def __post_init__(self) -> None:
-        if self.bs_density <= 0.0:
-            raise DomainError(f"bs_density must be positive, got {self.bs_density}")
-        if self.bs_height < 0.0 or self.ue_height < 0.0:
-            raise DomainError("heights must be non-negative")
-        if self.tx_power <= 0.0:
-            raise DomainError(f"tx_power must be positive, got {self.tx_power}")
-        if self.sir_threshold <= 0.0:
-            raise DomainError(
-                f"sir_threshold must be positive, got {self.sir_threshold}")
+        require_positive(self, "bs_density", "tx_power", "sir_threshold")
+        for name in ("bs_height", "ue_height"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be non-negative and finite, "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -124,8 +122,11 @@ class QuadratureSpec:
     outer_trunc_prob: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise DomainError("tolerances must be positive")
+        if not all(0.0 < tol < math.inf
+                   for tol in (self.rel_tol, self.abs_tol)):
+            raise DomainError(
+                "tolerances must be positive and finite, got rel_tol="
+                f"{self.rel_tol}, abs_tol={self.abs_tol}")
         if not 0.0 < self.outer_trunc_prob < 0.1:
             raise DomainError("outer_trunc_prob must lie in (0, 0.1)")
 
@@ -150,39 +151,27 @@ def serving_distance_pdf(r0, bs_density: float):
 # fading attenuation factor and its derivatives
 
 
-def _scaled_attenuation_rows(x: np.ndarray, m: int, orders: int,
-                             out: np.ndarray | None = None) -> np.ndarray:
-    # Row j (1-based) holds s^j |A^(j)(s)| / j! elementwise, A(s) = (1 +
-    # x)^-m with x = s c / m the attenuation of one link averaged over its
-    # unit-mean gamma fading; that is the negative-binomial term
-    # C(m+j-1, j) x^j / (1+x)^(m+j), which is <= 1.
-    # Each row is the previous one times x/(1+x) times (m+j-1)/j, from the
-    # j = 0 term (1+x)^-m, which waits in out[-1] until the last row; the
-    # rows (orders >= 1) go to out[j - 1] when out is given.
-    if out is None:
-        out = np.empty((orders,) + np.shape(x))
-    ratio = 1.0 + x
-    np.divide(x, ratio, out=ratio)
-    row = np.log1p(x, out=out[-1])
-    row *= -m
-    np.exp(row, out=row)
-    for j in range(1, orders + 1):
-        row = np.multiply(row, ratio, out=out[j - 1])
-        row *= (m + j - 1) / j
-    return out
-
-
 def _link_rows(c: np.ndarray, area: np.ndarray, s, m: int,
                orders: int) -> np.ndarray:
     # Integrand rows j = 0..orders of the transform log over links with
     # fading order m and mean received power c per unit fading, at
-    # argument s: row 0 is one minus the attenuation, row j the scaled
-    # attenuation derivative of _scaled_attenuation_rows, each times area
-    # (2 pi lam r), written in place: row 0 starts as x = s c / m.
+    # argument s, each times area (2 pi lam r).  With x = s c / m, one
+    # link's attenuation averaged over its unit-mean gamma fading is A(s)
+    # = (1 + x)^-m: row 0 is 1 - A(s), and row j is s^j |A^(j)(s)| / j!,
+    # the negative-binomial term C(m+j-1, j) x^j / (1+x)^(m+j) <= 1, each
+    # the previous one times x/(1+x) times (m+j-1)/j from A(s) itself,
+    # which waits in the last row.  Written in place: row 0 starts as x.
     out = np.empty((orders + 1,) + np.broadcast_shapes(np.shape(s), c.shape))
     x = np.multiply(s / m, c, out=out[0])
     if orders:
-        _scaled_attenuation_rows(x, m, orders, out=out[1:])
+        ratio = 1.0 + x
+        np.divide(x, ratio, out=ratio)
+        row = np.log1p(x, out=out[-1])
+        row *= -m
+        np.exp(row, out=row)
+        for j in range(1, orders + 1):
+            row = np.multiply(row, ratio, out=out[j])
+            row *= (m + j - 1) / j
     np.log1p(x, out=x)
     x *= -m
     np.expm1(x, out=x)
@@ -245,11 +234,11 @@ class _Field:
             / (math.pi * scn.bs_density))
         self._levels = np.empty(0)
         # Panel grid, extended on demand, with line-of-sight weights below
-        # _n_sight, and tail sums per power set at its handover candidates.
-        self._edges = np.zeros(1)
+        # _n_sight, the step of each edge (-1 off the breakpoints), and tail
+        # sums per power set at its handover candidates.
+        self._edges, self._edge_steps = np.zeros(1), np.zeros(1, np.intp)
         self._grid = self._panels(np.zeros(0), np.zeros(0), 0)
         self._n_sight = 0
-        self._cuts, self._cut_edges = np.empty(0, dtype=np.int64), 0
         self._tails: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     # ---------------------------------------------------------- step table
@@ -261,12 +250,6 @@ class _Field:
                 self.scn.env, self.scn.bs_height, self.scn.ue_height,
                 int(k_max)))
         return self._levels
-
-    def level_at(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return los_level_curve(
-            r, self.levels_upto(int(r.max(initial=0.0) / self.step)),
-            self.step)
 
     # --------------------------------------------------- far-field closed forms
 
@@ -283,22 +266,17 @@ class _Field:
         gain switch) to the first past ``end`` or as far as sums are at
         hand, and :func:`los_tail_sums`' line-of-sight shares and errors
         there, rows per power."""
-        scn, e = self.scn, self._grid_to(end)
-        if self._cut_edges != e.size:
-            steps = np.round(e / self.step).astype(np.int64)
-            self._cuts = steps[(steps * self.step == e) & (steps > 0)
-                               & (steps < _MAX_TABLE)
-                               & (e >= self.far_gain[1])]
-            self._cut_edges = e.size
+        scn, e, ks = self.scn, self._grid_to(end), self._edge_steps
+        cuts = ks[(ks > 0) & (ks < _MAX_TABLE) & (e >= self.far_gain[1])]
         vals, errs = self._tails.get(powers, (np.zeros((len(powers), 0)),) * 2)
-        n = max(np.searchsorted(self._cuts * self.step, end, side="right") + 1,
+        n = max(np.searchsorted(cuts * self.step, end, side="right") + 1,
                 vals.shape[1])
         if vals.shape[1] < n:
             more = los_tail_sums(scn.env, scn.bs_height, scn.ue_height, powers,
-                                 self._cuts[vals.shape[1]:n] * self.step)
+                                 cuts[vals.shape[1]:n] * self.step)
             vals, errs = self._tails[powers] = (np.hstack([vals, more[0]]),
                                                 np.hstack([errs, more[2]]))
-        return self._cuts[:n], vals[:, :n], errs[:, :n]
+        return cuts[:n], vals[:, :n], errs[:, :n]
 
     def handover(self, r0: np.ndarray, s: np.ndarray, orders: int,
                  floor: np.ndarray | None = None) -> tuple:
@@ -438,27 +416,33 @@ class _Field:
         step, they end on the first breakpoint past that width, and
         narrower, on the next breakpoint when they would come within a
         quarter panel of it, so each carries one level.  Every gain switch
-        and the table cap's last step are edges.  The panels themselves
-        are built when :meth:`integrate_rows` first reaches them."""
-        step = self.step
+        and the table cap's last step are edges, and each edge keeps its
+        step in ``_edge_steps``, -1 off the breakpoints.  The panels
+        themselves are built when :meth:`integrate_rows` first reaches
+        them."""
+        step, env = self.step, self.scn.env
         if self._edges[-1] > r:
             return self._edges
-        edges = self._edges.tolist()
+        edges, steps = self._edges.tolist(), self._edge_steps.tolist()
         x, k, cap = edges[-1], 0, _MAX_TABLE - 1
         while x <= r or k < 0:
             d = max(math.hypot(x, math.sqrt(self.gap2)), 1e-3 * step)
-            k = int(x / step) + 1     # the next breakpoint
-            k += k * step <= x
-            if d >= step:
-                k = math.ceil((x + d) / step)
-            elif x + d <= k * step - 0.25 * d:
-                k = -1
-            # Edges with their step, -1 off the breakpoints.
+            if d >= step:    # the first breakpoint at or past x + d
+                k = int(los_step_index(x + d, env))
+                k += k * step < x + d
+            else:            # the next breakpoint, or x + d well before it
+                k = int(los_step_index(x, env)) + 1
+                k += k * step <= x
+                if x + d <= k * step - 0.25 * d:
+                    k = -1
+            # A breakpoint wins a tie with a gain switch.
             stops = [(x + d if k < 0 else k * step, k), (cap * step, cap),
                      *((w, -1) for w in self.switches)]
-            x, k = min(stop for stop in stops if stop[0] > x)
+            x, k = min((stop for stop in stops if stop[0] > x),
+                       key=lambda stop: stop[0])
             edges.append(x)
-        self._edges = np.asarray(edges)
+            steps.append(k)
+        self._edges, self._edge_steps = np.asarray(edges), np.asarray(steps)
         return self._edges
 
     def integrate_rows(self, rows, r0: np.ndarray, k_sight: np.ndarray,
@@ -533,7 +517,7 @@ class _Field:
         # their complements, the mass of 2 pi lam r dr on each interval,
         # and suffix sums of that mass times the larger path gain.
         scn = self.scn
-        n = min(4 * (int(10.0 * self.r_outer / self.step) + 1),
+        n = min(4 * (los_step_index(10.0 * self.r_outer, scn.env) + 1),
                 _MAX_TABLE - 1)
         right = self.step * np.arange(1, n + 1, dtype=float)
         zl, zn = (path_gain_curve(right, los, scn.bs_height, scn.ue_height,
@@ -565,7 +549,7 @@ class _Field:
         s, need = (np.broadcast_to(x, shape).reshape(-1, r0.size)
                    for x in (s, need))
         out = np.zeros(s.shape)
-        k = (r0 / self.step).astype(np.int64)
+        k = los_step_index(r0, self.scn.env)
         pattern = self.scn.pattern
         c = s * self.scn.tx_power * min(pattern.gain_main, pattern.gain_side)
         idle = c * tail[np.minimum(k, area.size - 1)] <= need
@@ -776,7 +760,7 @@ def coverage_probability(scn: NetworkScenario,
     ch = scn.channel
     _require_order(max(ch.m_los, ch.m_nlos))
     fld = _field_for(scn, quad)
-    if fld.r_outer > _MAX_TABLE * fld.step:
+    if los_step_index(fld.r_outer, scn.env) >= _MAX_TABLE:
         # Outer nodes past the cap have no handover candidate beyond them,
         # so the first batch would be refused after r_outer / step panels.
         raise QuadratureError("outer radius lies past the step-table cap", {
@@ -789,7 +773,7 @@ def coverage_probability(scn: NetworkScenario,
         # Density times conditional coverage at the panel nodes.
         nonlocal skipped, inner_evals, inner_panels
         r0 = data[0].ravel()
-        p_los = fld.level_at(r0)
+        p_los = los_level_curve(r0, scn.bs_height, scn.ue_height, scn.env)
         total = np.zeros(r0.size)
         for los, m, weight in ((True, ch.m_los, p_los),
                                (False, ch.m_nlos, 1.0 - p_los)):

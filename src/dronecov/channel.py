@@ -11,9 +11,12 @@ Each model is one vectorized kernel over ground distances ``r`` that
 takes the link heights and the model's parameters, ``(r, ..., bs_height,
 ue_height, params)``, and returns its values rather than writing into
 an argument: :func:`path_gain_curve` for path gain at each link's own state,
-:func:`los_step_levels` read by :func:`los_level_curve` for the
-line-of-sight level and :func:`los_tail_sums` for each state's share of
-power-law tails, and :func:`antenna_gain_curve` for antenna gain.
+:func:`los_level_curve` for the line-of-sight level and
+:func:`los_tail_sums` for each state's share of power-law tails, and
+:func:`antenna_gain_curve` for antenna gain.  The line-of-sight level is
+a step function of ground distance; :func:`los_step_index` is the one
+rule for which step holds a distance, and :func:`los_step_levels` the
+table of levels per step.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, require_positive
 from .quadrature import integrate_steps, kronrod_panels
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "path_gain_curve",
     "los_breakpoints",
     "los_step_width",
+    "los_step_index",
     "los_step_levels",
     "los_level_curve",
     "los_tail_sums",
@@ -63,12 +67,7 @@ class EnvironmentParams:
         if not 0.0 < self.built_fraction <= 1.0:
             raise DomainError(
                 f"built_fraction must lie in (0, 1], got {self.built_fraction}")
-        if self.buildings_per_km2 <= 0.0:
-            raise DomainError(
-                f"buildings_per_km2 must be positive, got {self.buildings_per_km2}")
-        if self.height_scale <= 0.0:
-            raise DomainError(
-                f"height_scale must be positive, got {self.height_scale}")
+        require_positive(self, "buildings_per_km2", "height_scale")
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,8 @@ class ChannelParams:
     m_nlos: int
 
     def __post_init__(self) -> None:
-        if self.alpha_los <= 0.0 or self.alpha_nlos <= 0.0:
-            raise DomainError("path-loss exponents must be positive")
-        if self.intercept_los <= 0.0 or self.intercept_nlos <= 0.0:
-            raise DomainError("path-loss intercepts must be positive")
+        require_positive(self, "alpha_los", "alpha_nlos", "intercept_los",
+                         "intercept_nlos")
         for name in ("m_los", "m_nlos"):
             m = getattr(self, name)
             if not isinstance(m, int) or isinstance(m, bool) or m < 1:
@@ -120,8 +117,7 @@ class AntennaPattern:
         if not -90.0 <= self.downtilt_deg <= 90.0:
             raise DomainError(
                 f"downtilt_deg must lie in [-90, 90], got {self.downtilt_deg}")
-        if self.gain_main <= 0.0 or self.gain_side <= 0.0:
-            raise DomainError("antenna gains must be positive")
+        require_positive(self, "gain_main", "gain_side")
 
 
 def path_gain_curve(r, los, bs_height: float, ue_height: float,
@@ -159,9 +155,9 @@ def los_breakpoints(env: EnvironmentParams, r_max: float):
     probability steps down (integer multiples of the step width)."""
     if r_max <= 0.0:
         return np.empty(0)
-    step = los_step_width(env)
-    n = int(math.floor(r_max / step))
-    return step * np.arange(1, n + 1)
+    if not r_max < math.inf:
+        raise DomainError(f"r_max must be finite, got {r_max}")
+    return los_step_width(env) * np.arange(1, los_step_index(r_max, env) + 1)
 
 
 # Tables keep exact blocker products up to the first of these steps where
@@ -321,8 +317,8 @@ def los_step_levels(env: EnvironmentParams, bs_height: float,
     """Table of line-of-sight probabilities per step index.
 
     ``levels[k]`` is the probability on the k-th constant piece, i.e. for
-    ground distances in ``[k*step, (k+1)*step)``; :func:`los_level_curve`
-    reads it at ground distances.  Entry ``k`` does not depend on
+    ground distances whose :func:`los_step_index` is ``k``;
+    :func:`los_level_curve` reads it at ground distances.  Entry ``k`` does not depend on
     ``k_max`` as long as ``k <= k_max``, and never increases with ``k``.
     Entries are exact blocker products up to a per-geometry switch step
     (:func:`los_exact_steps`) and a validated Euler-Maclaurin law of the
@@ -345,12 +341,22 @@ def los_step_levels(env: EnvironmentParams, bs_height: float,
     return _los_levels_exact(env, bs_height, ue_height).upto(k_max)
 
 
-def los_level_curve(r, levels: np.ndarray, step: float) -> np.ndarray:
-    """Vectorized line-of-sight level over ground distances ``r``, read
-    from a :func:`los_step_levels` table of step width ``step``:
-    ``levels[min(int(r / step), levels.size - 1)]``."""
-    k = (np.asarray(r, dtype=float) / step).astype(np.intp)   # truncates
-    return np.take(levels, k, mode="clip")   # the last level past the table
+def los_step_index(r, env: EnvironmentParams):
+    """Step of the line-of-sight level at ground distances ``r``,
+    ``int(r / step)`` by truncation for the :func:`los_step_width`
+    ``step``: an integer for a scalar ``r``, an integer array otherwise."""
+    return (np.asarray(r, dtype=float) / los_step_width(env)).astype(
+        np.intp)[()]
+
+
+def los_level_curve(r, bs_height: float, ue_height: float,
+                    env: EnvironmentParams):
+    """Vectorized line-of-sight level over ground distances ``r``: the
+    :func:`los_step_levels` entry of each distance's
+    :func:`los_step_index`."""
+    k = los_step_index(r, env)
+    return np.take(los_step_levels(env, bs_height, ue_height, int(np.max(
+        k, initial=0))), k, mode="clip")   # a negative distance reads 1
 
 
 def power_law_integral(u, du, p):

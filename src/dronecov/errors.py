@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the range check that
+raises the most common one."""
 
 from __future__ import annotations
+
+import math
 
 
 class DomainError(ValueError):
@@ -34,3 +37,13 @@ class QuadratureError(RuntimeError):
 
 class CapabilityError(RuntimeError):
     """The requested computation is outside what this implementation supports."""
+
+
+def require_positive(params, *names: str) -> None:
+    """Raise :class:`DomainError` for the first field of ``params`` named
+    in ``names`` that is not a positive finite number; NaN fails too."""
+    for name in names:
+        value = getattr(params, name)
+        if not 0.0 < value < math.inf:
+            raise DomainError(
+                f"{name} must be positive and finite, got {value}")

@@ -55,12 +55,10 @@ from .channel import (
     antenna_gain_curve,
     gain_switch_radii,
     los_level_curve,
-    los_step_levels,
-    los_step_width,
     los_tail_sums,
     path_gain_curve,
 )
-from .errors import DomainError
+from .errors import DomainError, require_positive
 
 __all__ = [
     "SimulationSpec",
@@ -118,13 +116,11 @@ class SimulationSpec:
     def __post_init__(self) -> None:
         if self.num_drops < 1:
             raise DomainError(f"num_drops must be at least 1, got {self.num_drops}")
-        if self.disk_radius is not None and self.disk_radius <= 0.0:
-            raise DomainError("disk_radius must be positive")
+        for name in ("disk_radius", "fixed_serving_distance"):
+            if getattr(self, name) is not None:
+                require_positive(self, name)
         if not 0 <= self.seed < 2 ** 64:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
-        if (self.fixed_serving_distance is not None
-                and self.fixed_serving_distance <= 0.0):
-            raise DomainError("fixed_serving_distance must be positive")
 
 
 @dataclass
@@ -286,8 +282,9 @@ def _sampler(scn, spec: SimulationSpec):
     for the line-of-sight and then for the blocked stations, each over
     the block's concatenated stations in drop order.  Each drop's
     serving slot is then overwritten with its serving distance.  The
-    disk radius and the line-of-sight table are the same for every
-    drop, so they are resolved once here rather than per block.
+    disk radius is the same for every drop, so it is resolved once here
+    rather than per block; each block reads its stations' line-of-sight
+    levels from :func:`channel.los_level_curve`.
     """
     radius = _with_radius(scn, spec).disk_radius
     area = radius * radius
@@ -297,9 +294,6 @@ def _sampler(scn, spec: SimulationSpec):
     if r0 is not None and r0 >= radius:
         raise DomainError("fixed_serving_distance must lie inside "
                           "the sampling disk")
-    step = los_step_width(scn.env)
-    levels = los_step_levels(scn.env, scn.bs_height, scn.ue_height,
-                             int(radius / step) + 1)
     ch = scn.channel
     force = spec.force_serving_los
 
@@ -320,7 +314,8 @@ def _sampler(scn, spec: SimulationSpec):
         radii += area
         radii[starts] = near
         np.sqrt(radii, out=radii)
-        los = rng.random(radii.size) < los_level_curve(radii, levels, step)
+        los = rng.random(radii.size) < los_level_curve(
+            radii, scn.bs_height, scn.ue_height, scn.env)
         if force is not None:
             los[starts] = force
         # gamma(m, 1/m) is 1/m times standard_gamma(m), bit for bit.

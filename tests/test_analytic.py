@@ -30,12 +30,13 @@ import dronecov.analytic as analytic
 from dronecov import (channel, cli, config, errors, experiments, montecarlo,
                       quadrature)
 from dronecov.analytic import (_Field, _field_for, _link_rows, _row_coefs,
-                               _scaled_attenuation_rows, _serving_coeff)
+                               _serving_coeff)
 from dronecov.channel import (AntennaPattern, ChannelParams,
                               EnvironmentParams, _los_levels_exact,
                               los_breakpoints, los_level_curve,
                               path_gain_curve)
 from dronecov.errors import CapabilityError, DomainError, QuadratureError
+from dronecov.montecarlo import SimulationSpec
 from dronecov.quadrature import (CHEB_NODES, build_edges, integrate_steps,
                                  kronrod_panels)
 
@@ -132,8 +133,9 @@ def test_upsilon_derivative_matches_finite_difference(order, los):
 
 @pytest.mark.parametrize("m", [1, 3, 8, 32])
 def test_scaled_upsilon_rows_are_negative_binomial_terms(m):
+    # At s = m and unit area, x = s c / m is c itself, bit for bit.
     x = np.concatenate([[0.0], np.logspace(-300.0, 5.0, 306)])
-    rows = _scaled_attenuation_rows(x, m, 32)
+    rows = _link_rows(x, np.ones(x.size), m, m, 32)[1:]
     with np.errstate(divide="ignore"):
         lx, l1p = np.log(x), np.log1p(x)
     for j in range(1, 33):
@@ -400,19 +402,20 @@ def _tight_rows(fld, r0, s, orders, diag):
     # added by math.fsum, so neither the tolerance nor the rounding of a
     # long sum reaches the bound under test.
     r_sight, r_end = diag["r_handover"], diag["r_linear"]
-    k_sight = int(round(r_sight / fld.step))
-    levels = fld.levels_upto(k_sight)[:k_sight]
-    ml, mn = fld.scn.channel.m_los, fld.scn.channel.m_nlos
+    scn = fld.scn
+    ml, mn = scn.channel.m_los, scn.channel.m_nlos
 
     def rows(r):
         cl, cn, area = fld.node_data(r)
         gl = _link_rows(cl, area, s, ml, orders)
         gn = _link_rows(cn, area, s, mn, orders)
-        pl = np.where(r < r_sight, los_level_curve(r, levels, fld.step), 0.0)
+        pl = np.where(r < r_sight, los_level_curve(
+            np.minimum(r, r_sight), scn.bs_height, scn.ue_height, scn.env),
+            0.0)
         return pl * gl + (1.0 - pl) * gn
 
     far = r_sight * 1.25 ** np.arange(1, 200)
-    pts = [*los_breakpoints(fld.scn.env, r_sight), *fld.switches,
+    pts = [*los_breakpoints(scn.env, r_sight), *fld.switches,
            *far[far < r_end]]
     edges = build_edges(r0, r_end, pts)
     res = integrate_steps(lambda data, owner, weighted: rows(data[0]),
@@ -698,7 +701,7 @@ def test_skipped_term_has_negligible_conditional_coverage(serving_los):
     r0 = 300.0
     m = scn.channel.fading_order(serving_los)
     s = m * scn.sir_threshold / _serving_coeff(scn, r0, serving_los)
-    p_los = fld.level_at(r0)
+    p_los = los_level_curve(r0, scn.bs_height, scn.ue_height, scn.env)
     weight = p_los if serving_los else 1.0 - p_los
     assert fld.coverage_negligible(r0, s, m, weight)[0]
     assert conditional_coverage(scn, r0, serving_los, QUAD) <= QUAD.abs_tol
@@ -756,6 +759,20 @@ def test_quadrature_spec_validation():
         QuadratureSpec(outer_trunc_prob=0.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("params, name", [
+    pytest.param(params, f.name, id=f"{type(params).__name__}.{f.name}")
+    for params in (SCN, SCN.channel, SCN.env, SCN.pattern, QUAD,
+                   SimulationSpec(disk_radius=500.0,
+                                  fixed_serving_distance=80.0))
+    for f in fields(params) if f.type in ("float", "float | None")])
+def test_non_finite_parameters_refused_at_construction(params, name, value):
+    # Every float field refuses NaN and infinity by name, before a NaN
+    # exponent can read as coverage 1 or a NaN radius as an IndexError.
+    with pytest.raises(DomainError, match=name):
+        replace(params, **{name: value})
+
+
 def test_public_names_resolve_and_quadrature_spec_holds_accuracy_only():
     # Every name a module exports exists; the integration budget is a
     # constant of quadrature.py, not a field of the spec.
@@ -764,8 +781,9 @@ def test_public_names_resolve_and_quadrature_spec_holds_accuracy_only():
         names = getattr(module, "__all__", ())
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
-    assert {"path_gain_curve", "los_level_curve", "los_tail_sums",
-            "antenna_gain_curve", "power_law_integral"} <= set(channel.__all__)
+    assert {"path_gain_curve", "los_step_index", "los_level_curve",
+            "los_tail_sums", "antenna_gain_curve",
+            "power_law_integral"} <= set(channel.__all__)
     removed = {"LinkGeometry", "path_loss", "los_probability", "antenna_gain",
                "far_field_mean", "path_loss_curves"}
     assert not removed & (set(dronecov.__all__) | set(channel.__all__)

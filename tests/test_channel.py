@@ -19,6 +19,7 @@ from dronecov.channel import (
     los_breakpoints,
     los_exact_steps,
     los_level_curve,
+    los_step_index,
     los_step_levels,
     los_step_width,
     main_lobe_interval,
@@ -215,31 +216,23 @@ def test_los_tail_sums_refuse_negative_cuts_and_divergent_powers():
 
 # ------------------------------------------------------------ line of sight
 
-def _los_level(r, bs_height, ue_height, env):
-    # The line-of-sight level at ground distance r, read by los_level_curve
-    # from a table just long enough to hold r's step.
-    step = los_step_width(env)
-    levels = los_step_levels(env, bs_height, ue_height, int(r / step))
-    return float(los_level_curve(r, levels, step))
-
-
 def test_los_probability_one_below_first_breakpoint():
     step = los_step_width(URBAN)
     assert_allclose(step, 81.64965809277261, rtol=1e-14)
     for r in (0.0, 1.0, 40.0, step * 0.999):
-        assert _los_level(r, 30.0, 60.0, URBAN) == 1.0
+        assert los_level_curve(r, 30.0, 60.0, URBAN) == 1.0
 
 
 def test_los_probability_single_blocker_value():
     # One blocker at link height 45 m: 1 - exp(-45^2 / (2 * 15^2)).
-    assert_allclose(_los_level(100.0, 30.0, 60.0, URBAN),
+    assert_allclose(los_level_curve(100.0, 30.0, 60.0, URBAN),
                     0.9888910034617577, rtol=1e-15)
 
 
 def test_los_probability_two_blocker_values():
-    assert_allclose(_los_level(170.0, 30.0, 60.0, URBAN),
+    assert_allclose(los_level_curve(170.0, 30.0, 60.0, URBAN),
                     0.9539716869104711, rtol=1e-14)
-    assert_allclose(_los_level(200.0, 30.0, 1.5, URBAN),
+    assert_allclose(los_level_curve(200.0, 30.0, 1.5, URBAN),
                     0.10473910295510545, rtol=1e-14)
 
 
@@ -248,7 +241,7 @@ def test_los_probability_constant_between_breakpoints():
     edges = np.concatenate([[0.0], bps, [1000.0]])
     for lo, hi in zip(edges[:-1], edges[1:]):
         samples = np.linspace(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo), 7)
-        vals = [_los_level(float(r), 30.0, 60.0, URBAN)
+        vals = [los_level_curve(float(r), 30.0, 60.0, URBAN)
                 for r in samples]
         assert max(vals) == min(vals)
 
@@ -256,14 +249,14 @@ def test_los_probability_constant_between_breakpoints():
 def test_los_probability_monotone_in_user_height():
     heights = [1.5, 10.0, 30.0, 60.0, 120.0, 300.0]
     for r in (150.0, 400.0, 900.0):
-        vals = [_los_level(r, 30.0, h, URBAN)
+        vals = [los_level_curve(r, 30.0, h, URBAN)
                 for h in heights]
         assert np.all(np.diff(vals) >= 0.0)
 
 
 def test_los_probability_nonincreasing_in_distance():
     rs = np.arange(10.0, 2000.0, 37.0)
-    vals = [_los_level(float(r), 30.0, 60.0, URBAN)
+    vals = [los_level_curve(float(r), 30.0, 60.0, URBAN)
             for r in rs]
     assert np.all(np.diff(vals) <= 1e-15)
 
@@ -274,6 +267,10 @@ def test_los_breakpoints_spacing():
     assert_allclose(bps, step * np.arange(1, 7), rtol=1e-14)
     assert los_breakpoints(URBAN, 0.0).size == 0
     assert los_breakpoints(URBAN, step * 0.5).size == 0
+    # A non-finite range has no step index; it is refused, not emptied.
+    for r_max in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="r_max"):
+            los_breakpoints(URBAN, r_max)
 
 
 def test_los_step_levels_match_scalar_probability():
@@ -281,7 +278,7 @@ def test_los_step_levels_match_scalar_probability():
     step = los_step_width(URBAN)
     for k in range(13):
         r = (k + 0.5) * step
-        assert_allclose(levels[k], _los_level(r, 30.0, 60.0, URBAN),
+        assert_allclose(levels[k], los_level_curve(r, 30.0, 60.0, URBAN),
                         rtol=1e-14)
 
 
@@ -293,8 +290,9 @@ def test_los_probability_reads_step_table_at_breakpoints(name, env):
     step = los_step_width(env)
     levels = los_step_levels(env, 30.0, 60.0, 5000)
     for r in los_breakpoints(env, 5000 * step):
-        k = int(r / step)
-        assert _los_level(r, 30.0, 60.0, env) == levels[k]
+        k = los_step_index(r, env)
+        assert k == int(r / step)
+        assert los_level_curve(r, 30.0, 60.0, env) == levels[k]
     # A table's entries do not depend on its length or on the order in
     # which tables were asked for.
     switch = los_exact_steps(env, 30.0, 60.0)
@@ -322,7 +320,8 @@ def test_exact_step_table_grows_without_rebuilding():
     for k in range(301):
         assert levels[k] == _blocker_product(URBAN, 30.0, 60.0, k)
     for k in (0, 1, 17, 299, 300):
-        assert _los_level((k + 0.5) * step, 30.0, 60.0, URBAN) == levels[k]
+        assert los_level_curve((k + 0.5) * step, 30.0, 60.0,
+                               URBAN) == levels[k]
     # The exact entries of a 2,048-step switch span about two million
     # blocker heights, which the table builds in many blocks.
     levels = los_step_levels(URBAN, 150.0, 1.5, 2048)
@@ -433,7 +432,7 @@ def test_los_step_levels_long_table_for_user_at_ground_level():
     levels = los_step_levels(URBAN, 30.0, 0.0, 4100)
     assert levels[4000] == 0.0 and np.all(levels[4001:] == 0.0)
     r = 4050.5 * los_step_width(URBAN)
-    assert _los_level(r, 30.0, 0.0, URBAN) == 0.0
+    assert los_level_curve(r, 30.0, 0.0, URBAN) == 0.0
 
 
 def test_environment_validation():

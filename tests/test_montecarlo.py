@@ -25,8 +25,6 @@ from dronecov.channel import (
     ChannelParams,
     EnvironmentParams,
     los_level_curve,
-    los_step_levels,
-    los_step_width,
 )
 from dronecov.config import default_scenario
 from dronecov import montecarlo
@@ -95,9 +93,7 @@ def test_los_fraction_matches_probability_in_annulus():
         band = (radii > 90.0) & (radii < 110.0)
         hits += int(real.los[band].sum())
         total += int(band.sum())
-    step = los_step_width(URBAN)
-    p = float(los_level_curve(100.0, los_step_levels(URBAN, 30.0, 60.0, 1),
-                              step))
+    p = float(los_level_curve(100.0, 30.0, 60.0, URBAN))
     se = math.sqrt(p * (1.0 - p) / total)
     assert abs(hits / total - p) <= 3.0 * se
 
@@ -814,6 +810,34 @@ def test_far_field_shares_come_from_one_channel_kernel():
             if isinstance(node, ast.FunctionDef) and any(
                 isinstance(n, ast.Call) and _called_name(n) == "_row_coefs"
                 for n in ast.walk(node))} == {"handover"}
+
+
+def test_los_step_rule_lives_in_channel():
+    # channel.los_step_index is the one rule for which line-of-sight step
+    # holds a ground distance: neither route truncates, floors, ceils or
+    # rounds a division by a step width, and the simulator reads levels
+    # through los_level_curve alone.
+    src = Path(montecarlo.__file__).parent
+    rounded = []
+    for name in ("montecarlo.py", "analytic.py"):
+        tree = ast.parse((src / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if _called_name(node) in {"int", "ceil", "floor", "round"}:
+                operands = node.args
+            elif _called_name(node) == "astype":
+                operands = [node.func.value]
+            else:
+                continue
+            if any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)
+                   and "step" in (getattr(n.right, "id", None),
+                                  getattr(n.right, "attr", None))
+                   for arg in operands for n in ast.walk(arg)):
+                rounded.append(f"{name}:{node.lineno}")
+        if name == "montecarlo.py":
+            assert not {"los_step_levels", "los_step_width"} & _names(tree)
+    assert rounded == []
 
 
 def test_traced_monte_carlo_stages_exist():
