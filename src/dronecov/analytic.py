@@ -669,14 +669,23 @@ def _serving_coeff(scn: NetworkScenario, r0, los: bool) -> np.ndarray:
         r0, los, scn.bs_height, scn.ue_height, scn.channel)
 
 
+def _require_arguments(r0: float, s: float = 0.0) -> None:
+    # The entry points' serving distance and transform argument, refused
+    # before any field is built or step indexed.
+    if not (math.isfinite(r0) and r0 >= 0.0):
+        raise DomainError(f"serving distance r0 must be finite and "
+                          f"non-negative, got {r0}")
+    if not math.isfinite(s):
+        raise DomainError(f"transform argument s must be finite, got {s}")
+
+
 def laplace_interference(scn: NetworkScenario, r0: float, s: float,
                          quad: QuadratureSpec | None = None) -> float:
     """Laplace transform of the aggregate interference power, conditioned
     on the serving base station sitting at distance ``r0``."""
+    _require_arguments(r0, s)
     if s < 0.0:
         raise DomainError("transform argument must be non-negative")
-    if r0 < 0.0:
-        raise DomainError("serving distance must be non-negative")
     if s == 0.0:
         return 1.0
     return float(laplace_derivatives(scn, r0, s, 0, quad)[0])
@@ -689,6 +698,7 @@ def laplace_derivatives(scn: NetworkScenario, r0: float, s: float,
     interference Laplace transform."""
     if max_order < 0:
         raise DomainError("max_order must be non-negative")
+    _require_arguments(r0, s)
     if s <= 0.0:
         raise DomainError("derivatives need a positive transform argument")
     _require_order(max_order + 1)
@@ -707,8 +717,7 @@ def mean_interference(scn: NetworkScenario, r0: float,
     :func:`los_tail_sums` beyond the first handover candidate past ``r0``,
     with the quadrature tolerance relative to that tail, since the moment
     is of order 1e-9, far below ``abs_tol``."""
-    if r0 < 0.0:
-        raise DomainError("serving distance must be non-negative")
+    _require_arguments(r0)
     fld, ch = _field_for(scn, quad or QuadratureSpec()), scn.channel
     g_far, r_gain = fld.far_gain
     powers = (ch.alpha_los, ch.alpha_nlos)
@@ -735,6 +744,7 @@ def conditional_coverage(scn: NetworkScenario, r0: float, serving_los: bool,
                          quad: QuadratureSpec | None = None) -> float:
     """Coverage probability given the serving distance and the serving
     link's line-of-sight state."""
+    _require_arguments(r0)
     quad = quad or QuadratureSpec()
     m = scn.channel.fading_order(serving_los)
     _require_order(m)

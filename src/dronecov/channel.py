@@ -353,10 +353,16 @@ def los_level_curve(r, bs_height: float, ue_height: float,
                     env: EnvironmentParams):
     """Vectorized line-of-sight level over ground distances ``r``: the
     :func:`los_step_levels` entry of each distance's
-    :func:`los_step_index`."""
-    k = los_step_index(r, env)
-    return np.take(los_step_levels(env, bs_height, ue_height, int(np.max(
-        k, initial=0))), k, mode="clip")   # a negative distance reads 1
+    :func:`los_step_index`.  A NaN or infinite distance is refused."""
+    r = np.asarray(r, dtype=float)
+    # NaN and +inf both carry through the maximum, which sizes the table.
+    r_max = float(np.max(r, initial=0.0))
+    if not math.isfinite(r_max):
+        raise DomainError(f"ground distances must be finite, got {r_max}")
+    levels = los_step_levels(env, bs_height, ue_height,
+                             int(los_step_index(r_max, env)))
+    return np.take(levels, los_step_index(r, env),
+                   mode="clip")   # a negative distance reads 1
 
 
 def power_law_integral(u, du, p):

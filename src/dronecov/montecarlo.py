@@ -62,7 +62,6 @@ from .errors import DomainError, require_positive
 
 __all__ = [
     "SimulationSpec",
-    "NetworkRealization",
     "CoverageEstimate",
     "default_disk_radius",
     "sample_network",
@@ -121,18 +120,6 @@ class SimulationSpec:
                 require_positive(self, name)
         if not 0 <= self.seed < 2 ** 64:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
-
-
-@dataclass
-class NetworkRealization:
-    """One sampled field: station positions, propagation states, fading."""
-
-    positions: np.ndarray   # (n, 2) ground coordinates, user at origin
-    los: np.ndarray         # (n,) bool
-    fading: np.ndarray      # (n,) unit-mean power gains
-    # (n,) ground distances as drawn, which np.hypot of the positions
-    # misses by an ulp for some angles; None for a field built by hand.
-    radii: np.ndarray | None = None
 
 
 @dataclass
@@ -349,17 +336,11 @@ def _chunk_bounds(n: int, workers: int, block: int) -> list[int]:
 
 
 def sample_network(scn, spec: SimulationSpec,
-                   rng: np.random.Generator) -> NetworkRealization:
-    """Draw one field of stations with propagation states and fading.
-
-    The radii, states and fades are those of a one-drop block drawn from
-    ``rng``; angle uniforms for the positions are drawn after them.
-    """
-    blk = _sampler(scn, spec)(rng, 1)
-    angles = 2.0 * math.pi * rng.random(blk.radii.size)
-    positions = np.column_stack((blk.radii * np.cos(angles),
-                                 blk.radii * np.sin(angles)))
-    return NetworkRealization(positions, blk.los, blk.fading, blk.radii)
+                   rng: np.random.Generator) -> _Block:
+    """Draw one drop's field, as a one-drop block from ``rng``: its
+    stations' ground distances, serving station first, with their
+    propagation states and fades."""
+    return _sampler(scn, spec)(rng, 1)
 
 
 def _link_sums(scn, blk: _Block) -> tuple[np.ndarray, np.ndarray]:
@@ -378,29 +359,14 @@ def _link_sums(scn, blk: _Block) -> tuple[np.ndarray, np.ndarray]:
     return signal, np.add.reduceat(power, blk.starts)
 
 
-def _block_sir(scn, blk: _Block, far_mean: float) -> np.ndarray:
+def compute_sir(scn, blk: _Block, far_mean: float = 0.0) -> np.ndarray:
+    """SIR of each drop of a block: the drop's first station serves, every
+    other station plus the deterministic far-field offset interferes.  A
+    block built by hand must lead each drop with its serving station."""
     signal, others = _link_sums(scn, blk)
     interference = others + far_mean
     return np.divide(signal, interference, out=np.full(signal.size, np.inf),
                      where=interference > 0.0)
-
-
-def compute_sir(real: NetworkRealization, scn, far_mean: float = 0.0) -> float:
-    """SIR at the user: the nearest station serves, every other station
-    plus the deterministic far-field offset interferes.  The distances
-    are the drawn radii when the realization keeps them."""
-    radii = real.radii
-    if radii is None:
-        radii = np.hypot(real.positions[:, 0], real.positions[:, 1])
-    if radii.size == 0:
-        raise DomainError("realization holds no stations")
-    # A block leads with its serving station: swap the nearest to the front.
-    k = int(np.argmin(radii))
-    order = np.arange(radii.size)
-    order[[0, k]] = k, 0
-    blk = _Block(radii[order], real.los[order], real.fading[order],
-                 starts=np.zeros(1, np.intp), counts=np.array([radii.size]))
-    return float(_block_sir(scn, blk, far_mean)[0])
 
 
 # ---------------------------------------------------------------- estimation
@@ -412,7 +378,7 @@ def _chunk_counts(scn, spec: SimulationSpec, lo: int, hi: int,
     counts = np.zeros(3, dtype=np.int64)
     thr = scn.sir_threshold
     for blk in _blocks(scn, spec, lo, hi):
-        counts += (np.count_nonzero(_block_sir(scn, blk, far_mean) > thr),
+        counts += (np.count_nonzero(compute_sir(scn, blk, far_mean) > thr),
                    np.count_nonzero(blk.counts == 1),
                    blk.counts.sum())
         del blk   # freed before the next block is drawn, not after

@@ -273,9 +273,9 @@ def test_transmit_power_cancels_in_coverage():
     outcomes = []
     for scn in scns:
         far = _far_field_moments(scn, spec.disk_radius)[0]
-        covered = [compute_sir(sample_network(scn, spec,
-                                              _block_rng(spec.seed, i)),
-                               scn, far) > scn.sir_threshold
+        covered = [compute_sir(scn, sample_network(scn, spec,
+                                                   _block_rng(spec.seed, i)),
+                               far)[0] > scn.sir_threshold
                    for i in range(drops)]
         outcomes.append(covered)
     identical = outcomes[0] == outcomes[1] == outcomes[2]

@@ -204,6 +204,37 @@ def test_laplace_rejects_bad_arguments():
         laplace_derivatives(SCN, 100.0, 1e7, -1, QUAD)
 
 
+_ENTRY_POINTS = {
+    "laplace_interference": lambda r0, s: laplace_interference(SCN, r0, s,
+                                                               QUAD),
+    "laplace_derivatives": lambda r0, s: laplace_derivatives(SCN, r0, s, 1,
+                                                             QUAD),
+    "mean_interference": lambda r0, s: mean_interference(SCN, r0, QUAD),
+    "conditional_coverage": lambda r0, s: conditional_coverage(SCN, r0, True,
+                                                               QUAD),
+}
+
+
+@pytest.mark.parametrize("entry, r0, s, name", [
+    *((entry, r0, 1e8, "r0") for entry in _ENTRY_POINTS
+      for r0 in (-1.0, math.nan, math.inf)),
+    *((entry, 100.0, s, "s")
+      for entry in ("laplace_interference", "laplace_derivatives")
+      for s in (math.nan, math.inf))])
+def test_entry_points_refuse_bad_arguments_before_any_work(
+        monkeypatch, entry, r0, s, name):
+    # A negative, NaN or infinite serving distance, and a NaN or infinite
+    # transform argument, are refused by name before a field is built:
+    # past that, a negative r0 read as a transform and a NaN one as an
+    # IndexError from the step table.
+    def no_field(*args):
+        raise AssertionError("field built before the arguments were checked")
+
+    monkeypatch.setattr(analytic, "_field_for", no_field)
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        _ENTRY_POINTS[entry](r0, s)
+
+
 def test_laplace_deep_tail_is_suppressed():
     val = laplace_interference(SCN, 100.0, 1e14, QUAD)
     assert 0.0 <= val < 1e-30

@@ -223,6 +223,16 @@ def test_los_probability_one_below_first_breakpoint():
         assert los_level_curve(r, 30.0, 60.0, URBAN) == 1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_los_level_curve_refuses_non_finite_distances(bad):
+    # Truncated to a step, NaN and +inf both become -2**63, which the
+    # clipped lookup would read as level 1.
+    for r in (bad, np.array([100.0, bad, 40.0])):
+        with pytest.raises(DomainError, match="finite"):
+            los_level_curve(r, 30.0, 60.0, URBAN)
+    assert los_level_curve(-5.0, 30.0, 60.0, URBAN) == 1.0
+
+
 def test_los_probability_single_blocker_value():
     # One blocker at link height 45 m: 1 - exp(-45^2 / (2 * 15^2)).
     assert_allclose(los_level_curve(100.0, 30.0, 60.0, URBAN),

@@ -31,7 +31,6 @@ from dronecov import montecarlo
 from dronecov.errors import DomainError
 from dronecov.montecarlo import (
     CoverageEstimate,
-    NetworkRealization,
     SimulationSpec,
     _block_rng,
     _far_field_moments,
@@ -63,11 +62,20 @@ def make_scenario(ue_height=60.0, tx_power=10 ** -0.6, sir_threshold=0.3,
 SCN = make_scenario()
 
 
+def _one_drop(radii, los, fading) -> montecarlo._Block:
+    # A one-drop block built by hand; its first station serves.
+    radii = np.asarray(radii, dtype=float)
+    return montecarlo._Block(radii, np.asarray(los, dtype=bool),
+                             np.asarray(fading, dtype=float),
+                             starts=np.zeros(1, np.intp),
+                             counts=np.array([radii.size]))
+
+
 # ------------------------------------------------------------------ sampling
 
 def test_sampled_count_matches_poisson_mean():
     spec = SimulationSpec(num_drops=1, disk_radius=5000.0)
-    counts = [sample_network(SCN, spec, _block_rng(100, i)).positions.shape[0]
+    counts = [sample_network(SCN, spec, _block_rng(100, i)).radii.size
               for i in range(400)]
     expect = 50e-6 * math.pi * 5000.0 ** 2
     # 400 realizations give a 2 percent standard error on the mean
@@ -78,8 +86,7 @@ def test_sampled_count_matches_poisson_mean():
 def test_sampled_positions_inside_disk():
     spec = SimulationSpec(num_drops=1, disk_radius=2000.0)
     real = sample_network(SCN, spec, _block_rng(0, 0))
-    radii = np.hypot(real.positions[:, 0], real.positions[:, 1])
-    assert radii.max() <= 2000.0
+    assert real.radii.max() <= 2000.0
     assert real.los.dtype == bool
     assert np.all(real.fading > 0.0)
 
@@ -89,8 +96,7 @@ def test_los_fraction_matches_probability_in_annulus():
     hits = total = 0
     for i in range(60):
         real = sample_network(SCN, spec, _block_rng(200, i))
-        radii = np.hypot(real.positions[:, 0], real.positions[:, 1])
-        band = (radii > 90.0) & (radii < 110.0)
+        band = (real.radii > 90.0) & (real.radii < 110.0)
         hits += int(real.los[band].sum())
         total += int(band.sum())
     p = float(los_level_curve(100.0, 30.0, 60.0, URBAN))
@@ -105,12 +111,6 @@ def test_fixed_serving_distance_is_exact_minimum():
     for i in range(5):
         blk = draw(_block_rng(7, i), 1)
         assert blk.radii[0] == 150.0 < blk.radii[1:].min()
-        real = sample_network(SCN, spec, _block_rng(7, i))
-        radii = np.hypot(real.positions[:, 0], real.positions[:, 1])
-        # Positions carry each distance through a cosine and a sine, so
-        # it comes back only to rounding.
-        assert radii[0] == pytest.approx(150.0, rel=1e-15)
-        assert int(np.argmin(radii)) == 0
 
 
 @pytest.mark.parametrize("disk_radius", [None, 80.0], ids=["auto", "80m"])
@@ -221,11 +221,8 @@ def _station_power(scn, r, los, fading=1.0):
 
 
 def test_sir_symmetric_pair_is_one():
-    real = NetworkRealization(
-        positions=np.array([[100.0, 0.0], [-100.0, 0.0]]),
-        los=np.array([True, True]),
-        fading=np.array([0.7, 0.7]))
-    assert compute_sir(real, SCN) == 1.0
+    blk = _one_drop([100.0, 100.0], [True, True], [0.7, 0.7])
+    assert compute_sir(SCN, blk) == 1.0
 
 
 def test_sir_hand_computed_three_stations():
@@ -233,12 +230,13 @@ def test_sir_hand_computed_three_stations():
     positions = np.array([[60.0, 0.0], [0.0, 130.0], [-200.0, 50.0]])
     los = np.array([True, False, True])
     fading = np.array([1.2, 0.8, 2.0])
-    real = NetworkRealization(positions, los, fading)
+    radii = np.hypot(positions[:, 0], positions[:, 1])
     # 60, 130 and 206 m for heights 30/10 m: no station near a lobe edge.
-    terms = [_station_power(scn, float(np.hypot(*positions[k])),
-                            bool(los[k]), fading[k]) for k in range(3)]
+    terms = [_station_power(scn, float(radii[k]), bool(los[k]), fading[k])
+             for k in range(3)]
     expect = terms[0] / (terms[1] + terms[2])
-    assert_allclose(compute_sir(real, scn), expect, rtol=1e-12)
+    assert_allclose(compute_sir(scn, _one_drop(radii, los, fading)), expect,
+                    rtol=1e-12)
 
 
 def test_sir_keeps_digits_of_weak_interference():
@@ -246,50 +244,24 @@ def test_sir_keeps_digits_of_weak_interference():
     # interference is ten orders below the signal, so subtracting the
     # signal from the total power would leave it with six digits.
     scn = default_scenario()
-    real = NetworkRealization(
-        positions=np.array([[1.0, 0.0], [0.0, 5000.0]]),
-        los=np.array([True, False]), fading=np.ones(2))
+    blk = _one_drop([1.0, 5000.0], [True, False], np.ones(2))
     terms = [_station_power(scn, r, los)
              for r, los in ((1.0, True), (5000.0, False))]
-    assert_allclose(compute_sir(real, scn), terms[0] / terms[1], rtol=1e-12)
+    assert_allclose(compute_sir(scn, blk), terms[0] / terms[1], rtol=1e-12)
 
 
 def test_sir_single_station_is_infinite():
-    real = NetworkRealization(positions=np.array([[50.0, 10.0]]),
-                              los=np.array([True]),
-                              fading=np.array([1.0]))
-    assert compute_sir(real, SCN) == math.inf
-    assert compute_sir(real, SCN, far_mean=1e-9) < math.inf
+    blk = _one_drop([math.hypot(50.0, 10.0)], [True], [1.0])
+    assert compute_sir(SCN, blk) == math.inf
+    assert compute_sir(SCN, blk, far_mean=1e-9) < math.inf
 
 
 def test_sir_transmit_power_cancels():
     spec = SimulationSpec(num_drops=1, disk_radius=2000.0)
-    real = sample_network(SCN, spec, _block_rng(5, 0))
-    base = compute_sir(real, SCN)
-    scaled = compute_sir(real, make_scenario(tx_power=10 ** 0.4))
+    blk = sample_network(SCN, spec, _block_rng(5, 0))
+    base = compute_sir(SCN, blk)
+    scaled = compute_sir(make_scenario(tx_power=10 ** 0.4), blk)
     assert_allclose(scaled, base, rtol=1e-12)
-
-
-@pytest.mark.parametrize("ue_height", [1.5, 60.0])
-def test_sampled_field_sir_equals_its_block_sir(ue_height):
-    # compute_sir judges a sampled field on its drawn radii, not on hypot
-    # of its positions, which is an ulp off for some angles.
-    scn = make_scenario(ue_height=ue_height)
-    spec = SimulationSpec(num_drops=1)
-    far = _far_field_moments(scn, default_disk_radius(scn))[0]
-    for seed in range(20):
-        real = sample_network(scn, spec, _block_rng(seed, 0))
-        blk = montecarlo._sampler(scn, spec)(_block_rng(seed, 0), 1)
-        assert compute_sir(real, scn, far) == montecarlo._block_sir(
-            scn, blk, far)[0]
-
-
-def test_sir_empty_realization_rejected():
-    real = NetworkRealization(positions=np.empty((0, 2)),
-                              los=np.empty(0, dtype=bool),
-                              fading=np.empty(0))
-    with pytest.raises(DomainError):
-        compute_sir(real, SCN)
 
 
 # ----------------------------------------------------------------- far field
@@ -443,12 +415,11 @@ def test_block_kernel_holds_a_bounded_number_of_block_sized_arrays():
     draw = montecarlo._sampler(scn, spec)
     far = _far_field_moments(scn, spec.disk_radius)[0]
     for k in range(4):
-        montecarlo._block_sir(scn, draw(_block_rng(spec.seed, k), block),
-                              far)
+        compute_sir(scn, draw(_block_rng(spec.seed, k), block), far)
     tracemalloc.start()
     try:
         blk = draw(_block_rng(spec.seed, 4), block)
-        montecarlo._block_sir(scn, blk, far)
+        compute_sir(scn, blk, far)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -470,7 +441,7 @@ def test_block_of_a_wide_set_disk_holds_a_bounded_station_count():
     try:
         draw = montecarlo._sampler(scn, spec)
         blk = draw(_block_rng(spec.seed, 0), block)
-        montecarlo._block_sir(scn, blk, far)
+        compute_sir(scn, blk, far)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -536,12 +507,32 @@ def test_estimate_worker_invariant_across_unaligned_blocks():
         assert a.diagnostics == b.diagnostics
 
 
+def test_estimate_judges_each_block_through_compute_sir(monkeypatch):
+    # compute_sir is the SIR stage the estimate runs, looked up in the
+    # module on every block, so a wrapper put there (as bench/tracing.py
+    # puts one) sees every block and changes no result.
+    spec = SimulationSpec(num_drops=3 * _auto_block(SCN) + 5, seed=6)
+    plain = estimate_coverage(SCN, spec)
+    calls = []
+    kernel = montecarlo.compute_sir
+
+    def counted(*args):
+        calls.append(args[1].counts.size)
+        return kernel(*args)
+
+    monkeypatch.setattr(montecarlo, "compute_sir", counted)
+    est = estimate_coverage(SCN, spec)
+    assert calls == [_auto_block(SCN)] * 3 + [5]
+    assert (est.probability, est.std_error, est.diagnostics) == (
+        plain.probability, plain.std_error, plain.diagnostics)
+
+
 @pytest.mark.parametrize("ue_height, conditional", [
     (1.5, False), (60.0, False), (60.0, True)])
 def test_estimate_follows_drop_by_drop_stream(ue_height, conditional):
-    # Each drop of a block is judged as compute_sir judges the field on
-    # its own slice of the block's stations, and a one-drop estimate's
-    # field is the one sample_network draws from the block-0 generator.
+    # Each drop of a block is judged as compute_sir judges its own slice
+    # of the block's stations alone, and a one-drop estimate's field is
+    # the one sample_network draws from the block-0 generator.
     base = make_scenario(ue_height=ue_height)
     spec = SimulationSpec(num_drops=3 * _auto_block(base) + 5, seed=4,
                           fixed_serving_distance=250.0 if conditional
@@ -551,21 +542,20 @@ def test_estimate_follows_drop_by_drop_stream(ue_height, conditional):
     far = _far_field_moments(base, resolved.disk_radius)[0]
     sirs = []
     for blk in montecarlo._blocks(base, resolved, 0, spec.num_drops):
-        block_sirs = montecarlo._block_sir(base, blk, far)
+        block_sirs = compute_sir(base, blk, far)
         for sir, lo, k in zip(block_sirs, blk.starts, blk.counts):
             part = slice(lo, lo + k)
-            real = NetworkRealization(
-                np.column_stack((blk.radii[part], np.zeros(k))),
-                blk.los[part], blk.fading[part])
-            assert compute_sir(real, base, far) == sir
+            alone = _one_drop(blk.radii[part], blk.los[part],
+                              blk.fading[part])
+            assert compute_sir(base, alone, far)[0] == sir
         sirs.extend(block_sirs)
     assert len(sirs) == spec.num_drops
     est = estimate_coverage(base, spec, workers=2)
     assert round(est.probability * spec.num_drops) == sum(
         sir > base.sir_threshold for sir in sirs)
     one = replace(spec, num_drops=1)
-    sir = compute_sir(sample_network(base, one, _block_rng(spec.seed, 0)),
-                      base, far)
+    sir = compute_sir(base, sample_network(base, one,
+                                           _block_rng(spec.seed, 0)), far)[0]
     for thr, covered in ((sir * (1.0 - 1e-9), 1.0), (sir * (1.0 + 1e-9), 0.0)):
         est = estimate_coverage(make_scenario(ue_height=ue_height,
                                               sir_threshold=thr), one)
@@ -597,13 +587,11 @@ def test_disk_radius_sufficiency_with_coupled_fields():
     spec = SimulationSpec(num_drops=3000, disk_radius=full_r, seed=21)
     cov_full = cov_half = 0
     for i in range(spec.num_drops):
-        real = sample_network(SCN, spec, _block_rng(spec.seed, i))
-        keep = real.radii <= half_r
-        inner = NetworkRealization(real.positions[keep], real.los[keep],
-                                   real.fading[keep],
-                                   radii=real.radii[keep])
-        cov_full += compute_sir(real, SCN, far_full) > SCN.sir_threshold
-        cov_half += compute_sir(inner, SCN, far_half) > SCN.sir_threshold
+        blk = sample_network(SCN, spec, _block_rng(spec.seed, i))
+        keep = blk.radii <= half_r
+        inner = _one_drop(blk.radii[keep], blk.los[keep], blk.fading[keep])
+        cov_full += compute_sir(SCN, blk, far_full)[0] > SCN.sir_threshold
+        cov_half += compute_sir(SCN, inner, far_half)[0] > SCN.sir_threshold
     p_full = cov_full / spec.num_drops
     p_half = cov_half / spec.num_drops
     se = math.sqrt(max(p_full * (1.0 - p_full), 1e-12) / spec.num_drops)
@@ -642,9 +630,9 @@ def test_default_disk_moves_coupled_coverage_within_paired_noise(
     flips = np.zeros(2, np.int64)
     gained = np.zeros(2, np.int64)
     for blk in montecarlo._blocks(scn, spec, 0, num_drops):
-        full = montecarlo._block_sir(scn, blk, far_full) > scn.sir_threshold
+        full = compute_sir(scn, blk, far_full) > scn.sir_threshold
         for i, (radius, far) in enumerate(zip(radii, far_inner)):
-            inner = montecarlo._block_sir(scn, replace(blk, fading=np.where(
+            inner = compute_sir(scn, replace(blk, fading=np.where(
                 blk.radii <= radius, blk.fading, 0.0)), far)
             inner = inner > scn.sir_threshold
             flips[i] += np.count_nonzero(full != inner)
