@@ -355,10 +355,13 @@ def los_level_curve(r, bs_height: float, ue_height: float,
     :func:`los_step_levels` entry of each distance's
     :func:`los_step_index`.  A NaN or infinite distance is refused."""
     r = np.asarray(r, dtype=float)
-    # NaN and +inf both carry through the maximum, which sizes the table.
+    # NaN and +inf carry through the maximum, which sizes the table, and
+    # NaN and -inf through the minimum.
     r_max = float(np.max(r, initial=0.0))
-    if not math.isfinite(r_max):
-        raise DomainError(f"ground distances must be finite, got {r_max}")
+    r_min = float(np.min(r, initial=0.0))
+    if not (math.isfinite(r_max) and math.isfinite(r_min)):
+        raise DomainError(f"ground distances must be finite, got "
+                          f"{r_min} to {r_max}")
     levels = los_step_levels(env, bs_height, ue_height,
                              int(los_step_index(r_max, env)))
     return np.take(levels, los_step_index(r, env),

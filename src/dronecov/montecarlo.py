@@ -27,19 +27,20 @@ pilot's percentile as ``ripple_scale``.
 
 Drops are evaluated in blocks of consecutive indices, cut at multiples
 of the block size, and each block draws from its own random substream
-keyed by (seed, block index), with one draw call per kind of variate for
-the whole block, which keeps the fixed cost of building generators and
-calling them off each drop.  A block is the largest power of two of
-drops whose expected station count fits ``_BLOCK_STATIONS``: enough
-stations to spread that fixed cost, few enough for the block's arrays to
-stay in cache.  So the block size is a function of the scenario and the
-disk alone, and the stream is defined per block: changing the constant
-changes seeded results.  Worker chunks are whole blocks and the
-estimate is reduced by integer counts, so results are bit-identical for
-any worker count.  Each drop's serving station is drawn first and
-leads its segment; the array work (line-of-sight states, path and
-antenna gains, interference) runs once over the block's concatenated
-stations, through segment reductions that never mix drops.
+keyed by (seed, block index), with one draw call per kind of variate or
+fading factor for the whole block, which keeps the fixed cost of
+building generators and calling them off each drop.  A block is the
+largest power of two of drops whose expected station count fits
+``_BLOCK_STATIONS``: enough stations to spread that fixed cost, few
+enough for the block's arrays to stay in cache.  So the block size is a
+function of the scenario and the disk alone, and the stream is defined
+per block: changing the constant changes seeded results.  Worker chunks
+are whole blocks and the estimate is reduced by integer counts, so
+results are bit-identical for any worker count.  Each drop's serving
+station is drawn first and leads its segment; the array work
+(line-of-sight states, path and antenna gains, interference) runs once
+over the block's concatenated stations, through segment reductions that
+never mix drops.
 """
 
 from __future__ import annotations
@@ -217,14 +218,14 @@ def _with_radius(scn, spec: SimulationSpec) -> SimulationSpec:
 
 # Expected stations per block, the one constant of the block rule and so
 # part of the stream contract: changing it changes seeded results.  A
-# block pays a fixed cost (a generator, five draw calls and about thirty
-# NumPy calls) and its arrays peak at about 41 bytes per station; 16,384
-# stations (about 0.64 MiB) amortise that cost and keep the block's arrays
-# in cache: the automatic 685 m disk (74 stations per drop) gets 128-drop
-# blocks, which ran mc-drops about a quarter faster than 32-drop ones,
-# while 512-drop blocks ran slower than 128 and added RSS.  A set 2,740 m
-# disk gets 8 drops (about a tenth slower there than 32), a set 10 km
-# disk 1, and a set 50 m disk 32,768.
+# block pays a fixed cost (a generator, eight draw calls at the default
+# fading orders and about forty NumPy calls) and its arrays peak at about
+# 41 bytes per station; 16,384 stations (about 0.64 MiB) amortise that
+# cost and keep the block's arrays in cache: the automatic 685 m disk (74
+# stations per drop) gets 128-drop blocks, which ran mc-drops about a
+# quarter faster than 32-drop ones, while 512-drop blocks ran slower than
+# 128 and added RSS.  A set 2,740 m disk gets 8 drops (about a tenth
+# slower there than 32), a set 10 km disk 1, and a set 50 m disk 32,768.
 _BLOCK_STATIONS = 16384
 
 
@@ -235,6 +236,37 @@ def _drops_per_block(scn, radius: float) -> int:
     while 2 * block * per_drop <= _BLOCK_STATIONS:
         block *= 2
     return block
+
+
+# Largest fading order drawn as a product of uniforms.  Per factor the
+# product costs one uniform, a subtraction and a multiply, while NumPy's
+# rejection sampler costs about the same at any order: over 8,100 draws
+# (2-core Xeon, NumPy 2.4) the product ran 1.4 times faster at m = 1,
+# 1.9-2.8 times at m = 2-3, 1.2-1.5 times at m = 4-5, level at m = 6 and
+# slower from m = 7.  Part of the stream contract.  Five factors of at
+# least 2**-53 cannot underflow.
+_PRODUCT_ORDER = 5
+
+
+def _gamma_fades(rng: np.random.Generator, m: int, size: int) -> np.ndarray:
+    """``size`` Nakagami-m power fades, Gamma(m, 1/m).  Up to order
+    ``_PRODUCT_ORDER`` a fade is -ln((1 - u1)...(1 - um)) / m, exactly
+    Gamma(m, 1) / m for integer m (Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, ch. IX), with ``m`` uniforms drawn one factor at
+    a time so that no more than two block-sized arrays are live; 1 - u
+    because a uniform can be 0.  Above it, ``standard_gamma(m) / m``."""
+    if m > _PRODUCT_ORDER:
+        return rng.standard_gamma(m, size) * (1.0 / m)
+    prod = rng.random(size)
+    np.subtract(1.0, prod, out=prod)
+    u = np.empty(size)
+    for _ in range(m - 1):
+        rng.random(out=u)
+        np.subtract(1.0, u, out=u)
+        prod *= u
+    np.log(prod, out=prod)
+    prod *= -1.0 / m
+    return prod
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -261,13 +293,15 @@ def _sampler(scn, spec: SimulationSpec):
     the nearest-station law on a disk that holds a station, or is the
     pinned distance squared; the other stations form a Poisson field on
     the annulus beyond it, which is the conditional law of a Poisson
-    field seen from its nearest point.  A block's generator makes one
-    call per kind of draw, in a fixed order: serving uniforms for all
-    its drops (none when the distance is pinned), Poisson counts of the
-    annulus stations, one radius uniform per station, the serving
-    station's slot included, line-of-sight uniforms, then gamma fading
-    for the line-of-sight and then for the blocked stations, each over
-    the block's concatenated stations in drop order.  Each drop's
+    field seen from its nearest point.  A block's generator draws in a
+    fixed order: serving uniforms for all its drops (none when the
+    distance is pinned), Poisson counts of the annulus stations, one
+    radius uniform per station, the serving station's slot included,
+    line-of-sight uniforms, then the fades of the line-of-sight and then
+    of the blocked stations, each over the block's concatenated stations
+    in drop order.  A fade of order m up to ``_PRODUCT_ORDER`` takes m
+    uniform calls, one per factor of :func:`_gamma_fades`' product; a
+    higher order takes one ``standard_gamma`` call.  Each drop's
     serving slot is then overwritten with its serving distance.  The
     disk radius is the same for every drop, so it is resolved once here
     rather than per block; each block reads its stations' line-of-sight
@@ -305,11 +339,10 @@ def _sampler(scn, spec: SimulationSpec):
             radii, scn.bs_height, scn.ue_height, scn.env)
         if force is not None:
             los[starts] = force
-        # gamma(m, 1/m) is 1/m times standard_gamma(m), bit for bit.
         fading = np.empty(radii.size)
         for idx, m in ((np.flatnonzero(los), ch.m_los),
                        (np.flatnonzero(~los), ch.m_nlos)):
-            fading[idx] = rng.standard_gamma(m, idx.size) * (1.0 / m)
+            fading[idx] = _gamma_fades(rng, m, idx.size)
         return _Block(radii, los, fading, starts, counts)
 
     return draw
@@ -431,8 +464,9 @@ def laplace_empirical(scn, spec: SimulationSpec, s_values) -> tuple[
     if spec.fixed_serving_distance is None:
         raise DomainError("laplace_empirical requires fixed_serving_distance")
     s = np.asarray(s_values, dtype=float)
-    if np.any(s < 0.0):
-        raise DomainError("transform arguments must be non-negative")
+    if not np.all((s >= 0.0) & (s < math.inf)):   # NaN fails both
+        raise DomainError(f"transform arguments must be finite and "
+                          f"non-negative, got {s}")
     spec = _with_radius(scn, spec)
     far_mean = _far_field_moments(scn, spec.disk_radius)[0]
     total = np.zeros(s.size)

@@ -141,6 +141,21 @@ def test_serving_distance_follows_truncated_nearest_station_law(disk_radius):
         assert untruncated.pvalue < 1e-6
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, montecarlo._PRODUCT_ORDER,
+                               montecarlo._PRODUCT_ORDER + 1, 100])
+def test_sampled_fades_follow_the_nakagami_power_law(m):
+    # Both states at order m, so every fade of a block is Gamma(m, 1/m),
+    # whether drawn as a product of uniforms (m <= _PRODUCT_ORDER) or by
+    # standard_gamma; a set 800 m disk holds about 100 stations per drop.
+    scn = replace(SCN, channel=replace(CHANNEL, m_los=m, m_nlos=m))
+    spec = SimulationSpec(num_drops=1100, seed=9, disk_radius=800.0)
+    blk = montecarlo._sampler(scn, spec)(_block_rng(spec.seed, 0), 1100)
+    assert blk.los.any() and not blk.los.all()
+    fades = blk.fading[:100_000]
+    assert fades.size == 100_000 and fades.min() >= 0.0
+    assert stats.kstest(fades, stats.gamma(m, scale=1.0 / m).cdf).pvalue > 1e-3
+
+
 def test_disk_too_small_to_hold_a_station_answers_at_once():
     # A 0.01 m disk holds a second station with chance 1.6e-8: every drop
     # is its serving station alone, drawn on the disk.
@@ -327,8 +342,8 @@ def test_far_field_mean_of_never_blocked_links_is_power_law_closed_form():
 def test_estimate_reference_value():
     est = estimate_coverage(SCN, SimulationSpec(num_drops=500, seed=11))
     assert isinstance(est, CoverageEstimate)
-    assert est.probability == 0.322
-    assert_allclose(est.std_error, 0.020895741192884256, rtol=1e-12)
+    assert est.probability == 0.354
+    assert_allclose(est.std_error, 0.021386163751360363, rtol=1e-12)
     assert est.num_drops == 500
     assert est.diagnostics["disk_radius"] == pytest.approx(684.89, abs=0.01)
 
@@ -354,10 +369,10 @@ def _abg_scenario(alpha: float, threshold: float):
 
 
 @pytest.mark.parametrize("case, probability, stations, radius", [
-    pytest.param("ground", 0.757, 147160, 684.89, id="ground"),
-    pytest.param("aerial", 0.343, 148000, 684.89, id="aerial"),
-    pytest.param("conditional", 0.251, 147886, 684.89, id="conditional"),
-    pytest.param("abg", 0.552, 147476, 684.89, id="abg"),
+    pytest.param("ground", 0.7635, 147160, 684.89, id="ground"),
+    pytest.param("aerial", 0.3415, 148000, 684.89, id="aerial"),
+    pytest.param("conditional", 0.252, 147886, 684.89, id="conditional"),
+    pytest.param("abg", 0.5495, 147476, 684.89, id="abg"),
 ])
 def test_estimate_seeded_outputs_are_pinned(case, probability, stations,
                                             radius):
@@ -721,7 +736,7 @@ def test_laplace_empirical_reference_and_bounds():
     means, std_errs = laplace_empirical(
         SCN, SimulationSpec(num_drops=300, seed=12,
                             fixed_serving_distance=100.0), [5e7, 2e8])
-    assert_allclose(means, [0.7815499081641029, 0.3771778844232483],
+    assert_allclose(means, [0.7813242954587087, 0.37722697204889094],
                     rtol=1e-12)
     assert np.all((means > 0.0) & (means < 1.0))
     assert np.all(std_errs > 0.0)
@@ -731,10 +746,10 @@ def test_laplace_empirical_reference_and_bounds():
 def test_laplace_empirical_requires_conditioning():
     with pytest.raises(DomainError):
         laplace_empirical(SCN, SimulationSpec(num_drops=10), [1e7])
-    with pytest.raises(DomainError):
-        laplace_empirical(SCN, SimulationSpec(num_drops=10,
-                                              fixed_serving_distance=100.0),
-                          [-1.0])
+    pinned = SimulationSpec(num_drops=10, fixed_serving_distance=100.0)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="transform arguments"):
+            laplace_empirical(SCN, pinned, [1e7, bad])
 
 
 def test_simulator_does_not_import_analytic_route():
